@@ -1,82 +1,9 @@
 """Simulator for a cloner-assisted photonic CNOT on a quantum-dot spin-cavity unit."""
 
-from .state import (
-    JointState,
-    add,
-    apply_mode_map,
-    basis_state,
-    inner_product,
-    make_state,
-    project_spin,
-    scale,
-    tensor,
-    with_weight,
-)
-from .cavity import (
-    CavityCoeffs,
-    CavityParams,
-    cavity_coeffs,
-    interaction_map,
-    is_strong_coupling,
-    qd_interact,
-)
-from .devices import (
-    F_UC,
-    ClonerConfig,
-    CpbsError,
-    HwpError,
-    SwitchAtomState,
-    SwitchCoeffs,
-    clone_photon,
-    cpbs_maps,
-    hwp_map,
-    qwp_basis_swap,
-    spin_hadamard,
-    switch_amplitude,
-    switch_route,
-)
-from .circuits import (
-    CnotAmplitudes,
-    CnotInputs,
-    DEFAULT_SPIN_INIT,
-    DeviceErrorConfig,
-    baseline_cnot,
-    closed_form_discrepancy,
-    cnot_prefactor,
-    extract_branch_amplitudes,
-    optimized_cnot,
-    output_amplitudes,
-    rr_up_closed_form,
-    sign_fix_amplitude,
-    spin_to_photon_transfer,
-)
-from .fidelity import (
-    FidelityReport,
-    InputEnsemble,
-    average_fidelity,
-    fidelity_single,
-    ideal_cnot_photons,
-    run_circuit,
-    success_probability,
-    target_state,
-)
-from .sweep import (
-    ANCHORS,
-    Anchor,
-    AnchorResult,
-    ConfigError,
-    SimConfig,
-    SweepGrid,
-    calibrate_ensemble,
-    check_anchors,
-    load_config,
-    parse_config_text,
-    reproduce,
-    resolve_ensemble,
-    save_config,
-    sweep_coupling,
-    sweep_err_psw,
-    write_csv,
-)
+from .cavity import CavityParams, cavity_coeffs
+from .devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
+from .circuits import CnotInputs, DeviceErrorConfig, baseline_cnot, optimized_cnot
+from .fidelity import InputEnsemble, average_fidelity
+from .sweep import reproduce
 
 __version__ = "0.1.0"

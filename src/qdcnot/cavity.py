@@ -98,15 +98,3 @@ def interaction_map(c: CavityCoeffs) -> ModeMap:
         ("L", "up", "down"): [(("R", "down", "down"), r1), (("L", "up", "down"), t1)],
     }
 
-
-def qd_interact(
-    c: CavityCoeffs, pol: str, direction: str, spin: str
-) -> list[tuple[tuple[str, str, str], complex]]:
-    """Scatter a single photon basis ket off the spin-cavity unit."""
-    if direction not in ("down", "up"):
-        raise ValueError(f"photon direction must be 'down' or 'up', got {direction!r}")
-    key = (pol, direction, spin)
-    table = interaction_map(c)
-    if key not in table:
-        raise ValueError(f"no interaction rule for {key!r}")
-    return [(out, complex(amp)) for out, amp in table[key]]

@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 from .cavity import CavityCoeffs, CavityParams, cavity_coeffs, interaction_map
 from .devices import (
+    SQRT_HALF,
     ClonerConfig,
     CpbsError,
     HwpError,
     SwitchCoeffs,
+    cpbs_loop_maps,
     hwp_map,
     spin_hadamard,
     switch_amplitude,
@@ -46,12 +48,9 @@ from .state import (
     with_weight,
 )
 
-SQRT_HALF = math.sqrt(0.5)
-
 P1, P1_DIR = "p1", "p1_dir"
 P2, P2_DIR = "p2", "p2_dir"
 SPIN = "spin"
-CLONE = "clone"
 
 # electron spin prepared as (|up> - |down>)/sqrt(2)
 DEFAULT_SPIN_INIT = (SQRT_HALF, -SQRT_HALF)
@@ -116,33 +115,14 @@ def _coeffs(cavity: CavityParams | CavityCoeffs) -> CavityCoeffs:
     return cavity if isinstance(cavity, CavityCoeffs) else cavity_coeffs(cavity)
 
 
-def _loop_split_map(err: CpbsError):
-    sr, sl = math.sqrt(err.tau_r), math.sqrt(err.tau_l)
-    cr, cl = math.sqrt(1 - err.tau_r), math.sqrt(1 - err.tau_l)
-    return {
-        "R": [(("R", "down"), cr), (("R", "up"), sr)],
-        "L": [(("L", "down"), sl), (("L", "up"), cl)],
-    }
-
-
-def _loop_merge_map(err: CpbsError):
-    sr, sl = math.sqrt(err.tau_r), math.sqrt(err.tau_l)
-    cr, cl = math.sqrt(1 - err.tau_r), math.sqrt(1 - err.tau_l)
-    return {
-        ("R", "down"): [("R", cr)],
-        ("R", "up"): [("R", sr)],
-        ("L", "down"): [("L", sl)],
-        ("L", "up"): [("L", cl)],
-    }
-
-
 def _cavity_pass(
     state: JointState, photon: str, dir_factor: str, coeffs: CavityCoeffs, err: CpbsError
 ) -> JointState:
     """One photon through the CPBS-split cavity loop and back out."""
-    state = apply_mode_map(state, photon, _loop_split_map(err), out_mode=(photon, dir_factor))
+    split, merge = cpbs_loop_maps(err)
+    state = apply_mode_map(state, photon, split, out_mode=(photon, dir_factor))
     state = apply_mode_map(state, (photon, dir_factor, SPIN), interaction_map(coeffs))
-    state = apply_mode_map(state, (photon, dir_factor), _loop_merge_map(err), out_mode=(photon,))
+    state = apply_mode_map(state, (photon, dir_factor), merge, out_mode=(photon,))
     return state
 
 
@@ -220,34 +200,6 @@ def optimized_cnot(
         },
     )
     return s
-
-
-def spin_to_photon_transfer(
-    state: JointState, cpbs4: CpbsError, clone: str = CLONE, spin: str = SPIN
-) -> JointState:
-    """Read the spin out onto the clone photon.
-
-    The clone factor (the readout photon, in the H/V basis) is consumed
-    coherently and re-emitted carrying the spin value: spin-up components
-    end with the clone present as |L> (transmitted through CPBS4 with
-    sqrt(1-tau_r4), then flipped R -> L), spin-down components end with the
-    clone absent (their readout photon is discarded at CPBS4).
-    """
-    if clone not in state.factors:
-        raise ValueError(f"clone photon absent: no factor {clone!r}")
-    from .devices import _extract_factor_vector
-
-    vec = _extract_factor_vector(state, clone)
-    unknown = set(vec) - {"H", "V"}
-    if unknown:
-        raise ValueError(f"clone photon must be in the H/V basis, found {sorted(unknown)}")
-    consume = {v: [("absent", vec.get(v, 0j).conjugate())] for v in ("H", "V")}
-    s = apply_mode_map(state, clone, consume)
-    readout = {
-        ("absent", "up"): [(("L", "up"), math.sqrt(1 - cpbs4.tau_r))],
-        ("absent", "down"): [(("absent", "down"), 1.0)],
-    }
-    return apply_mode_map(s, (clone, spin), readout)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     report = average_fidelity(
-        cfg.circuit, cfg.cavity(), cfg.device_errors(), cfg.input_ensemble()
+        cfg.values["circuit"], cfg.cavity(), cfg.device_errors(), cfg.input_ensemble()
     )
     print(f"circuit            {report.circuit}")
     print(f"ensemble           {report.ensemble}")

@@ -5,9 +5,10 @@ amplitude maps on a polarization factor; the multiplicative error
 convention is used throughout: a CPBS with errors (tau_r, tau_l) transmits
 R with amplitude sqrt(1-tau_r) while leaking L with sqrt(tau_l), and
 mirror-wise for the reflected port.  Quarter-wave plates, 50:50 beam
-splitters and delay lines are ideal.  The Lambda-atom switch is exposed
-twice: as a deterministic routing state machine, and as the scalar
-amplitude factor sqrt(T or R) each routed leg contributes in a circuit.
+splitters and delay lines are ideal.  The Lambda-atom switch and the
+universal cloner enter only through their success amplitudes: the switch
+as the factor sqrt(T or R) each routed leg contributes
+(:func:`switch_amplitude`), the cloner as sqrt(fidelity).
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .state import JointState, ModeMap, make_state, tensor, with_weight
+from .state import ModeMap
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -65,15 +64,6 @@ class SwitchCoeffs:
 
 
 @dataclass(frozen=True)
-class SwitchAtomState:
-    m_f: int
-
-    def __post_init__(self):
-        if self.m_f not in (+1, -1):
-            raise ValueError(f"atom state m_f must be +1 or -1, got {self.m_f}")
-
-
-@dataclass(frozen=True)
 class ClonerConfig:
     fidelity: float = 1.0
 
@@ -93,16 +83,22 @@ def hwp_map(err: HwpError) -> ModeMap:
     return {"R": [("R", c), ("L", s)], "L": [("R", c), ("L", -s)]}
 
 
-def cpbs_maps(err: CpbsError) -> tuple[ModeMap, ModeMap]:
-    """(transmitted-port, reflected-port) maps of one CPBS."""
-    transmit = {"R": [("R", math.sqrt(1 - err.tau_r))], "L": [("L", math.sqrt(err.tau_l))]}
-    reflect = {"R": [("R", math.sqrt(err.tau_r))], "L": [("L", math.sqrt(1 - err.tau_l))]}
-    return transmit, reflect
+def cpbs_loop_maps(err: CpbsError) -> tuple[ModeMap, ModeMap]:
+    """(split, merge) maps of a CPBS closing a counter-propagating loop.
 
-
-def qwp_basis_swap() -> ModeMap:
-    """Ideal circular <-> linear polarization relabeling; an involution."""
-    return {"R": [("H", 1.0)], "L": [("V", 1.0)], "H": [("R", 1.0)], "V": [("L", 1.0)]}
+    The split sends transmitted R into the loop travelling down and
+    reflected L travelling up, each leaking its error amplitude onto the
+    other rail; the merge recombines both rails on the same CPBS, so it is
+    the transpose of the split.
+    """
+    sr, sl = math.sqrt(err.tau_r), math.sqrt(err.tau_l)
+    cr, cl = math.sqrt(1 - err.tau_r), math.sqrt(1 - err.tau_l)
+    split = {
+        "R": [(("R", "down"), cr), (("R", "up"), sr)],
+        "L": [(("L", "down"), sl), (("L", "up"), cl)],
+    }
+    merge = {rail: [(pol, amp)] for pol, images in split.items() for rail, amp in images}
+    return split, merge
 
 
 def spin_hadamard() -> ModeMap:
@@ -111,28 +107,6 @@ def spin_hadamard() -> ModeMap:
         "up": [("up", SQRT_HALF), ("down", SQRT_HALF)],
         "down": [("up", SQRT_HALF), ("down", -SQRT_HALF)],
     }
-
-
-def switch_route(
-    atom: SwitchAtomState, input_port: str, photon_mode: str
-) -> tuple[str, SwitchAtomState, bool]:
-    """Route one photon through the Lambda-atom switch.
-
-    The sigma+ transition couples only to photons arriving on I1 and the
-    sigma- transition only to photons on I2.  A coupled photon is reflected
-    back out of its own side (I1 -> O1, I2 -> O2), its polarization mode is
-    exchanged, and the atom toggles; an uncoupled photon passes straight
-    through with the atom untouched.
-    """
-    if input_port not in ("I1", "I2"):
-        raise ValueError(f"input port must be I1 or I2, got {input_port!r}")
-    if photon_mode not in ("sigma+", "sigma-"):
-        raise ValueError(f"photon mode must be sigma+ or sigma-, got {photon_mode!r}")
-    if atom.m_f == -1 and input_port == "I1" and photon_mode == "sigma+":
-        return "O1", SwitchAtomState(+1), True
-    if atom.m_f == +1 and input_port == "I2" and photon_mode == "sigma-":
-        return "O2", SwitchAtomState(-1), True
-    return ("O2", atom, False) if input_port == "I1" else ("O1", atom, False)
 
 
 _PATH_COEFF = {"I1->O2": "t12", "I2->O1": "t21", "I1->O1": "r11", "I2->O2": "r22"}
@@ -147,67 +121,3 @@ def switch_amplitude(coeffs: SwitchCoeffs, path: str) -> float:
             f"unknown switch path {path!r}; expected one of {sorted(_PATH_COEFF)}"
         ) from None
     return math.sqrt(getattr(coeffs, name))
-
-
-def _extract_factor_vector(state: JointState, factor: str) -> dict[str, complex]:
-    """Recover the pure single-factor state of an unentangled factor.
-
-    Builds the (factor values) x (remaining labels) amplitude matrix and
-    checks it is rank one; the returned vector is normalized with its
-    largest component made real positive.
-    """
-    if factor not in state.factors:
-        raise ValueError(f"state has no factor {factor!r}")
-    idx = state.factors.index(factor)
-    values = sorted({lbl[idx] for lbl in state.entries})
-    rests = sorted({lbl[:idx] + lbl[idx + 1 :] for lbl in state.entries})
-    m = np.zeros((len(values), len(rests)), dtype=complex)
-    vpos = {v: i for i, v in enumerate(values)}
-    rpos = {r: i for i, r in enumerate(rests)}
-    for lbl, amp in state.entries.items():
-        m[vpos[lbl[idx]], rpos[lbl[:idx] + lbl[idx + 1 :]]] = amp
-    svals = np.linalg.svd(m, compute_uv=False)
-    if len(svals) > 1 and svals[1] > 1e-12 * svals[0]:
-        raise ValueError(f"factor {factor!r} is entangled with the rest of the state")
-    col = np.argmax(np.linalg.norm(m, axis=0))
-    vec = m[:, col]
-    vec = vec / np.linalg.norm(vec)
-    top = np.argmax(np.abs(vec))
-    vec = vec * (abs(vec[top]) / vec[top])
-    return {v: complex(vec[i]) for v, i in vpos.items() if abs(vec[i]) > 1e-15}
-
-
-def clone_photon(
-    state: JointState,
-    cfg: ClonerConfig,
-    photon: str = "p1",
-    clone: str = "clone",
-    mode: str = "scalar",
-):
-    """Produce a copy of an unentangled photon factor on a new factor.
-
-    In ``scalar`` mode (used for all quantitative results) the cloner is a
-    success-amplitude factor: the clone carries the same polarization state
-    as the source photon (up to global phase) and the state weight picks up
-    sqrt(fidelity).  ``branches`` mode instead returns the two-outcome
-    decomposition [(F, copy), (1-F, orthogonal copy)] for callers that want
-    the richer cloner map; it is not used for any reported number.
-    """
-    if clone in state.factors:
-        raise ValueError(f"clone factor {clone!r} already present")
-    vec = _extract_factor_vector(state, photon)
-    ordered = sorted(vec)
-    copy = make_state(clone, [(v, vec[v]) for v in ordered])
-    if mode == "scalar":
-        out = tensor(state, copy)
-        return with_weight(out, out.weight * math.sqrt(cfg.fidelity))
-    if mode == "branches":
-        if len(ordered) == 1:
-            only = ordered[0]
-            perp_val = {"R": "L", "L": "R", "H": "V", "V": "H"}[only]
-            perp = make_state(clone, [(perp_val, 1.0)])
-        else:
-            a, b = vec[ordered[0]], vec[ordered[1]]
-            perp = make_state(clone, [(ordered[0], -b.conjugate()), (ordered[1], a.conjugate())])
-        return [(cfg.fidelity, tensor(state, copy)), (1 - cfg.fidelity, tensor(state, perp))]
-    raise ValueError(f"unknown cloner mode {mode!r}")

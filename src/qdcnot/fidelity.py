@@ -30,9 +30,8 @@ from .circuits import (
     baseline_cnot,
     optimized_cnot,
 )
+from .devices import SQRT_HALF
 from .state import JointState, inner_product, make_state, project_spin, tensor
-
-SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -136,14 +135,20 @@ class FidelityReport:
     f_up: float
     f_down: float
     f_both: float
-    f_up_folded: float
-    f_down_folded: float
     success_up: float
     success_down: float
     ensemble: str
     circuit: str
     cavity: CavityParams | CavityCoeffs
     errors: DeviceErrorConfig
+
+    @property
+    def f_up_folded(self) -> float:
+        return self.f_up / 2
+
+    @property
+    def f_down_folded(self) -> float:
+        return self.f_down / 2
 
 
 def run_circuit(
@@ -184,8 +189,6 @@ def average_fidelity(
         f_up=sums[0] / n,
         f_down=sums[1] / n,
         f_both=sums[2] / n,
-        f_up_folded=sums[0] / (2 * n),
-        f_down_folded=sums[1] / (2 * n),
         success_up=sums[3] / n,
         success_down=sums[4] / n,
         ensemble=ensemble.kind,

@@ -104,10 +104,6 @@ def make_state(
     return _canonical(names, entries, weight)
 
 
-def basis_state(factors: ModeSelector, value) -> JointState:
-    return make_state(factors, [(value, 1.0)])
-
-
 def tensor(a: JointState, b: JointState) -> JointState:
     """Tensor product; factor names must be disjoint.  Weights multiply."""
     overlap = set(a.factors) & set(b.factors)
@@ -199,21 +195,6 @@ def inner_product(a: JointState, b: JointState) -> complex:
         if lbl in big:
             total += a.entries[lbl].conjugate() * b.entries[lbl]
     return total * a.weight * b.weight
-
-
-def add(a: JointState, b: JointState) -> JointState:
-    """Coherent sum.  Global weights are folded into the amplitudes."""
-    if a.factors != b.factors:
-        raise ValueError(f"factor structures differ: {a.factors} vs {b.factors}")
-    entries = {lbl: amp * a.weight for lbl, amp in a.entries.items()}
-    for lbl, amp in b.entries.items():
-        entries[lbl] = entries.get(lbl, 0j) + amp * b.weight
-    return _canonical(a.factors, entries, 1.0)
-
-
-def scale(factor: complex, state: JointState) -> JointState:
-    entries = {lbl: factor * amp for lbl, amp in state.entries.items()}
-    return _canonical(state.factors, entries, state.weight)
 
 
 def with_weight(state: JointState, weight: float) -> JointState:

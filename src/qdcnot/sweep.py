@@ -70,13 +70,13 @@ CONFIG_SCHEMA = {
     "seed": ("int", 0, ">= 0", lambda v: v >= 0),
     "workers": ("int", 1, ">= 1", lambda v: v >= 1),
     "axis1": ("choice", "kappa_s_over_kappa", "|".join(AXIS_NAMES), AXIS_NAMES),
-    "axis1_lo": ("float", 0.0, "finite", lambda v: math.isfinite(v)),
-    "axis1_hi": ("float", 2.0, "finite", lambda v: math.isfinite(v)),
+    "axis1_lo": ("float", 0.0, "finite", None),
+    "axis1_hi": ("float", 2.0, "finite", None),
     "axis1_points": ("int", 41, ">= 2", lambda v: v >= 2),
     "axis1_scale": ("choice", "linear", "linear|log", ("linear", "log")),
     "axis2": ("choice", "g_over_kappa", "|".join(AXIS_NAMES), AXIS_NAMES),
-    "axis2_lo": ("float", 0.0, "finite", lambda v: math.isfinite(v)),
-    "axis2_hi": ("float", 3.0, "finite", lambda v: math.isfinite(v)),
+    "axis2_lo": ("float", 0.0, "finite", None),
+    "axis2_hi": ("float", 3.0, "finite", None),
     "axis2_points": ("int", 61, ">= 2", lambda v: v >= 2),
     "axis2_scale": ("choice", "linear", "linear|log", ("linear", "log")),
     "out": ("str", "", "path", None),
@@ -123,13 +123,6 @@ class SweepGrid:
 class SimConfig:
     values: dict
 
-    def __getattr__(self, key):
-        # read __dict__ directly: self.values would recurse during unpickling
-        values = self.__dict__.get("values")
-        if values is not None and key in values:
-            return values[key]
-        raise AttributeError(key)
-
     def grid(self) -> SweepGrid:
         v = self.values
         return SweepGrid(
@@ -138,8 +131,9 @@ class SimConfig:
         )
 
     def cavity(self) -> CavityParams:
+        v = self.values
         return CavityParams(
-            g=self.g_over_kappa, kappa_s=self.kappa_s_over_kappa, gamma=self.gamma_over_kappa
+            g=v["g_over_kappa"], kappa_s=v["kappa_s_over_kappa"], gamma=v["gamma_over_kappa"]
         )
 
     def device_errors(self) -> DeviceErrorConfig:
@@ -160,8 +154,21 @@ class SimConfig:
         return resolve_ensemble(self.values["ensemble"], self.values["haar_n"], self.values["seed"])
 
 
-def _parse_value(key: str, raw: str):
+def _check_value(key: str, value):
+    """Validate one typed value against CONFIG_SCHEMA; returns it unchanged."""
     kind, default, constraint, check = CONFIG_SCHEMA[key]
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: must be finite, got {value!r}")
+    if kind == "choice":
+        if value not in check:
+            raise ConfigError(f"config key {key!r}: must be one of {constraint}, got {value!r}")
+    elif check is not None and not check(value):
+        raise ConfigError(f"config key {key!r}: must be {constraint}, got {value!r}")
+    return value
+
+
+def _parse_value(key: str, raw: str):
+    kind = CONFIG_SCHEMA[key][0]
     if kind == "float":
         try:
             value = float(raw)
@@ -174,16 +181,18 @@ def _parse_value(key: str, raw: str):
             raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from None
     else:
         value = raw
-    if kind == "choice":
-        if value not in check:
-            raise ConfigError(f"config key {key!r}: must be one of {constraint}, got {value!r}")
-    elif check is not None and not check(value):
-        raise ConfigError(f"config key {key!r}: must be {constraint}, got {value!r}")
-    return value
+    return _check_value(key, value)
+
+
+def _config(values: dict) -> SimConfig:
+    cfg = SimConfig(values)
+    cfg.grid()  # validate axis combination early
+    return cfg
 
 
 def parse_config_text(text: str) -> SimConfig:
     values = {k: entry[1] for k, entry in CONFIG_SCHEMA.items()}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -194,10 +203,13 @@ def parse_config_text(text: str) -> SimConfig:
         key, raw = key.strip(), raw.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
+        if key in seen:
+            raise ConfigError(
+                f"repeated config key {key!r} (line {lineno}; first set on line {seen[key]})"
+            )
+        seen[key] = lineno
         values[key] = _parse_value(key, raw)
-    cfg = SimConfig(values)
-    cfg.grid()  # validate axis combination early
-    return cfg
+    return _config(values)
 
 
 def load_config(path: str) -> SimConfig:
@@ -282,7 +294,7 @@ def _eval_point(args) -> tuple:
     point = _point_config(_point_config(cfg, cfg.values["axis1"], v1), cfg.values["axis2"], v2)
     try:
         report = average_fidelity(
-            point.circuit, point.cavity(), point.device_errors(), ensemble
+            point.values["circuit"], point.cavity(), point.device_errors(), ensemble
         )
     except Exception as exc:  # grid rows are never silently dropped
         nan = float("nan")
@@ -314,7 +326,7 @@ def sweep_coupling(cfg: SimConfig) -> list[list]:
         )
     ensemble = cfg.input_ensemble()
     rows = _run_grid(cfg, ensemble)
-    if cfg.circuit == "baseline":
+    if cfg.values["circuit"] == "baseline":
         header = [cfg.values["axis1"], cfg.values["axis2"], "f_up", "f_down", "status"]
         return [header] + [[r[0], r[1], r[2], r[3], r[5]] for r in rows]
     header = [cfg.values["axis1"], cfg.values["axis2"], "f_both", "status"]
@@ -328,7 +340,7 @@ def sweep_err_psw(cfg: SimConfig) -> list[list]:
     the switch axis sets the four routed-leg coefficients; the cloner is
     pinned to the universal optimum and the cavity must be strongly coupled.
     """
-    if cfg.circuit != "optimized":
+    if cfg.values["circuit"] != "optimized":
         raise ConfigError("err/p_sw sweep requires circuit = optimized")
     axes = {cfg.values["axis1"], cfg.values["axis2"]}
     if axes != {"err", "p_sw"}:
@@ -490,22 +502,48 @@ def anchor_summary(results: list[AnchorResult]) -> str:
 
 
 def _canonical_config(**overrides) -> SimConfig:
+    """Schema defaults with ``overrides``, validated as a parsed config is."""
     values = {k: entry[1] for k, entry in CONFIG_SCHEMA.items()}
-    values.update(overrides)
-    return SimConfig(values)
+    for key, value in overrides.items():
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = _check_value(key, value)
+    return _config(values)
+
+
+# reproduce target -> its config on top of the schema defaults
+_TARGET_OVERRIDES = {
+    "fig3a": dict(circuit="baseline"),
+    "fig3b": dict(circuit="baseline"),
+    "fig4a": dict(
+        circuit="optimized",
+        xi1=1e-2, xi2=1e-2,
+        tau_r1=1e-2, tau_l1=1e-2, tau_r2=1e-2, tau_l2=1e-2,
+        tau_r3=1e-2, tau_l3=1e-2, tau_r4=1e-2, tau_l4=1e-2,
+        sw1_t12=0.899, sw1_r22=0.65, sw2_t12=0.956, sw2_r11=0.648,
+        cloner_fidelity=0.82,
+    ),
+    "fig4b": dict(
+        circuit="optimized",
+        axis1="err", axis1_lo=1e-4, axis1_hi=1e-1, axis1_points=31, axis1_scale="log",
+        axis2="p_sw", axis2_lo=0.6, axis2_hi=1.0, axis2_points=41, axis2_scale="linear",
+    ),
+    "table_anchors": {},
+}
 
 
 def reproduce(target: str, out_dir: str, workers: int = 1) -> dict:
     """Run one named reproduction target; returns {csv, summary, results, ok}."""
-    targets = ("fig3a", "fig3b", "fig4a", "fig4b", "table_anchors")
-    if target not in targets:
-        raise ConfigError(f"unknown reproduce target {target!r}; valid: {', '.join(targets)}")
+    if target not in _TARGET_OVERRIDES:
+        raise ConfigError(
+            f"unknown reproduce target {target!r}; valid: {', '.join(_TARGET_OVERRIDES)}"
+        )
+    cfg = _canonical_config(workers=workers, **_TARGET_OVERRIDES[target])
     os.makedirs(out_dir, exist_ok=True)
     ensemble = calibrate_ensemble()
     csv_path = None
 
     if target in ("fig3a", "fig3b"):
-        cfg = _canonical_config(circuit="baseline", workers=workers)
         table = sweep_coupling(cfg)
         keep = "f_up" if target == "fig3a" else "f_down"
         drop = 3 if target == "fig3a" else 2
@@ -515,14 +553,6 @@ def reproduce(target: str, out_dir: str, workers: int = 1) -> dict:
         write_csv(table, csv_path)
         results = check_anchors(ensemble, tuple(a for a in ANCHORS if a.name.endswith("_ideal")))
     elif target == "fig4a":
-        cfg = _canonical_config(
-            circuit="optimized", workers=workers,
-            xi1=1e-2, xi2=1e-2,
-            tau_r1=1e-2, tau_l1=1e-2, tau_r2=1e-2, tau_l2=1e-2,
-            tau_r3=1e-2, tau_l3=1e-2, tau_r4=1e-2, tau_l4=1e-2,
-            sw1_t12=0.899, sw1_r22=0.65, sw2_t12=0.956, sw2_r11=0.648,
-            cloner_fidelity=0.82,
-        )
         table = sweep_coupling(cfg)
         csv_path = os.path.join(out_dir, "fig4a.csv")
         write_csv(table, csv_path)
@@ -530,11 +560,6 @@ def reproduce(target: str, out_dir: str, workers: int = 1) -> dict:
             ensemble, tuple(a for a in ANCHORS if a.name == "optimized_measured_switches")
         )
     elif target == "fig4b":
-        cfg = _canonical_config(
-            circuit="optimized", workers=workers,
-            axis1="err", axis1_lo=1e-4, axis1_hi=1e-1, axis1_points=31, axis1_scale="log",
-            axis2="p_sw", axis2_lo=0.6, axis2_hi=1.0, axis2_points=41, axis2_scale="linear",
-        )
         table = sweep_err_psw(cfg)
         csv_path = os.path.join(out_dir, "fig4b.csv")
         write_csv(table, csv_path)

@@ -9,9 +9,8 @@ from qdcnot.cavity import (
     cavity_coeffs,
     interaction_map,
     is_strong_coupling,
-    qd_interact,
 )
-from qdcnot.state import apply_mode_map, basis_state, make_state
+from qdcnot.state import apply_mode_map, make_state
 
 STRONG = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
 WEAK = CavityParams(g=0.45, kappa_s=1.0, gamma=0.1)
@@ -83,22 +82,24 @@ def test_strong_coupling_boundary_is_strict():
 
 
 def test_interact_ideal_limit():
-    c = CavityCoeffs.ideal()
-    assert qd_interact(c, "R", "down", "up") == [(("R", "down", "up"), -1.0), (("L", "up", "up"), -0.0)]
-    out = dict(qd_interact(c, "R", "down", "down"))
+    table = interaction_map(CavityCoeffs.ideal())
+    assert table[("R", "down", "up")] == [(("R", "down", "up"), -1.0), (("L", "up", "up"), -0.0)]
+    out = dict(table[("R", "down", "down")])
     assert out[("L", "up", "down")] == 1.0
 
 
 def test_interact_strong_coupling_rule():
-    c = cavity_coeffs(STRONG)
-    out = dict(qd_interact(c, "L", "up", "down"))
+    out = dict(interaction_map(cavity_coeffs(STRONG))[("L", "up", "down")])
     assert out[("R", "down", "down")] == pytest.approx(0.99207, abs=1e-5)
     assert out[("L", "up", "down")] == pytest.approx(0.00793, abs=1e-5)
 
 
 def test_interact_requires_direction():
-    with pytest.raises(ValueError, match="direction"):
-        qd_interact(CavityCoeffs.ideal(), "R", "sideways", "up")
+    # the table covers only the two propagation directions; any other is rejected
+    factors = ("pol", "pol_dir", "spin")
+    s = make_state(factors, [(("R", "sideways", "up"), 1.0)])
+    with pytest.raises(ValueError, match="sideways"):
+        apply_mode_map(s, factors, interaction_map(CavityCoeffs.ideal()))
 
 
 def _hand_encoded_matrix(c):
@@ -130,7 +131,7 @@ def test_interaction_table_matches_matrix_oracle():
     m, labels, idx = _hand_encoded_matrix(c)
     for src in labels:
         out = apply_mode_map(
-            basis_state(("pol", "pol_dir", "spin"), src), ("pol", "pol_dir", "spin"),
+            make_state(("pol", "pol_dir", "spin"), [(src, 1.0)]), ("pol", "pol_dir", "spin"),
             interaction_map(c),
         )
         vec = np.zeros(8, dtype=complex)
@@ -153,8 +154,8 @@ def test_interact_linear_over_spin_superposition():
                      [(("R", "down", "up"), math.sqrt(0.5)),
                       (("R", "down", "down"), math.sqrt(0.5))])
     out = apply_mode_map(sup, ("pol", "pol_dir", "spin"), interaction_map(c))
-    up_row = dict(qd_interact(c, "R", "down", "up"))
-    down_row = dict(qd_interact(c, "R", "down", "down"))
+    up_row = dict(interaction_map(c)[("R", "down", "up")])
+    down_row = dict(interaction_map(c)[("R", "down", "down")])
     for lbl, amp in up_row.items():
         assert out.amplitude(lbl) == pytest.approx(amp * math.sqrt(0.5))
     for lbl, amp in down_row.items():

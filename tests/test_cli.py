@@ -40,6 +40,13 @@ def test_simulate_invalid_config_exits_1(tmp_path, capsys):
     assert "xi1" in capsys.readouterr().err
 
 
+def test_reproduce_workers_zero_exits_1(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["reproduce", "fig3a", "--out-dir", str(out_dir), "--workers", "0"]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path, (
         "circuit = baseline\nensemble = basis4\n"
@@ -122,10 +129,15 @@ def test_module_entry_point(tmp_path):
     import subprocess
     import sys
 
+    import qdcnot
+
+    # the child must import the same package this process imported
+    src = os.path.dirname(os.path.dirname(qdcnot.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "qdcnot", "cavity", "--g", "2.5", "--ks", "0.05",
          "--gamma", "0.1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "t1 = 0.007934933545" in proc.stdout

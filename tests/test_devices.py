@@ -3,24 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from qdcnot.circuits import DeviceErrorConfig, cnot_prefactor
 from qdcnot.devices import (
     F_UC,
     ClonerConfig,
     CpbsError,
     HwpError,
-    SwitchAtomState,
     SwitchCoeffs,
-    clone_photon,
-    cpbs_maps,
+    cpbs_loop_maps,
     hwp_map,
-    qwp_basis_swap,
     spin_hadamard,
     switch_amplitude,
-    switch_route,
 )
-from qdcnot.state import apply_mode_map, basis_state, inner_product, make_state, tensor
+from qdcnot.state import apply_mode_map, inner_product, make_state
 
 SQH = math.sqrt(0.5)
+
+
+def basis_state(factor, value):
+    return make_state(factor, [(value, 1.0)])
 
 
 # --- half-wave plate
@@ -70,58 +71,51 @@ def test_hwp_out_of_range_rejected():
 
 # --- circular polarizing beam splitter
 
+def _split(err, pol):
+    split, _ = cpbs_loop_maps(err)
+    return apply_mode_map(basis_state("a", pol), "a", split, out_mode=("a", "a_dir"))
+
+
 def test_cpbs_ideal_ports():
-    transmit, reflect = cpbs_maps(CpbsError(0.0, 0.0))
-    r_in = basis_state("a", "R")
-    l_in = basis_state("a", "L")
-    assert apply_mode_map(r_in, "a", transmit).amplitude(("R",)) == 1.0
-    assert apply_mode_map(l_in, "a", transmit).norm_sq() == 0.0
-    assert apply_mode_map(l_in, "a", reflect).amplitude(("L",)) == 1.0
-    assert apply_mode_map(r_in, "a", reflect).norm_sq() == 0.0
+    # transmitted R enters the loop travelling down, reflected L travelling up
+    r_out = _split(CpbsError(0.0, 0.0), "R")
+    assert r_out.amplitude(("R", "down")) == 1.0 and r_out.amplitude(("R", "up")) == 0
+    l_out = _split(CpbsError(0.0, 0.0), "L")
+    assert l_out.amplitude(("L", "up")) == 1.0 and l_out.amplitude(("L", "down")) == 0
 
 
 def test_cpbs_small_error_amplitudes():
-    transmit, reflect = cpbs_maps(CpbsError(0.01, 0.01))
-    r_in = basis_state("a", "R")
-    assert apply_mode_map(r_in, "a", transmit).amplitude(("R",)) == pytest.approx(
-        math.sqrt(0.99), abs=1e-12
-    )
-    assert apply_mode_map(r_in, "a", reflect).amplitude(("R",)) == pytest.approx(0.1, abs=1e-12)
+    r_out = _split(CpbsError(0.01, 0.04), "R")
+    assert r_out.amplitude(("R", "down")) == pytest.approx(math.sqrt(0.99), abs=1e-12)
+    assert r_out.amplitude(("R", "up")) == pytest.approx(0.1, abs=1e-12)
+    l_out = _split(CpbsError(0.01, 0.04), "L")
+    assert l_out.amplitude(("L", "up")) == pytest.approx(math.sqrt(0.96), abs=1e-12)
+    assert l_out.amplitude(("L", "down")) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_cpbs_probability_conservation():
     rng = np.random.default_rng(9)
     for _ in range(50):
         err = CpbsError(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
-        transmit, reflect = cpbs_maps(err)
         for pol in ("R", "L"):
-            s = basis_state("a", pol)
-            total = (apply_mode_map(s, "a", transmit).norm_sq()
-                     + apply_mode_map(s, "a", reflect).norm_sq())
-            assert total == pytest.approx(1.0, abs=1e-12)
+            assert _split(err, pol).norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cpbs_merge_after_split_is_identity():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        err = CpbsError(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+        split, merge = cpbs_loop_maps(err)
+        for pol in ("R", "L"):
+            out = apply_mode_map(_split(err, pol), ("a", "a_dir"), merge, out_mode=("a",))
+            assert out.factors == ("a",)
+            assert out.amplitude((pol,)) == pytest.approx(1.0, abs=1e-12)
+            assert len(out) == 1
 
 
 def test_cpbs_out_of_range_rejected():
     with pytest.raises(ValueError, match="tau"):
         CpbsError(1.2, 0.0)
-
-
-# --- quarter-wave plate relabeling
-
-def test_qwp_swaps_bases():
-    out = apply_mode_map(basis_state("a", "R"), "a", qwp_basis_swap())
-    assert out.amplitude(("H",)) == 1.0
-
-
-def test_qwp_is_involution():
-    s = make_state("a", [("R", 0.6), ("L", 0.8j)])
-    twice = apply_mode_map(apply_mode_map(s, "a", qwp_basis_swap()), "a", qwp_basis_swap())
-    assert twice.entries == s.entries
-
-
-def test_qwp_preserves_norm():
-    s = make_state("a", [("R", 0.6), ("L", 0.8j)])
-    assert apply_mode_map(s, "a", qwp_basis_swap()).norm_sq() == pytest.approx(1.0)
 
 
 # --- spin rotation
@@ -149,39 +143,7 @@ def test_spin_hadamard_unitary():
     assert apply_mode_map(s, "spin", spin_hadamard()).norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
-# --- single-photon switch routing
-
-def test_switch_route_coupled_cases():
-    out, atom, toggled = switch_route(SwitchAtomState(-1), "I1", "sigma+")
-    assert (out, atom.m_f, toggled) == ("O1", +1, True)
-    out, atom, toggled = switch_route(SwitchAtomState(+1), "I2", "sigma-")
-    assert (out, atom.m_f, toggled) == ("O2", -1, True)
-
-
-def test_switch_route_uncoupled_transmission():
-    out, atom, toggled = switch_route(SwitchAtomState(+1), "I1", "sigma+")
-    assert (out, atom.m_f, toggled) == ("O2", +1, False)
-    out, atom, toggled = switch_route(SwitchAtomState(-1), "I2", "sigma-")
-    assert (out, atom.m_f, toggled) == ("O1", -1, False)
-
-
-def test_switch_route_total_and_deterministic():
-    for m_f in (+1, -1):
-        for port in ("I1", "I2"):
-            for mode in ("sigma+", "sigma-"):
-                first = switch_route(SwitchAtomState(m_f), port, mode)
-                second = switch_route(SwitchAtomState(m_f), port, mode)
-                assert first == second
-                assert first[0] in ("O1", "O2")
-
-
-def test_switch_toggle_round_trip():
-    # a toggling reflection, then the mirror event, restores the atom
-    out, atom, toggled = switch_route(SwitchAtomState(-1), "I1", "sigma+")
-    assert toggled
-    out2, atom2, toggled2 = switch_route(atom, "I2", "sigma-")
-    assert toggled2 and atom2.m_f == -1
-
+# --- single-photon switch amplitudes
 
 def test_switch_amplitude_values():
     ideal = SwitchCoeffs()
@@ -209,57 +171,21 @@ def test_switch_amplitude_unknown_path():
 def test_switch_coeffs_range_checked():
     with pytest.raises(ValueError):
         SwitchCoeffs(t12=1.4)
-    with pytest.raises(ValueError):
-        SwitchAtomState(0)
 
 
 # --- cloner
 
-def _control_state(a, b):
-    return tensor(make_state("p1", [("R", a), ("L", b)]),
-                  make_state("spin", [("up", SQH), ("down", -SQH)]))
-
-
-def test_clone_perfect_copy():
-    s = _control_state(0.6, 0.8)
-    out = clone_photon(s, ClonerConfig(1.0))
-    assert out.weight == s.weight
-    assert out.amplitude(("R", "R", "up")) == pytest.approx(0.6 * 0.6 * SQH, abs=1e-12)
-    assert out.amplitude(("L", "L", "down")) == pytest.approx(-0.8 * 0.8 * SQH, abs=1e-12)
-
-
 def test_clone_weight_factors():
-    s = _control_state(1.0, 0.0)
-    assert clone_photon(s, ClonerConfig(F_UC)).weight == pytest.approx(0.9129, abs=1e-4)
-    assert clone_photon(s, ClonerConfig(0.82)).weight == pytest.approx(0.90554, abs=1e-5)
-    # discarding the clone and squaring the weight recovers the fidelity
-    assert clone_photon(s, ClonerConfig(0.82)).weight ** 2 == pytest.approx(0.82, abs=1e-12)
-
-
-def test_clone_already_present_rejected():
-    s = clone_photon(_control_state(1.0, 0.0), ClonerConfig(1.0))
-    with pytest.raises(ValueError, match="already present"):
-        clone_photon(s, ClonerConfig(1.0))
-
-
-def test_clone_entangled_photon_rejected():
-    entangled = make_state(("p1", "spin"), [(("R", "up"), SQH), (("L", "down"), SQH)])
-    with pytest.raises(ValueError, match="entangled"):
-        clone_photon(entangled, ClonerConfig(1.0))
-
-
-def test_clone_branches_mode():
-    s = _control_state(0.6, 0.8)
-    branches = clone_photon(s, ClonerConfig(F_UC), mode="branches")
-    (p_good, good), (p_bad, bad) = branches
-    assert p_good == F_UC and p_bad == pytest.approx(1 - F_UC)
-    # orthogonal copy is orthogonal to the faithful one on the clone factor
-    assert good.amplitude(("R", "R", "up")) != 0
-    overlap = sum(
-        good.amplitude(lbl).conjugate() * bad.amplitude(lbl)
-        for lbl in set(good.entries) | set(bad.entries)
+    # the cloner enters only as the success amplitude sqrt(F)
+    assert cnot_prefactor(DeviceErrorConfig(cloner=ClonerConfig(F_UC))) == pytest.approx(
+        0.9129, abs=1e-4
     )
-    assert abs(overlap) < 1e-12
+    assert cnot_prefactor(DeviceErrorConfig(cloner=ClonerConfig(0.82))) == pytest.approx(
+        0.90554, abs=1e-5
+    )
+    assert cnot_prefactor(DeviceErrorConfig(cloner=ClonerConfig(0.82))) ** 2 == pytest.approx(
+        0.82, abs=1e-12
+    )
 
 
 def test_cloner_fidelity_range():

@@ -15,7 +15,7 @@ from qdcnot.fidelity import (
     success_probability,
     target_state,
 )
-from qdcnot.state import make_state, scale, tensor, with_weight
+from qdcnot.state import JointState, make_state, tensor, with_weight
 
 SQH = math.sqrt(0.5)
 IDEAL = CavityCoeffs.ideal()
@@ -79,7 +79,10 @@ def test_fidelity_invariant_under_global_phase():
     f = fidelity_single(out, inputs, "both")
     for _ in range(5):
         phase = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        assert fidelity_single(scale(phase, out), inputs, "both") == pytest.approx(f, abs=1e-12)
+        rotated = JointState(
+            out.factors, {lbl: phase * amp for lbl, amp in out.entries.items()}, out.weight
+        )
+        assert fidelity_single(rotated, inputs, "both") == pytest.approx(f, abs=1e-12)
 
 
 def test_fidelity_requires_spin_factor():

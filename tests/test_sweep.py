@@ -38,10 +38,10 @@ def small_cfg(**overrides):
 
 def test_minimal_config_gets_defaults():
     cfg = parse_config_text("circuit = baseline\n")
-    assert cfg.circuit == "baseline"
-    assert cfg.gamma_over_kappa == 0.1
-    assert cfg.ensemble == "calibration"
-    assert cfg.seed == 0
+    assert cfg.values["circuit"] == "baseline"
+    assert cfg.values["gamma_over_kappa"] == 0.1
+    assert cfg.values["ensemble"] == "calibration"
+    assert cfg.values["seed"] == 0
     assert cfg.values["workers"] == 1
 
 
@@ -66,7 +66,19 @@ def test_malformed_line_reports_lineno():
 
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config_text("# comment\n\ncircuit = optimized\n")
-    assert cfg.circuit == "optimized"
+    assert cfg.values["circuit"] == "optimized"
+
+
+def test_non_finite_float_rejected_naming_key():
+    for key, raw in (("g_over_kappa", "inf"), ("gamma_over_kappa", "inf"),
+                     ("kappa_s_over_kappa", "nan"), ("axis1_hi", "-inf")):
+        with pytest.raises(ConfigError, match=f"{key}.*finite"):
+            parse_config_text(f"{key} = {raw}\n")
+
+
+def test_repeated_key_rejected_with_lineno():
+    with pytest.raises(ConfigError, match=r"repeated config key 'g_over_kappa' \(line 3"):
+        parse_config_text("g_over_kappa = 1.0\ncircuit = baseline\ng_over_kappa = 2.5\n")
 
 
 def test_config_round_trip_bit_identical(tmp_path):
@@ -243,6 +255,14 @@ def test_serial_and_parallel_identical_bytes(tmp_path):
 def test_reproduce_unknown_target_lists_valid_ones(tmp_path):
     with pytest.raises(ConfigError, match="fig3a.*fig4b.*table_anchors"):
         reproduce("fig9", str(tmp_path))
+
+
+def test_reproduce_rejects_invalid_workers_before_any_work(tmp_path):
+    out_dir = tmp_path / "out"
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match="workers"):
+            reproduce("table_anchors", str(out_dir), workers=workers)
+    assert not out_dir.exists()
 
 
 def test_reproduce_table_anchors(tmp_path):
