@@ -9,13 +9,18 @@ expressions at g = 0.  All rates are quoted in units of the cavity decay
 rate kappa.  The photon-spin interaction keeps the spin branch fixed and
 flips polarization exactly when it flips propagation direction; hot
 transitions scatter with (r1, t1), cold ones with (-t0, -r0).
+
+Parameters stacked with ``state.stack`` hold arrays (one entry per grid
+point of a batched run); the coefficients and the interaction map are then
+batched too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .state import ModeMap
+import numpy as np
+
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ def cavity_coeffs(params: CavityParams) -> CavityCoeffs:
     """Evaluate the resonant response for the given rates."""
     p = params
     denom0 = p.gamma * (2 * p.kappa + p.kappa_s)
-    if denom0 <= 0:
+    if np.any(denom0 <= 0):
         raise ValueError(
             "degenerate cavity parameters: gamma*(2*kappa+kappa_s) must be positive"
         )
@@ -82,19 +87,19 @@ def is_strong_coupling(params: CavityParams) -> bool:
     return params.g > (params.kappa_s + params.kappa) / 4
 
 
-# Interaction table over (polarization, direction, spin).  'down'/'up' name
-# the propagation direction through the cavity; the spin branch is never
-# flipped, and polarization flips exactly when the direction flips.
-def interaction_map(c: CavityCoeffs) -> ModeMap:
-    t1, r1, t0, r0 = c.t1, c.r1, c.t0, c.r0
-    return {
-        ("R", "down", "up"): [(("R", "down", "up"), -t0), (("L", "up", "up"), -r0)],
-        ("R", "down", "down"): [(("L", "up", "down"), r1), (("R", "down", "down"), t1)],
-        ("R", "up", "up"): [(("L", "down", "up"), r1), (("R", "up", "up"), t1)],
-        ("R", "up", "down"): [(("R", "up", "down"), -t0), (("L", "down", "down"), -r0)],
-        ("L", "down", "up"): [(("R", "up", "up"), r1), (("L", "down", "up"), t1)],
-        ("L", "down", "down"): [(("L", "down", "down"), -t0), (("R", "up", "down"), -r0)],
-        ("L", "up", "up"): [(("L", "up", "up"), -t0), (("R", "down", "up"), -r0)],
-        ("L", "up", "down"): [(("R", "down", "down"), r1), (("L", "up", "down"), t1)],
-    }
+def interaction_map(c: CavityCoeffs) -> np.ndarray:
+    """8x8 map over (polarization, direction, spin) of one pass through the cavity.
 
+    The spin branch is never flipped, and polarization flips exactly when
+    the propagation direction flips.  A transition is hot (coupled) when
+    an odd number of (polarization L, direction up, spin down) hold: it
+    stays with t1 and flips with r1; a cold one stays with -t0 and flips
+    with -r0.
+    """
+    m = np.zeros(np.broadcast_shapes(np.shape(c.t1), np.shape(c.t0)) + (8, 8))
+    for i in range(8):
+        pol, direction, spin = i >> 2, (i >> 1) & 1, i & 1
+        hot = pol ^ direction ^ spin
+        m[..., i, i] = c.t1 if hot else -c.t0
+        m[..., i ^ 0b110, i] = c.r1 if hot else -c.r0  # pol and direction flipped
+    return m

@@ -21,12 +21,19 @@ weight picks up the switch/cloner prefactor.  The readout-and-flip chain is
 applied at the amplitude level, exactly where its factors appear in the
 circuit's output expression (the sign fix lands only on the two spin-up
 control-L coefficients).
+
+Every circuit function also runs a batch: inputs whose amplitudes are
+arrays (a stacked ensemble) and configurations whose fields are arrays
+(a stacked grid row) broadcast against each other, and the output state
+carries one run per batch element.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .cavity import CavityCoeffs, CavityParams, cavity_coeffs, interaction_map
 from .devices import (
@@ -44,6 +51,7 @@ from .state import (
     JointState,
     apply_mode_map,
     make_state,
+    matrix,
     tensor,
     with_weight,
 )
@@ -133,6 +141,33 @@ def initial_state(inputs: CnotInputs) -> JointState:
     return tensor(tensor(p1, p2), spin)
 
 
+# output checks by fault code: what a single run that fails one raises
+FAULTS = {
+    1: (ValueError, "non-finite output amplitude"),
+    2: (AssertionError, "output norm exceeds 1"),
+}
+NORM_TOL = 1e-9
+
+
+def fault_error(code: int, detail: str) -> Exception:
+    kind, what = FAULTS[code]
+    return kind(f"{what}: {detail}")
+
+
+def _checked(s: JointState) -> JointState:
+    """Flag each run whose output is non-finite (code 1) or has norm > 1 (code 2).
+
+    A single run raises instead; a batch records the codes in ``fault``
+    so that one failing run never fails the others.
+    """
+    norm = s.norm_sq()
+    finite = np.isfinite(s.amps).all(axis=tuple(range(-len(s.factors), 0)))
+    fault = np.where(finite, np.where(norm > 1 + NORM_TOL, 2, 0), 1)
+    if fault.ndim == 0 and fault:
+        raise fault_error(int(fault), f"norm {norm}")
+    return replace(s, fault=fault)
+
+
 def baseline_cnot(
     inputs: CnotInputs,
     cavity: CavityParams | CavityCoeffs,
@@ -147,9 +182,7 @@ def baseline_cnot(
     s = apply_mode_map(s, SPIN, spin_hadamard())
     s = _cavity_pass(s, P2, P2_DIR, coeffs, err.cpbs1)
     s = apply_mode_map(s, SPIN, spin_hadamard())
-    if s.norm_sq() > 1 + 1e-9:
-        raise AssertionError(f"output norm exceeds 1: {s.norm_sq()}")
-    return s
+    return _checked(s)
 
 
 def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
@@ -159,7 +192,7 @@ def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
     control component passes the two conditional-phase CPBSs with
     sqrt(1-tau_l2) and sqrt(1-tau_l3); the flip itself contributes the -1.
     """
-    return -math.sqrt(
+    return -np.sqrt(
         (1 - err.cpbs2.tau_l) * (1 - err.cpbs3.tau_l) * (1 - err.cpbs4.tau_r)
     )
 
@@ -176,7 +209,7 @@ def cnot_prefactor(err: DeviceErrorConfig) -> float:
         * switch_amplitude(err.sw1, "I2->O2")
         * switch_amplitude(err.sw2, "I1->O2")
         * switch_amplitude(err.sw2, "I1->O1")
-        * math.sqrt(err.cloner.fidelity)
+        * np.sqrt(err.cloner.fidelity)
     )
 
 
@@ -188,18 +221,10 @@ def optimized_cnot(
     """Cloner-assisted CNOT: baseline core, switch routing, conditional sign fix."""
     s = baseline_cnot(inputs, cavity, err)
     s = with_weight(s, s.weight * cnot_prefactor(err))
+    # diagonal over (control, spin): only the (L, up) amplitude is flipped
     flip = sign_fix_amplitude(err)
-    s = apply_mode_map(
-        s,
-        (P1, SPIN),
-        {
-            ("R", "up"): [(("R", "up"), 1.0)],
-            ("R", "down"): [(("R", "down"), 1.0)],
-            ("L", "up"): [(("L", "up"), flip)],
-            ("L", "down"): [(("L", "down"), 1.0)],
-        },
-    )
-    return s
+    sign_fix = matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, flip, 0], [0, 0, 0, 1]])
+    return apply_mode_map(s, (P1, SPIN), sign_fix)
 
 
 @dataclass(frozen=True)

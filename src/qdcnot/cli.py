@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a canonical target and check its anchors")
     p.add_argument("target")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("cavity", help="print t1, r1, t0, r0 for the given rates")
     p.add_argument("--g", type=float, required=True)
@@ -89,7 +88,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    outcome = reproduce(args.target, args.out_dir, workers=args.workers)
+    outcome = reproduce(args.target, args.out_dir)
     sys.stdout.write(outcome["summary"])
     if outcome["csv"]:
         print(f"csv: {outcome['csv']}")

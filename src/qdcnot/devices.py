@@ -1,7 +1,7 @@
 """Imperfect linear-optical components and the single-photon switch.
 
 Wave plates and circular polarizing beam splitters (CPBS) are modeled as
-amplitude maps on a polarization factor; the multiplicative error
+amplitude matrices on a polarization factor; the multiplicative error
 convention is used throughout: a CPBS with errors (tau_r, tau_l) transmits
 R with amplitude sqrt(1-tau_r) while leaking L with sqrt(tau_l), and
 mirror-wise for the reflected port.  Quarter-wave plates, 50:50 beam
@@ -9,6 +9,10 @@ splitters and delay lines are ideal.  The Lambda-atom switch and the
 universal cloner enter only through their success amplitudes: the switch
 as the factor sqrt(T or R) each routed leg contributes
 (:func:`switch_amplitude`), the cloner as sqrt(fidelity).
+
+A configuration stacked with ``state.stack`` holds an array in every field
+(one entry per grid point of a batched run); each map function then returns
+a batched matrix.  The field checks are written for single values.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .state import ModeMap
+import numpy as np
+
+from .state import matrix
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -72,47 +78,41 @@ class ClonerConfig:
             raise ValueError(f"cloner fidelity must be in [0.5, 1], got {self.fidelity}")
 
 
-def hwp_map(err: HwpError) -> ModeMap:
+def hwp_map(err: HwpError) -> np.ndarray:
     """R -> c R + s L, L -> c R - s L with c = sqrt((1-xi)/2), s = sqrt((1+xi)/2).
 
     Each image ket has unit norm for any xi, but the two images overlap by
     -xi, so the map is unitary only at xi = 0.
     """
-    c = math.sqrt((1 - err.xi) / 2)
-    s = math.sqrt((1 + err.xi) / 2)
-    return {"R": [("R", c), ("L", s)], "L": [("R", c), ("L", -s)]}
+    c = np.sqrt((1 - err.xi) / 2)
+    s = np.sqrt((1 + err.xi) / 2)
+    return matrix([[c, c], [s, -s]])
 
 
-def cpbs_loop_maps(err: CpbsError) -> tuple[ModeMap, ModeMap]:
+def cpbs_loop_maps(err: CpbsError) -> tuple[np.ndarray, np.ndarray]:
     """(split, merge) maps of a CPBS closing a counter-propagating loop.
 
     The split sends transmitted R into the loop travelling down and
     reflected L travelling up, each leaking its error amplitude onto the
-    other rail; the merge recombines both rails on the same CPBS, so it is
-    the transpose of the split.
+    other rail; it maps (polarization) to (polarization, direction).  The
+    merge recombines both rails on the same CPBS, so it is the transpose
+    of the split.
     """
-    sr, sl = math.sqrt(err.tau_r), math.sqrt(err.tau_l)
-    cr, cl = math.sqrt(1 - err.tau_r), math.sqrt(1 - err.tau_l)
-    split = {
-        "R": [(("R", "down"), cr), (("R", "up"), sr)],
-        "L": [(("L", "down"), sl), (("L", "up"), cl)],
-    }
-    merge = {rail: [(pol, amp)] for pol, images in split.items() for rail, amp in images}
-    return split, merge
+    sr, sl = np.sqrt(err.tau_r), np.sqrt(err.tau_l)
+    cr, cl = np.sqrt(1 - err.tau_r), np.sqrt(1 - err.tau_l)
+    split = matrix([[cr, 0], [sr, 0], [0, sl], [0, cl]])
+    return split, np.swapaxes(split, -1, -2)
 
 
-def spin_hadamard() -> ModeMap:
+def spin_hadamard() -> np.ndarray:
     """pi/2 rotation of the electron spin (applied by microwave pulse)."""
-    return {
-        "up": [("up", SQRT_HALF), ("down", SQRT_HALF)],
-        "down": [("up", SQRT_HALF), ("down", -SQRT_HALF)],
-    }
+    return matrix([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
 
 
 _PATH_COEFF = {"I1->O2": "t12", "I2->O1": "t21", "I1->O1": "r11", "I2->O2": "r22"}
 
 
-def switch_amplitude(coeffs: SwitchCoeffs, path: str) -> float:
+def switch_amplitude(coeffs: SwitchCoeffs, path: str):
     """Amplitude factor sqrt(coefficient) for one routing leg."""
     try:
         name = _PATH_COEFF[path]
@@ -120,4 +120,4 @@ def switch_amplitude(coeffs: SwitchCoeffs, path: str) -> float:
         raise ValueError(
             f"unknown switch path {path!r}; expected one of {sorted(_PATH_COEFF)}"
         ) from None
-    return math.sqrt(getattr(coeffs, name))
+    return np.sqrt(getattr(coeffs, name))

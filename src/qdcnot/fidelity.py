@@ -13,25 +13,32 @@ branch (the branch-conditioned gate quality, with the 1/2 quoted separately
 as success probability), while ``f_up_folded``/``f_down_folded`` keep the
 branch weight inside the number.  The combined ``f_both`` always folds all
 weight in.
+
+An ensemble runs as one batch.  Given a stacked grid row (configuration
+fields holding one array entry per point), :func:`average_fidelity` runs
+the whole row against the whole ensemble at once and reports one value and
+one status per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .cavity import CavityCoeffs, CavityParams
 from .circuits import (
+    FAULTS,
     CnotInputs,
     DeviceErrorConfig,
     baseline_cnot,
+    fault_error,
     optimized_cnot,
 )
 from .devices import SQRT_HALF
-from .state import JointState, inner_product, make_state, project_spin, tensor
+from .state import JointState, inner_product, make_state, project_spin, stack, tensor
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,11 @@ class InputEnsemble:
 
     kind: str
     states: tuple[CnotInputs, ...]
+
+    @cached_property
+    def inputs(self) -> CnotInputs:
+        """The states stacked into one batched input, in order."""
+        return stack(self.states)
 
     @classmethod
     def basis4(cls) -> "InputEnsemble":
@@ -57,17 +69,23 @@ class InputEnsemble:
 
     @classmethod
     def haar_product(cls, n: int, seed: int = 0) -> "InputEnsemble":
-        """n product inputs, each qubit drawn from the uniform pure-state measure."""
-        rng = np.random.default_rng(seed)
-        states = []
-        for _ in range(n):
-            v = rng.normal(size=4) + 1j * rng.normal(size=4)
-            a, b = v[0], v[1]
-            d, g = v[2], v[3]
-            na = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            nt = math.sqrt(abs(d) ** 2 + abs(g) ** 2)
-            states.append(CnotInputs(a / na, b / na, d / nt, g / nt))
-        return cls(f"haar_product({n}, seed={seed})", tuple(states))
+        """n product inputs, each qubit drawn from the uniform pure-state measure.
+
+        Built once per (n, seed) in a process.
+        """
+        return _haar_product(n, seed)
+
+
+@lru_cache(maxsize=8)
+def _haar_product(n: int, seed: int) -> InputEnsemble:
+    # one draw; sample i takes its 4 real parts, then its 4 imaginary parts
+    draws = np.random.default_rng(seed).normal(size=(n, 2, 4))
+    states = []
+    for a, b, d, g in draws[:, 0] + 1j * draws[:, 1]:
+        na = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        nt = math.sqrt(abs(d) ** 2 + abs(g) ** 2)
+        states.append(CnotInputs(a / na, b / na, d / nt, g / nt))
+    return InputEnsemble(f"haar_product({n}, seed={seed})", tuple(states))
 
 
 def ideal_cnot_photons(inputs: CnotInputs) -> JointState:
@@ -94,6 +112,14 @@ def _ideal_output_spin(spin_init: tuple[complex, complex]) -> tuple[complex, com
     return (up / norm, down / norm)
 
 
+def _ideal_spin(spin_init) -> tuple:
+    """:func:`_ideal_output_spin` of a single or a stacked ``spin_init``."""
+    if np.ndim(spin_init[0]) == 0:
+        return _ideal_output_spin(tuple(spin_init))
+    pairs = [_ideal_output_spin(pair) for pair in zip(*(s.tolist() for s in spin_init))]
+    return tuple(np.array(column).reshape(np.shape(spin_init[0])) for column in zip(*pairs))
+
+
 def target_state(inputs: CnotInputs, mode: str) -> JointState:
     photons = ideal_cnot_photons(inputs)
     if mode == "branch_up":
@@ -101,21 +127,24 @@ def target_state(inputs: CnotInputs, mode: str) -> JointState:
     elif mode == "branch_down":
         spin = make_state("spin", [("down", 1.0)])
     elif mode == "both":
-        up, down = _ideal_output_spin(inputs.spin_init)
+        up, down = _ideal_spin(inputs.spin_init)
         spin = make_state("spin", [("up", up), ("down", down)])
     else:
         raise ValueError(f"unknown fidelity mode {mode!r}")
     return tensor(photons, spin)
 
 
-def fidelity_single(out: JointState, inputs: CnotInputs, mode: str) -> float:
-    """|<target|out>|^2 with the unnormalized output; weight is folded in."""
+def fidelity_single(out: JointState, inputs: CnotInputs, mode: str):
+    """|<target|out>|^2 with the unnormalized output; weight is folded in.
+
+    Per batch element for a batched output and stacked inputs.
+    """
     if "spin" not in out.factors:
         raise ValueError("output state has no spin factor")
-    return abs(inner_product(target_state(inputs, mode), out)) ** 2
+    return np.abs(inner_product(target_state(inputs, mode), out)) ** 2
 
 
-def success_probability(out: JointState, branch: str = "both") -> float:
+def success_probability(out: JointState, branch: str = "both"):
     """Squared norm of one spin branch (or of the whole state)."""
     if branch == "both":
         return out.norm_sq()
@@ -130,6 +159,8 @@ class FidelityReport:
 
     ``f_up``/``f_down`` are conditioned on the ideal 1/2 herald weight of
     their branch; the folded variants and ``f_both`` include all weight.
+    For a grid row every value is an array over the row's points, and
+    ``status`` says per point "ok" or which output check failed.
     """
 
     f_up: float
@@ -141,6 +172,7 @@ class FidelityReport:
     circuit: str
     cavity: CavityParams | CavityCoeffs
     errors: DeviceErrorConfig
+    status: str | tuple[str, ...] = "ok"
 
     @property
     def f_up_folded(self) -> float:
@@ -170,29 +202,39 @@ def average_fidelity(
     err: DeviceErrorConfig,
     ensemble: InputEnsemble,
 ) -> FidelityReport:
-    """Arithmetic mean of the per-input fidelities, in a fixed order."""
+    """Arithmetic mean of the per-input fidelities, in a fixed order.
+
+    ``cavity`` and ``err`` are one configuration, or a grid row stacked with
+    ``state.stack(..., shape=(-1, 1))``.  One configuration whose output
+    fails a check raises; a row reports the failure in that point's status
+    and leaves its values nan.
+    """
     if not ensemble.states:
         raise ValueError("empty input ensemble")
-    sums = [0.0, 0.0, 0.0, 0.0, 0.0]
-    for inputs in ensemble.states:
-        out = run_circuit(circuit, inputs, cavity, err)
-        f_up = fidelity_single(out, inputs, "branch_up")
-        f_down = fidelity_single(out, inputs, "branch_down")
-        f_both = fidelity_single(out, inputs, "both")
-        sums[0] += 2 * f_up
-        sums[1] += 2 * f_down
-        sums[2] += f_both
-        sums[3] += success_probability(out, "up")
-        sums[4] += success_probability(out, "down")
+    inputs = ensemble.inputs
+    out = run_circuit(circuit, inputs, cavity, err)
     n = len(ensemble.states)
-    return FidelityReport(
-        f_up=sums[0] / n,
-        f_down=sums[1] / n,
-        f_both=sums[2] / n,
-        success_up=sums[3] / n,
-        success_down=sums[4] / n,
-        ensemble=ensemble.kind,
-        circuit=circuit,
-        cavity=cavity,
-        errors=err,
-    )
+
+    def mean(values):  # a running sum in ensemble order, then one division
+        return np.cumsum(values, axis=-1)[..., -1] / n
+
+    values = [
+        mean(2 * fidelity_single(out, inputs, "branch_up")),
+        mean(2 * fidelity_single(out, inputs, "branch_down")),
+        mean(fidelity_single(out, inputs, "both")),
+        mean(success_probability(out, "up")),
+        mean(success_probability(out, "down")),
+    ]
+    # per point, the first input (in ensemble order) that failed a check
+    fault = np.broadcast_to(out.fault, out.batch_shape)
+    first = np.take_along_axis(fault, np.argmax(fault != 0, axis=-1)[..., None], -1)[..., 0]
+    if first.ndim == 0:
+        if first:
+            raise fault_error(int(first), f"{circuit} circuit, input {int(np.argmax(fault))}")
+        values = [float(v) for v in values]
+        status = "ok"
+    else:
+        values = [np.where(first == 0, v, math.nan) for v in values]
+        status = tuple(f"error:{FAULTS[f][0].__name__}" if f else "ok" for f in first.tolist())
+    return FidelityReport(*values, ensemble=ensemble.kind, circuit=circuit,
+                          cavity=cavity, errors=err, status=status)

@@ -1,57 +1,107 @@
-"""Sparse complex-amplitude states over named tensor factors.
+"""Dense batched complex-amplitude states over named qubit factors.
 
-A :class:`JointState` holds unnormalized amplitudes indexed by tuples of
-per-factor values (e.g. photon polarizations, a propagation direction, a
-spin branch), plus a scalar ``weight`` that accumulates success-amplitude
-prefactors picked up along a circuit (switch transmittances, cloner
-fidelity).  The factor set is not fixed: circuit stages may introduce a
-factor (a photon entering the cavity acquires a direction) or remove one
-(the two counter-propagating rails recombine into a single output port),
-so states are compared structurally by their sorted factor names.
+A :class:`JointState` holds one complex array: leading batch axes (for a
+grid row, the points of the row and then the inputs of the ensemble; none
+for a single run), then one size-2 axis per named tensor factor, with the
+factor names kept sorted.  A scalar or batched ``weight`` accumulates the
+success-amplitude prefactors picked up along a circuit (switch
+transmittances, cloner fidelity).  The factor set is not fixed: a stage
+may introduce a factor (a photon entering the cavity acquires a
+direction) or remove one (the two counter-propagating rails recombine
+into a single output port).
 
-All operations are pure functions; nothing here renormalizes.  Device maps
-are applied as given, including non-unitary ones, and lost amplitude stays
+Every factor is a qubit whose basis values follow from its name:
+``spin`` is (up, down), a name ending in ``_dir`` is a propagation
+direction (down, up), any other is a polarization (R, L).  Stage maps are
+(batched) matrices on one or more factors, indexed by the binary number
+their labels spell in the order the factors are named, the first factor
+most significant.
+
+All operations are pure functions; nothing here renormalizes.  Maps are
+applied as given, including non-unitary ones, and lost amplitude stays
 lost so downstream fidelity calculations see it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+import copy
+import dataclasses
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 PRUNE_TOL = 1e-15
 
 Label = tuple[str, ...]
 ModeSelector = Union[str, Sequence[str]]
-# One tensor-factor map: in-label -> [(out-label, amplitude), ...]
-ModeMap = Mapping[object, Sequence[tuple[object, complex]]]
+
+_POLARIZATION = ("R", "L")
+_DIRECTION = ("down", "up")
+_SPIN = ("up", "down")
+
+
+def _basis(factor: str) -> tuple[str, str]:
+    """Value names of a factor, by basis index: spin, direction or polarization."""
+    if factor == "spin":
+        return _SPIN
+    if factor.endswith("_dir"):
+        return _DIRECTION
+    return _POLARIZATION
 
 
 @dataclass(frozen=True)
 class JointState:
-    """Unnormalized amplitudes over a labeled tensor basis.
+    """Unnormalized amplitudes over a batch of labeled tensor bases.
 
-    ``factors`` is always sorted; ``entries`` maps value tuples (aligned
-    with ``factors``) to complex amplitudes.  Treat instances as immutable:
-    every operation returns a new state.
+    ``amps`` has shape ``batch + (2,) * len(factors)``; ``factors`` is
+    always sorted.  ``fault`` is 0, or per batch element the code of the
+    output check that element failed (see ``circuits.FAULTS``).  Treat
+    instances as immutable: every operation returns a new state.
     """
 
     factors: tuple[str, ...]
-    entries: dict[Label, complex] = field(default_factory=dict)
-    weight: float = 1.0
+    amps: np.ndarray
+    weight: float | np.ndarray = 1.0
+    fault: int | np.ndarray = 0
 
-    def amplitude(self, label: Sequence[str]) -> complex:
-        return self.entries.get(tuple(label), 0j)
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.amps.shape[: self.amps.ndim - len(self.factors)]
 
-    def norm_sq(self) -> float:
-        """Squared norm including the global weight."""
-        return self.weight * self.weight * sum(
-            (a * a.conjugate()).real for a in self.entries.values()
+    def _index(self, label: Sequence[str]) -> tuple:
+        label = _as_values(label, len(self.factors))
+        return (Ellipsis,) + tuple(
+            _value_index(f, v) for f, v in zip(self.factors, label)
         )
 
+    def amplitude(self, label: Sequence[str]):
+        """Amplitude at ``label`` (per batch element); |amp| <= PRUNE_TOL reads as 0."""
+        amp = self.amps[self._index(label)]
+        amp = np.where(np.abs(amp) > PRUNE_TOL, amp, 0j)
+        return complex(amp) if amp.ndim == 0 else amp
+
+    @property
+    def entries(self) -> dict[Label, complex]:
+        """Label -> amplitude of a single run, without |amp| <= PRUNE_TOL."""
+        if self.batch_shape:
+            raise ValueError(f"entries of a batched state (batch {self.batch_shape})")
+        names = [_basis(f) for f in self.factors]
+        return {
+            tuple(n[i] for n, i in zip(names, idx)): complex(amp)
+            for idx, amp in np.ndenumerate(self.amps)
+            if abs(amp) > PRUNE_TOL
+        }
+
+    def norm_sq(self):
+        """Squared norm including the global weight, per batch element."""
+        axes = tuple(range(-len(self.factors), 0))
+        amps = self.amps
+        return self.weight * self.weight * np.sum(amps.real**2 + amps.imag**2, axis=axes)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        """Number of amplitudes above PRUNE_TOL, over the whole batch."""
+        return int(np.count_nonzero(np.abs(self.amps) > PRUNE_TOL))
 
 
 def _as_names(mode: ModeSelector) -> tuple[str, ...]:
@@ -67,21 +117,51 @@ def _as_values(value, arity: int) -> tuple[str, ...]:
     return vals
 
 
-def _checked(entries: dict[Label, complex]) -> dict[Label, complex]:
-    for label, amp in entries.items():
-        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-            raise ValueError(f"non-finite amplitude at {label!r}: {amp!r}")
-    return entries
+def _value_index(factor: str, value: str) -> int:
+    names = _basis(factor)
+    if value not in names:
+        raise ValueError(f"factor {factor!r} has no value {value!r}; expected one of {names}")
+    return names.index(value)
 
 
-def _canonical(factors: Sequence[str], entries: dict[Label, complex], weight: float) -> JointState:
-    _checked(entries)  # before pruning: abs() comparisons silently drop NaN
-    order = tuple(sorted(factors))
-    if order != tuple(factors):
-        perm = [list(factors).index(f) for f in order]
-        entries = {tuple(lbl[i] for i in perm): amp for lbl, amp in entries.items()}
-    pruned = {lbl: amp for lbl, amp in sorted(entries.items()) if abs(amp) > PRUNE_TOL}
-    return JointState(order, pruned, weight)
+def _sorted(factors: Sequence[str], amps: np.ndarray, **fields) -> JointState:
+    """State with its factor axes permuted into sorted name order."""
+    order = sorted(range(len(factors)), key=factors.__getitem__)
+    nb = amps.ndim - len(factors)
+    if order != list(range(len(factors))):
+        amps = amps.transpose(tuple(range(nb)) + tuple(nb + i for i in order))
+    return JointState(tuple(factors[i] for i in order), amps, **fields)
+
+
+def matrix(rows: Sequence[Sequence]) -> np.ndarray:
+    """Collect rows of scalar or array entries into one (batch..., n, m) map."""
+    entries = [x for row in rows for x in row]
+    shape = np.broadcast_shapes(*(np.shape(x) for x in entries))
+    out = np.empty(shape + (len(rows), len(rows[0])), dtype=np.result_type(float, *entries))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[..., i, j] = x
+    return out
+
+
+def stack(items: Sequence, shape: tuple[int, ...] = (-1,)):
+    """One value whose leaves hold arrays over ``items``, reshaped to ``shape``.
+
+    Dataclasses are stacked field by field and tuples entry by entry, so a
+    list of configurations becomes one batched configuration.  Each item
+    was validated when it was built, so the stacked copy is not validated
+    again (its checks are written for single values).
+    """
+    first = items[0]
+    if dataclasses.is_dataclass(first):
+        out = copy.copy(first)
+        for f in dataclasses.fields(first):
+            column = [getattr(item, f.name) for item in items]
+            object.__setattr__(out, f.name, stack(column, shape))
+        return out
+    if isinstance(first, tuple):
+        return tuple(stack(list(column), shape) for column in zip(*items))
+    return np.array(items).reshape(shape)
 
 
 def make_state(
@@ -91,17 +171,26 @@ def make_state(
 ) -> JointState:
     """Build a state from explicit (label, amplitude) assignments.
 
-    Labels must be distinct; a repeated label is rejected rather than
-    summed, since duplicates in an explicit preparation are a caller bug.
+    An amplitude may be an array, which makes the state batched.  Labels
+    must be distinct; a repeated label is rejected rather than summed,
+    since duplicates in an explicit preparation are a caller bug.
     """
     names = _as_names(factors)
-    entries: dict[Label, complex] = {}
+    indexed: dict[tuple[int, ...], np.ndarray] = {}
     for value, amp in assignments:
         label = _as_values(value, len(names))
-        if label in entries:
+        idx = tuple(_value_index(f, v) for f, v in zip(names, label))
+        if idx in indexed:
             raise ValueError(f"duplicate basis label {label!r}")
-        entries[label] = complex(amp)
-    return _canonical(names, entries, weight)
+        amp = np.asarray(amp, dtype=complex)
+        if not np.all(np.isfinite(amp)):
+            raise ValueError(f"non-finite amplitude at {label!r}: {amp!r}")
+        indexed[idx] = amp
+    batch = np.broadcast_shapes(*(a.shape for a in indexed.values()))
+    amps = np.zeros(batch + (2,) * len(names), dtype=complex)
+    for idx, amp in indexed.items():
+        amps[(Ellipsis,) + idx] = amp
+    return _sorted(names, amps, weight=weight)
 
 
 def tensor(a: JointState, b: JointState) -> JointState:
@@ -109,26 +198,28 @@ def tensor(a: JointState, b: JointState) -> JointState:
     overlap = set(a.factors) & set(b.factors)
     if overlap:
         raise ValueError(f"tensor factors overlap: {sorted(overlap)}")
-    entries: dict[Label, complex] = {}
-    for la, va in a.entries.items():
-        for lb, vb in b.entries.items():
-            entries[la + lb] = va * vb
-    return _canonical(a.factors + b.factors, entries, a.weight * b.weight)
+    ka, kb = len(a.factors), len(b.factors)
+    left = a.amps.reshape(a.amps.shape + (1,) * kb)
+    right = b.amps.reshape(b.batch_shape + (1,) * ka + (2,) * kb)
+    return _sorted(
+        a.factors + b.factors, left * right,
+        weight=a.weight * b.weight, fault=np.maximum(a.fault, b.fault),
+    )
 
 
 def apply_mode_map(
     state: JointState,
     mode: ModeSelector,
-    rules: ModeMap,
+    rules: np.ndarray,
     out_mode: ModeSelector | None = None,
 ) -> JointState:
     """Apply a linear map to one (possibly composite) tensor factor.
 
-    ``rules`` must cover every in-label present in the state on ``mode``.
-    Amplitudes landing on the same out-label add coherently.  ``out_mode``
-    lets a map change the factor set, e.g. splitting a polarization factor
-    into (polarization, direction) or merging it back.  Non-unitary rules
-    are applied as given; callers own any norm bounds.
+    ``rules`` is a (batch..., 2**len(out_mode), 2**len(mode)) matrix whose
+    batch axes broadcast against the state's.  ``out_mode`` lets a map
+    change the factor set, e.g. splitting a polarization factor into
+    (polarization, direction) or merging it back.  Non-unitary maps are
+    applied as given; callers own any norm bounds.
     """
     in_names = _as_names(mode)
     out_names = in_names if out_mode is None else _as_names(out_mode)
@@ -139,33 +230,25 @@ def apply_mode_map(
     clash = set(keep) & set(out_names)
     if clash:
         raise ValueError(f"output factors already present: {sorted(clash)}")
+    rules = np.asarray(rules)
+    shape = (2 ** len(out_names), 2 ** len(in_names))
+    if rules.shape[-2:] != shape:
+        raise ValueError(
+            f"map from {in_names} to {out_names} must be {shape[0]}x{shape[1]}, "
+            f"got {rules.shape[-2:]}"
+        )
 
-    norm_rules: dict[Label, list[tuple[Label, complex]]] = {}
-    for key, images in rules.items():
-        norm_rules[_as_values(key, len(in_names))] = [
-            (_as_values(out, len(out_names)), complex(amp)) for out, amp in images
-        ]
-
-    in_idx = [state.factors.index(n) for n in in_names]
-    keep_idx = [state.factors.index(n) for n in keep]
-    new_factors = tuple(keep) + out_names
-    acc: dict[Label, complex] = {}
-    for label in sorted(state.entries):
-        amp = state.entries[label]
-        key = tuple(label[i] for i in in_idx)
-        images = norm_rules.get(key)
-        if images is None:
-            raise ValueError(f"mode map on {in_names} does not cover in-label {key!r}")
-        kept = tuple(label[i] for i in keep_idx)
-        for out_vals, coeff in images:
-            out_label = kept + out_vals
-            acc[out_label] = acc.get(out_label, 0j) + amp * coeff
-    return _canonical(new_factors, acc, state.weight)
+    nb = len(state.batch_shape)
+    src = [nb + state.factors.index(n) for n in in_names]
+    amps = np.moveaxis(state.amps, src, range(-len(in_names), 0))
+    amps = amps.reshape(amps.shape[: nb + len(keep)] + (shape[1],))
+    rules = rules.reshape(rules.shape[:-2] + (1,) * len(keep) + shape)
+    out = np.einsum("...oi,...i->...o", rules, amps)
+    out = out.reshape(out.shape[:-1] + (2,) * len(out_names))
+    return _sorted(tuple(keep) + out_names, out, weight=state.weight, fault=state.fault)
 
 
-def project_spin(
-    state: JointState, branch: str, factor: str = "spin"
-) -> tuple[JointState, float]:
+def project_spin(state: JointState, branch: str, factor: str = "spin"):
     """Project onto one spin branch without renormalizing.
 
     Returns the branch state (spin factor removed, amplitudes untouched)
@@ -174,28 +257,21 @@ def project_spin(
     """
     if factor not in state.factors:
         raise ValueError(f"state has no factor {factor!r}")
-    idx = state.factors.index(factor)
+    axis = len(state.batch_shape) + state.factors.index(factor)
+    amps = np.take(state.amps, _value_index(factor, branch), axis=axis)
     rest = tuple(f for f in state.factors if f != factor)
-    entries = {
-        lbl[:idx] + lbl[idx + 1 :]: amp
-        for lbl, amp in state.entries.items()
-        if lbl[idx] == branch
-    }
-    branch_state = _canonical(rest, entries, state.weight)
+    branch_state = JointState(rest, amps, state.weight, state.fault)
     return branch_state, branch_state.norm_sq()
 
 
-def inner_product(a: JointState, b: JointState) -> complex:
-    """<a|b>, conjugate-linear in ``a``, including both global weights."""
+def inner_product(a: JointState, b: JointState):
+    """<a|b> per batch element, conjugate-linear in ``a``, including both weights."""
     if a.factors != b.factors:
         raise ValueError(f"factor structures differ: {a.factors} vs {b.factors}")
-    small, big = (a.entries, b.entries) if len(a) <= len(b) else (b.entries, a.entries)
-    total = 0j
-    for lbl in small:
-        if lbl in big:
-            total += a.entries[lbl].conjugate() * b.entries[lbl]
+    axes = tuple(range(-len(a.factors), 0))
+    total = np.sum(a.amps.conj() * b.amps, axis=axes)
     return total * a.weight * b.weight
 
 
-def with_weight(state: JointState, weight: float) -> JointState:
-    return JointState(state.factors, dict(state.entries), weight)
+def with_weight(state: JointState, weight) -> JointState:
+    return dataclasses.replace(state, weight=weight)

@@ -3,8 +3,9 @@
 Configs are flat ``key = value`` text files (``#`` comments allowed); the
 full schema with defaults and constraints lives in :data:`CONFIG_SCHEMA`.
 Sweeps evaluate a two-axis grid in axis1-outer order, one row per point,
-and CSV output is byte-deterministic: same config, same bytes, whether the
-points are evaluated serially or by a worker pool.
+and CSV output is byte-deterministic: same config, same bytes.  Each line
+of the grid along axis 2 runs as one batch against the whole input
+ensemble; a point that fails keeps its row, with its own error status.
 
 ``reproduce`` runs canonical configurations and compares a set of named
 reference fidelity anchors for this architecture against the computed
@@ -19,7 +20,6 @@ bound; collapse under realistic switches).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -29,6 +29,7 @@ from .cavity import CavityParams, is_strong_coupling
 from .circuits import DeviceErrorConfig
 from .devices import F_UC, ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from .fidelity import InputEnsemble, average_fidelity
+from .state import stack
 
 
 class ConfigError(ValueError):
@@ -68,7 +69,6 @@ CONFIG_SCHEMA = {
     ),
     "haar_n": ("int", 1000, ">= 1", lambda v: v >= 1),
     "seed": ("int", 0, ">= 0", lambda v: v >= 0),
-    "workers": ("int", 1, ">= 1", lambda v: v >= 1),
     "axis1": ("choice", "kappa_s_over_kappa", "|".join(AXIS_NAMES), AXIS_NAMES),
     "axis1_lo": ("float", 0.0, "finite", None),
     "axis1_hi": ("float", 2.0, "finite", None),
@@ -289,32 +289,45 @@ def _point_config(cfg: SimConfig, axis: str, value: float) -> SimConfig:
     return SimConfig(values)
 
 
-def _eval_point(args) -> tuple:
-    cfg, v1, v2, ensemble = args
-    point = _point_config(_point_config(cfg, cfg.values["axis1"], v1), cfg.values["axis2"], v2)
-    try:
-        report = average_fidelity(
-            point.values["circuit"], point.cavity(), point.device_errors(), ensemble
-        )
-    except Exception as exc:  # grid rows are never silently dropped
-        nan = float("nan")
-        return (v1, v2, nan, nan, nan, f"error:{type(exc).__name__}")
-    return (v1, v2, report.f_up, report.f_down, report.f_both, "ok")
+def _error_row(v1: float, v2: float, exc_name: str) -> tuple:
+    nan = float("nan")
+    return (v1, v2, nan, nan, nan, f"error:{exc_name}")
+
+
+def _eval_line(cfg: SimConfig, v1: float, v2s: list[float], ensemble: InputEnsemble) -> list:
+    """Rows of one axis-2 line of the grid, evaluated as one batch."""
+    line = _point_config(cfg, cfg.values["axis1"], v1)
+    rows: list = [None] * len(v2s)
+    batch, cavities, errors = [], [], []
+    for i, v2 in enumerate(v2s):
+        point = _point_config(line, cfg.values["axis2"], v2)
+        try:
+            cavity, err = point.cavity(), point.device_errors()
+        except Exception as exc:  # grid rows are never silently dropped
+            rows[i] = _error_row(v1, v2, type(exc).__name__)
+            continue
+        batch.append(i)
+        cavities.append(cavity)
+        errors.append(err)
+    if batch:
+        try:
+            report = average_fidelity(
+                cfg.values["circuit"], stack(cavities, (-1, 1)), stack(errors, (-1, 1)), ensemble
+            )
+        except Exception as exc:  # grid rows are never silently dropped
+            for i in batch:
+                rows[i] = _error_row(v1, v2s[i], type(exc).__name__)
+            return rows
+        for k, i in enumerate(batch):
+            rows[i] = (v1, v2s[i], float(report.f_up[k]), float(report.f_down[k]),
+                       float(report.f_both[k]), report.status[k])
+    return rows
 
 
 def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> list[tuple]:
     grid = cfg.grid()
-    tasks = [
-        (cfg, v1, v2, ensemble)
-        for v1 in grid.axis_values(1)
-        for v2 in grid.axis_values(2)
-    ]
-    workers = cfg.values["workers"]
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            return pool.map(_eval_point, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    return [_eval_point(t) for t in tasks]
+    v2s = grid.axis_values(2)
+    return [row for v1 in grid.axis_values(1) for row in _eval_line(cfg, v1, v2s, ensemble)]
 
 
 def sweep_coupling(cfg: SimConfig) -> list[list]:
@@ -447,9 +460,18 @@ def check_anchors(
 ) -> list[AnchorResult]:
     if anchors is None:
         anchors = ANCHORS
+    values: dict[tuple[str, str], float] = {}
+
+    def metric(anchor: Anchor, ens: InputEnsemble) -> float:
+        """Each (anchor, ensemble) pair is evaluated once per call."""
+        key = (anchor.name, ens.kind)
+        if key not in values:
+            values[key] = _anchor_metric(anchor, ens)
+        return values[key]
+
     results = []
     for anchor in anchors:
-        value = _anchor_metric(anchor, ensemble)
+        value = metric(anchor, ensemble)
         if abs(value - anchor.expected) <= anchor.tolerance:
             results.append(AnchorResult(anchor, value, ensemble.kind, "PASS"))
             continue
@@ -458,7 +480,7 @@ def check_anchors(
         met = False
         for alt in (InputEnsemble.basis4(), InputEnsemble.superposition4(),
                     InputEnsemble.haar_product(1000)):
-            alt_value = _anchor_metric(anchor, alt)
+            alt_value = metric(anchor, alt)
             if abs(alt_value - anchor.expected) < abs(best_value - anchor.expected):
                 best_name, best_value = alt.kind, alt_value
             if abs(alt_value - anchor.expected) <= anchor.tolerance:
@@ -468,19 +490,19 @@ def check_anchors(
                                         best_name, best_value))
         else:
             status = "DOCUMENTED" if anchor.documented_residual and _qualitative_claims_hold(
-                ensemble
+                ensemble, metric
             ) else "FAIL"
             results.append(AnchorResult(anchor, value, ensemble.kind, status,
                                         best_name, best_value))
     return results
 
 
-def _qualitative_claims_hold(ensemble: InputEnsemble) -> bool:
+def _qualitative_claims_hold(ensemble: InputEnsemble, metric) -> bool:
     """Strong >> weak; best case near the cloner bound; realistic collapse."""
-    strong = _anchor_metric(ANCHOR_STRONG_IDEAL, ensemble)
-    weak = _anchor_metric(ANCHOR_WEAK_IDEAL, ensemble)
-    best = _anchor_metric(ANCHOR_BEST_CASE, ensemble)
-    realistic = _anchor_metric(ANCHOR_MEASURED_SWITCHES, ensemble)
+    strong = metric(ANCHOR_STRONG_IDEAL, ensemble)
+    weak = metric(ANCHOR_WEAK_IDEAL, ensemble)
+    best = metric(ANCHOR_BEST_CASE, ensemble)
+    realistic = metric(ANCHOR_MEASURED_SWITCHES, ensemble)
     return strong > weak + 0.30 and abs(best - F_UC) < 0.07 and realistic < best / 2
 
 
@@ -501,7 +523,7 @@ def anchor_summary(results: list[AnchorResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _canonical_config(**overrides) -> SimConfig:
+def _config_with(**overrides) -> SimConfig:
     """Schema defaults with ``overrides``, validated as a parsed config is."""
     values = {k: entry[1] for k, entry in CONFIG_SCHEMA.items()}
     for key, value in overrides.items():
@@ -532,13 +554,13 @@ _TARGET_OVERRIDES = {
 }
 
 
-def reproduce(target: str, out_dir: str, workers: int = 1) -> dict:
+def reproduce(target: str, out_dir: str) -> dict:
     """Run one named reproduction target; returns {csv, summary, results, ok}."""
     if target not in _TARGET_OVERRIDES:
         raise ConfigError(
             f"unknown reproduce target {target!r}; valid: {', '.join(_TARGET_OVERRIDES)}"
         )
-    cfg = _canonical_config(workers=workers, **_TARGET_OVERRIDES[target])
+    cfg = _config_with(**_TARGET_OVERRIDES[target])
     os.makedirs(out_dir, exist_ok=True)
     ensemble = calibrate_ensemble()
     csv_path = None

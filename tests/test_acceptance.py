@@ -235,13 +235,11 @@ def test_criterion_8_determinism_and_performance(tmp_path):
     first = reproduce("fig4b", str(tmp_path / "run1"))
     first_time = time.perf_counter() - start
     second = reproduce("fig4b", str(tmp_path / "run2"))
-    parallel = reproduce("fig4b", str(tmp_path / "run3"), workers=2)
     b1 = open(first["csv"], "rb").read()
     b2 = open(second["csv"], "rb").read()
-    b3 = open(parallel["csv"], "rb").read()
     rows = b1.count(b"\n") - 1
     report(
         "criterion 8: err/p_sw surface reproduction is fast and byte-deterministic",
-        first_time < 60.0 and b1 == b2 == b3 and rows == 31 * 41 and first["ok"],
-        f"{first_time:.2f}s for {rows} grid points; serial==serial==parallel bytes",
+        first_time < 60.0 and b1 == b2 and rows == 31 * 41 and first["ok"],
+        f"{first_time:.2f}s for {rows} grid points; repeated runs give identical bytes",
     )

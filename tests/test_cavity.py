@@ -12,6 +12,8 @@ from qdcnot.cavity import (
 )
 from qdcnot.state import apply_mode_map, make_state
 
+FACTORS = ("pol", "pol_dir", "spin")
+LABELS = [(p, d, s) for p in "RL" for d in ("down", "up") for s in ("up", "down")]
 STRONG = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
 WEAK = CavityParams(g=0.45, kappa_s=1.0, gamma=0.1)
 
@@ -81,25 +83,31 @@ def test_strong_coupling_boundary_is_strict():
     assert not is_strong_coupling(boundary)
 
 
+def images(c, src):
+    """Nonzero images of one (pol, dir, spin) label under the interaction map."""
+    out = apply_mode_map(make_state(FACTORS, [(src, 1.0)]), FACTORS, interaction_map(c))
+    return out.entries
+
+
 def test_interact_ideal_limit():
-    table = interaction_map(CavityCoeffs.ideal())
-    assert table[("R", "down", "up")] == [(("R", "down", "up"), -1.0), (("L", "up", "up"), -0.0)]
-    out = dict(table[("R", "down", "down")])
-    assert out[("L", "up", "down")] == 1.0
+    assert images(CavityCoeffs.ideal(), ("R", "down", "up")) == {("R", "down", "up"): -1.0}
+    assert images(CavityCoeffs.ideal(), ("R", "down", "down")) == {("L", "up", "down"): 1.0}
 
 
 def test_interact_strong_coupling_rule():
-    out = dict(interaction_map(cavity_coeffs(STRONG))[("L", "up", "down")])
+    out = images(cavity_coeffs(STRONG), ("L", "up", "down"))
     assert out[("R", "down", "down")] == pytest.approx(0.99207, abs=1e-5)
     assert out[("L", "up", "down")] == pytest.approx(0.00793, abs=1e-5)
 
 
 def test_interact_requires_direction():
-    # the table covers only the two propagation directions; any other is rejected
-    factors = ("pol", "pol_dir", "spin")
-    s = make_state(factors, [(("R", "sideways", "up"), 1.0)])
+    # the map acts on (pol, direction, spin): a direction outside the two
+    # propagation directions, or a state without a direction, is rejected
     with pytest.raises(ValueError, match="sideways"):
-        apply_mode_map(s, factors, interaction_map(CavityCoeffs.ideal()))
+        make_state(FACTORS, [(("R", "sideways", "up"), 1.0)])
+    s = make_state(("pol", "spin"), [(("R", "up"), 1.0)])
+    with pytest.raises(ValueError, match="pol_dir"):
+        apply_mode_map(s, FACTORS, interaction_map(CavityCoeffs.ideal()))
 
 
 def _hand_encoded_matrix(c):
@@ -130,33 +138,27 @@ def test_interaction_table_matches_matrix_oracle():
     c = cavity_coeffs(CavityParams(g=1.3, kappa_s=0.4, gamma=0.2))
     m, labels, idx = _hand_encoded_matrix(c)
     for src in labels:
-        out = apply_mode_map(
-            make_state(("pol", "pol_dir", "spin"), [(src, 1.0)]), ("pol", "pol_dir", "spin"),
-            interaction_map(c),
-        )
         vec = np.zeros(8, dtype=complex)
-        for lbl, amp in out.entries.items():
+        for lbl, amp in images(c, src).items():
             vec[idx[lbl]] = amp
         assert np.allclose(vec, m[:, idx[src]], atol=1e-15)
 
 
 def test_interaction_preserves_spin_and_links_pol_to_dir():
     c = cavity_coeffs(STRONG)
-    for (pol, d, spin), images in interaction_map(c).items():
-        for (pol2, d2, spin2), _ in images:
+    for pol, d, spin in LABELS:
+        out = images(c, (pol, d, spin))
+        assert len(out) == 2
+        for pol2, d2, spin2 in out:
             assert spin2 == spin
             assert (pol2 != pol) == (d2 != d)
 
 
 def test_interact_linear_over_spin_superposition():
     c = cavity_coeffs(STRONG)
-    sup = make_state(("pol", "pol_dir", "spin"),
-                     [(("R", "down", "up"), math.sqrt(0.5)),
-                      (("R", "down", "down"), math.sqrt(0.5))])
-    out = apply_mode_map(sup, ("pol", "pol_dir", "spin"), interaction_map(c))
-    up_row = dict(interaction_map(c)[("R", "down", "up")])
-    down_row = dict(interaction_map(c)[("R", "down", "down")])
-    for lbl, amp in up_row.items():
-        assert out.amplitude(lbl) == pytest.approx(amp * math.sqrt(0.5))
-    for lbl, amp in down_row.items():
-        assert out.amplitude(lbl) == pytest.approx(amp * math.sqrt(0.5))
+    sup = make_state(FACTORS, [(("R", "down", "up"), math.sqrt(0.5)),
+                               (("R", "down", "down"), math.sqrt(0.5))])
+    out = apply_mode_map(sup, FACTORS, interaction_map(c))
+    for src in (("R", "down", "up"), ("R", "down", "down")):
+        for lbl, amp in images(c, src).items():
+            assert out.amplitude(lbl) == pytest.approx(amp * math.sqrt(0.5))

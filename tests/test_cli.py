@@ -40,10 +40,13 @@ def test_simulate_invalid_config_exits_1(tmp_path, capsys):
     assert "xi1" in capsys.readouterr().err
 
 
-def test_reproduce_workers_zero_exits_1(tmp_path, capsys):
+def test_reproduce_workers_flag_retired(tmp_path, capsys):
+    # grid rows run as batches in one process; the worker-pool flag is gone
     out_dir = tmp_path / "out"
-    assert main(["reproduce", "fig3a", "--out-dir", str(out_dir), "--workers", "0"]) == 1
-    assert "workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig3a", "--out-dir", str(out_dir), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -15,7 +15,7 @@ from qdcnot.fidelity import (
     success_probability,
     target_state,
 )
-from qdcnot.state import JointState, make_state, tensor, with_weight
+from qdcnot.state import make_state, tensor, with_weight
 
 SQH = math.sqrt(0.5)
 IDEAL = CavityCoeffs.ideal()
@@ -79,8 +79,8 @@ def test_fidelity_invariant_under_global_phase():
     f = fidelity_single(out, inputs, "both")
     for _ in range(5):
         phase = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        rotated = JointState(
-            out.factors, {lbl: phase * amp for lbl, amp in out.entries.items()}, out.weight
+        rotated = make_state(
+            out.factors, [(lbl, phase * amp) for lbl, amp in out.entries.items()], out.weight
         )
         assert fidelity_single(rotated, inputs, "both") == pytest.approx(f, abs=1e-12)
 
@@ -155,6 +155,22 @@ def test_haar_product_is_seeded_and_normalized():
     )
     e3 = InputEnsemble.haar_product(50, seed=4)
     assert any(s1.alpha != s3.alpha for s1, s3 in zip(e1.states, e3.states))
+
+
+def test_haar_product_matches_per_sample_draws():
+    # the one-draw build gives bit-identical states to drawing sample by sample
+    rng = np.random.default_rng(5)
+    expected = []
+    for _ in range(200):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        na = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+        nt = math.sqrt(abs(v[2]) ** 2 + abs(v[3]) ** 2)
+        expected.append((v[0] / na, v[1] / na, v[2] / nt, v[3] / nt))
+    got = [(s.alpha, s.beta, s.delta, s.gamma_amp)
+           for s in InputEnsemble.haar_product(200, seed=5).states]
+    assert got == expected
+    # built once per (n, seed) in a process
+    assert InputEnsemble.haar_product(200, seed=5) is InputEnsemble.haar_product(200, seed=5)
 
 
 def test_average_fidelity_rejects_empty_ensemble():

@@ -1,0 +1,146 @@
+"""Property tests over random configurations inside the declared config domain.
+
+The batched engine is checked against the independent dense-matrix oracle,
+the closed form, linearity in the input, single runs, and the unit
+interval of the reported fidelities.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
+
+from qdcnot.cavity import CavityParams, cavity_coeffs
+from qdcnot.circuits import (
+    CnotInputs,
+    DeviceErrorConfig,
+    baseline_cnot,
+    optimized_cnot,
+    output_amplitudes,
+)
+from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
+from qdcnot.fidelity import InputEnsemble, average_fidelity
+from qdcnot.state import stack
+
+from oracle import baseline_dense, dense_vector
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+unit = st.floats(0.0, 1.0)
+cavities = st.builds(
+    CavityParams, g=st.floats(0.0, 10.0), kappa_s=st.floats(0.0, 10.0),
+    gamma=st.floats(1e-3, 10.0),
+)
+cpbs = st.builds(CpbsError, unit, unit)
+switches = st.builds(SwitchCoeffs, unit, unit, unit, unit)
+errors = st.builds(
+    DeviceErrorConfig,
+    xi1=st.builds(HwpError, st.floats(-1.0, 1.0)), xi2=st.builds(HwpError, st.floats(-1.0, 1.0)),
+    cpbs1=cpbs, cpbs2=cpbs, cpbs3=cpbs, cpbs4=cpbs, sw1=switches, sw2=switches,
+    cloner=st.builds(ClonerConfig, st.floats(0.5, 1.0)),
+)
+qubits = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2 > 1e-2
+)
+
+
+def qubit(v):
+    z = np.array([complex(v[0], v[1]), complex(v[2], v[3])])
+    return z / math.sqrt(abs(z[0]) ** 2 + abs(z[1]) ** 2)
+
+
+inputs = st.builds(lambda c, t: CnotInputs(*qubit(c), *qubit(t)), qubits, qubits)
+
+
+def oracle_output(inp, cavity, err):
+    c = cavity_coeffs(cavity)
+    return baseline_dense(
+        inp.alpha, inp.beta, inp.delta, inp.gamma_amp, (c.t1, c.r1, c.t0, c.r0),
+        err.xi1.xi, err.xi2.xi, err.cpbs1.tau_r, err.cpbs1.tau_l,
+    )
+
+
+@PROPERTY
+@given(inputs, cavities, errors)
+def test_engine_matches_dense_oracle(inp, cavity, err):
+    expected = oracle_output(inp, cavity, err)
+    norm = float(np.sum(np.abs(expected) ** 2))
+    try:
+        out = baseline_cnot(inp, cavity, err)
+    except AssertionError:  # the output norm check, which the oracle must confirm
+        assert norm > 1 + 1e-9 - 1e-12
+        return
+    assert norm <= 1 + 1e-9 + 1e-12
+    assert np.max(np.abs(dense_vector(out) - expected)) < 1e-12
+
+
+@PROPERTY
+@given(inputs, cavities, errors)
+def test_engine_matches_closed_form(inp, cavity, err):
+    assume(np.sum(np.abs(oracle_output(inp, cavity, err)) ** 2) <= 1)
+    amps = output_amplitudes(inp, cavity, err)
+    assert abs(amps.up[0] - amps.rr_up_closed) < 1e-12
+
+
+@PROPERTY
+@given(qubits, qubits, qubits, st.complex_numbers(max_magnitude=2), cavities, errors)
+def test_output_is_linear_in_the_input(c1, c2, target, a, cavity, err):
+    # control (a c1 + c2)/n, a normalized superposition of two controls
+    u, v, t = qubit(c1), qubit(c2), qubit(target)
+    mix = a * u + v
+    n = math.sqrt(abs(mix[0]) ** 2 + abs(mix[1]) ** 2)
+    assume(n > 1e-3)
+    batch = stack([CnotInputs(*u, *t), CnotInputs(*v, *t), CnotInputs(*(mix / n), *t)])
+    out = optimized_cnot(batch, cavity, err)
+    amps = out.amps * out.weight
+    assert np.max(np.abs(amps[2] - (a * amps[0] + amps[1]) / n)) < 1e-12
+
+
+@PROPERTY
+@given(st.lists(cavities, min_size=1, max_size=3), st.lists(errors, min_size=3, max_size=3),
+       st.lists(inputs, min_size=1, max_size=3), st.sampled_from(["baseline", "optimized"]))
+def test_batch_of_points_and_inputs_equals_single_runs(cavs, errs, inps, circuit):
+    n = len(cavs)
+    errs = errs[:n]
+    run = baseline_cnot if circuit == "baseline" else optimized_cnot
+    out = run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1)))
+    assert out.amps.shape == (n, len(inps), 2, 2, 2)
+    weight = np.broadcast_to(out.weight, (n, len(inps)))
+    fault = np.broadcast_to(out.fault, (n, len(inps)))
+    for p in range(n):
+        for m, inp in enumerate(inps):
+            try:
+                single = run(inp, cavs[p], errs[p])
+            except AssertionError:
+                assert fault[p, m] == 2
+                continue
+            assert fault[p, m] == 0
+            assert single.weight == pytest.approx(weight[p, m], abs=1e-12)
+            assert np.max(np.abs(single.amps - out.amps[p, m])) < 1e-12
+
+    # the ensemble average of a row equals the average of each point alone
+    ensemble = InputEnsemble("drawn", tuple(inps))
+    row = average_fidelity(circuit, stack(cavs, (-1, 1)), stack(errs, (-1, 1)), ensemble)
+    for p in range(n):
+        try:
+            point = average_fidelity(circuit, cavs[p], errs[p], ensemble)
+        except AssertionError:
+            assert row.status[p] == "error:AssertionError" and math.isnan(row.f_both[p])
+            continue
+        assert row.status[p] == "ok"
+        for name in ("f_up", "f_down", "f_both", "success_up", "success_down"):
+            assert getattr(point, name) == pytest.approx(getattr(row, name)[p], abs=1e-12)
+
+
+@PROPERTY
+@given(st.lists(inputs, min_size=1, max_size=4), cavities, errors,
+       st.sampled_from(["baseline", "optimized"]))
+def test_fidelities_lie_in_unit_interval(inps, cavity, err, circuit):
+    try:
+        report = average_fidelity(circuit, cavity, err, InputEnsemble("drawn", tuple(inps)))
+    except AssertionError:  # some output norm exceeds 1
+        reject()
+    for value in (report.f_up, report.f_down, report.f_both):
+        assert 0 <= value <= 1 + 1e-12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qdcnot.state import (
-    JointState,
     apply_mode_map,
     inner_product,
     make_state,
@@ -29,11 +28,12 @@ def random_state(rng, factors=("a",), values=("R", "L")):
 
 
 def test_make_state_single_ket():
-    s = make_state(("p1", "p2", "clone", "spin"), [(("R", "R", "absent", "up"), 1.0)])
+    s = make_state(("spin", "p2", "p1", "p1_dir"), [(("up", "L", "R", "down"), 1.0)])
     assert s.norm_sq() == pytest.approx(1.0)
     # factor names are stored sorted; labels are permuted to match
-    assert s.factors == ("clone", "p1", "p2", "spin")
-    assert s.amplitude(("absent", "R", "R", "up")) == 1.0
+    assert s.factors == ("p1", "p1_dir", "p2", "spin")
+    assert s.amplitude(("R", "down", "L", "up")) == 1.0
+    assert s.entries == {("R", "down", "L", "up"): 1.0}
 
 
 def test_make_state_spin_init():
@@ -48,12 +48,12 @@ def test_make_state_duplicate_label_rejected():
 
 def test_identity_map_bit_exact():
     s = make_state("a", [("R", 0.3 + 0.4j), ("L", -0.5j)])
-    out = apply_mode_map(s, "a", {"R": [("R", 1.0)], "L": [("L", 1.0)]})
+    out = apply_mode_map(s, "a", np.eye(2))
     assert out.entries == s.entries
 
 
 def test_spin_hadamard_map():
-    rules = {"up": [("up", SQH), ("down", SQH)], "down": [("up", SQH), ("down", -SQH)]}
+    rules = np.array([[SQH, SQH], [SQH, -SQH]])  # columns: images of up, down
     out = apply_mode_map(basis_state("spin", "up"), "spin", rules)
     assert out.amplitude(("up",)) == pytest.approx(SQH)
     assert out.amplitude(("down",)) == pytest.approx(SQH)
@@ -61,36 +61,33 @@ def test_spin_hadamard_map():
 
 def test_degenerate_hwp_interferes_to_zero():
     # both R and L map onto L with opposite signs: the superposition cancels
-    rules = {"R": [("L", 1.0)], "L": [("L", -1.0)]}
     s = make_state("a", [("R", SQH), ("L", SQH)])
-    out = apply_mode_map(s, "a", rules)
-    # oracle: dense 2x2 matrix applied to the amplitude vector
-    m = np.array([[0, 0], [1, -1]], dtype=complex)
-    expected = m @ np.array([SQH, SQH])
+    out = apply_mode_map(s, "a", np.array([[0.0, 0.0], [1.0, -1.0]]))
+    # oracle: the amplitude vector by hand
+    expected = (0.0, SQH * 1.0 + SQH * -1.0)
     assert abs(out.amplitude(("L",)) - expected[1]) < 1e-15
     assert len(out) == 0  # cancelled amplitude is pruned
 
 
 def test_uncovered_label_names_it():
-    s = make_state("a", [("R", 1.0)])
-    with pytest.raises(ValueError, match="R"):
-        apply_mode_map(s, "a", {"L": [("L", 1.0)]})
+    # a map must cover both basis values of every factor it acts on
+    s = make_state(("a", "spin"), [(("R", "up"), 1.0)])
+    with pytest.raises(ValueError, match=r"\('a', 'spin'\).*4x4"):
+        apply_mode_map(s, ("a", "spin"), np.eye(2))
+    with pytest.raises(ValueError, match="'sideways'"):
+        make_state("a_dir", [("sideways", 1.0)])
 
 
 def test_missing_factor_rejected():
     s = make_state("a", [("R", 1.0)])
     with pytest.raises(ValueError, match="nope"):
-        apply_mode_map(s, "nope", {"R": [("R", 1.0)]})
+        apply_mode_map(s, "nope", np.eye(2))
 
 
 def test_map_linearity():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rules = {
-            "R": [("R", m[0, 0]), ("L", m[1, 0])],
-            "L": [("R", m[0, 1]), ("L", m[1, 1])],
-        }
+        rules = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         v1 = rng.normal(size=2) + 1j * rng.normal(size=2)
         v2 = rng.normal(size=2) + 1j * rng.normal(size=2)
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -123,7 +120,7 @@ def test_tensor_three_factors_norm_one():
 
 
 def test_tensor_with_empty_factor_set_is_identity():
-    empty = JointState((), {(): 1.0 + 0j}, 1.0)
+    empty = make_state((), [((), 1.0)])
     s = make_state("a", [("R", 0.6), ("L", 0.8)])
     out = tensor(s, empty)
     assert out.entries == s.entries
