@@ -10,9 +10,9 @@ rate kappa.  The photon-spin interaction keeps the spin branch fixed and
 flips polarization exactly when it flips propagation direction; hot
 transitions scatter with (r1, t1), cold ones with (-t0, -r0).
 
-Parameters stacked with ``state.stack`` hold arrays (one entry per grid
-point of a batched run); the coefficients and the interaction map are then
-batched too.
+On a grid line the swept rate holds an array (one entry per point of a
+batched run); the coefficients and the interaction map are then batched
+too.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ circuit's output expression (the sign fix lands only on the two spin-up
 control-L coefficients).
 
 Every circuit function also runs a batch: inputs whose amplitudes are
-arrays (a stacked ensemble) and configurations whose fields are arrays
-(a stacked grid row) broadcast against each other, and the output state
+arrays (a stacked ensemble) and configurations whose swept fields are
+arrays (a grid line) broadcast against each other, and the output state
 carries one run per batch element.
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .state import (
     apply_mode_map,
     make_state,
     matrix,
+    read_only,
     tensor,
     with_weight,
 )
@@ -83,6 +85,14 @@ class CnotInputs:
             n = abs(x) ** 2 + abs(y) ** 2
             if abs(n - 1) > 1e-9:
                 raise ValueError(f"{name} amplitudes not normalized: |.|^2 = {n}")
+
+    @cached_property
+    def state(self) -> JointState:
+        """The input as one product state over (p1, p2, spin), built once per object."""
+        p1 = make_state(P1, [("R", self.alpha), ("L", self.beta)])
+        p2 = make_state(P2, [("R", self.delta), ("L", self.gamma_amp)])
+        spin = make_state(SPIN, [("up", self.spin_init[0]), ("down", self.spin_init[1])])
+        return read_only(tensor(tensor(p1, p2), spin))
 
     @classmethod
     def basis(cls, control: str, target: str, spin_init=DEFAULT_SPIN_INIT) -> "CnotInputs":
@@ -134,23 +144,21 @@ def _cavity_pass(
     return state
 
 
-def initial_state(inputs: CnotInputs) -> JointState:
-    p1 = make_state(P1, [("R", inputs.alpha), ("L", inputs.beta)])
-    p2 = make_state(P2, [("R", inputs.delta), ("L", inputs.gamma_amp)])
-    spin = make_state(SPIN, [("up", inputs.spin_init[0]), ("down", inputs.spin_init[1])])
-    return tensor(tensor(p1, p2), spin)
+class OutputNormError(AssertionError):
+    """A single run's output norm exceeds 1: the config is outside the model's domain."""
 
 
-# output checks by fault code: what a single run that fails one raises
+# output checks by fault code: what a single run that fails one raises, and
+# the exception name a grid row that fails it carries in its status
 FAULTS = {
-    1: (ValueError, "non-finite output amplitude"),
-    2: (AssertionError, "output norm exceeds 1"),
+    1: (ValueError, "ValueError", "non-finite output amplitude"),
+    2: (OutputNormError, "AssertionError", "output norm exceeds 1"),
 }
 NORM_TOL = 1e-9
 
 
 def fault_error(code: int, detail: str) -> Exception:
-    kind, what = FAULTS[code]
+    kind, _, what = FAULTS[code]
     return kind(f"{what}: {detail}")
 
 
@@ -175,7 +183,7 @@ def baseline_cnot(
 ) -> JointState:
     """Spin-cavity CNOT without the sign fix; uses xi1, xi2 and CPBS1 only."""
     coeffs = _coeffs(cavity)
-    s = initial_state(inputs)
+    s = inputs.state
     s = apply_mode_map(s, P1, hwp_map(err.xi1))
     s = _cavity_pass(s, P1, P1_DIR, coeffs, err.cpbs1)
     s = apply_mode_map(s, P1, hwp_map(err.xi2))

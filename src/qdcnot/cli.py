@@ -3,8 +3,8 @@
 Subcommands: ``simulate`` (one configuration, print the fidelity report),
 ``sweep`` (two-axis grid to CSV), ``reproduce`` (named canonical targets
 with anchor checks), ``cavity`` (print the four response coefficients).
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 anchor-check
-failure.
+Exit codes: 0 success, 1 configuration error (including a configuration
+whose output norm exceeds 1), 2 I/O error, 3 anchor-check failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .cavity import CavityParams, cavity_coeffs, is_strong_coupling
+from .circuits import OutputNormError
 from .fidelity import average_fidelity
 from .sweep import (
     ConfigError,
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OutputNormError) as exc:  # the config is outside the model's domain
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -10,9 +10,9 @@ universal cloner enter only through their success amplitudes: the switch
 as the factor sqrt(T or R) each routed leg contributes
 (:func:`switch_amplitude`), the cloner as sqrt(fidelity).
 
-A configuration stacked with ``state.stack`` holds an array in every field
-(one entry per grid point of a batched run); each map function then returns
-a batched matrix.  The field checks are written for single values.
+On a grid line the swept fields hold an array (one entry per point of a
+batched run, built with ``state.replace_unchecked``); each map function then
+returns a batched matrix.  The field checks are written for single values.
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ as success probability), while ``f_up_folded``/``f_down_folded`` keep the
 branch weight inside the number.  The combined ``f_both`` always folds all
 weight in.
 
-An ensemble runs as one batch.  Given a stacked grid row (configuration
-fields holding one array entry per point), :func:`average_fidelity` runs
-the whole row against the whole ensemble at once and reports one value and
-one status per point.
+An ensemble runs as one batch, against target states built once per
+ensemble.  Given a grid line (configuration fields holding a ``(k, 1)``
+array over the line's points wherever the line moves them),
+:func:`average_fidelity` runs the whole line against the whole ensemble at
+once and reports one value and one status per point.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .circuits import (
     optimized_cnot,
 )
 from .devices import SQRT_HALF
-from .state import JointState, inner_product, make_state, project_spin, stack, tensor
+from .state import JointState, inner_product, make_state, project_spin, read_only, stack, tensor
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,12 @@ class InputEnsemble:
     def inputs(self) -> CnotInputs:
         """The states stacked into one batched input, in order."""
         return stack(self.states)
+
+    @cached_property
+    def targets(self) -> dict[str, JointState]:
+        """Target state of each fidelity mode over :attr:`inputs`."""
+        return {mode: read_only(target_state(self.inputs, mode))
+                for mode in ("branch_up", "branch_down", "both")}
 
     @classmethod
     def basis4(cls) -> "InputEnsemble":
@@ -196,6 +203,12 @@ def run_circuit(
     raise ValueError(f"unknown circuit {circuit!r}")
 
 
+def _config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) -> tuple:
+    """Broadcast shape of every config field: () for one config, (k, 1) for a line."""
+    parts = (cavity, *vars(err).values())
+    return np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
+
+
 def average_fidelity(
     circuit: str,
     cavity: CavityParams | CavityCoeffs,
@@ -204,29 +217,37 @@ def average_fidelity(
 ) -> FidelityReport:
     """Arithmetic mean of the per-input fidelities, in a fixed order.
 
-    ``cavity`` and ``err`` are one configuration, or a grid row stacked with
-    ``state.stack(..., shape=(-1, 1))``.  One configuration whose output
-    fails a check raises; a row reports the failure in that point's status
-    and leaves its values nan.
+    ``cavity`` and ``err`` are one configuration, or a grid line: the
+    fields the line moves hold a ``(k, 1)`` array over its k points (the
+    entries validated one by one), every other field a scalar.  One
+    configuration whose output fails a check raises; a line reports the
+    failure in that point's status and leaves its values nan.
     """
     if not ensemble.states:
         raise ValueError("empty input ensemble")
-    inputs = ensemble.inputs
-    out = run_circuit(circuit, inputs, cavity, err)
+    out = run_circuit(circuit, ensemble.inputs, cavity, err)
+    targets = ensemble.targets
     n = len(ensemble.states)
 
     def mean(values):  # a running sum in ensemble order, then one division
         return np.cumsum(values, axis=-1)[..., -1] / n
 
+    def overlap(mode):  # fidelity_single against the ensemble's cached target
+        return np.abs(inner_product(targets[mode], out)) ** 2
+
     values = [
-        mean(2 * fidelity_single(out, inputs, "branch_up")),
-        mean(2 * fidelity_single(out, inputs, "branch_down")),
-        mean(fidelity_single(out, inputs, "both")),
+        mean(2 * overlap("branch_up")),
+        mean(2 * overlap("branch_down")),
+        mean(overlap("both")),
         mean(success_probability(out, "up")),
         mean(success_probability(out, "down")),
     ]
-    # per point, the first input (in ensemble order) that failed a check
-    fault = np.broadcast_to(out.fault, out.batch_shape)
+    # per point, the first input (in ensemble order) that failed a check; a
+    # field the circuit ignores (switches on the baseline) or that only moves
+    # the weight (switches on the optimized circuit) leaves the amplitudes
+    # without a point axis, so the points come from the config's shape
+    fault = np.broadcast_to(out.fault, np.broadcast_shapes(_config_shape(cavity, err),
+                                                           out.batch_shape))
     first = np.take_along_axis(fault, np.argmax(fault != 0, axis=-1)[..., None], -1)[..., 0]
     if first.ndim == 0:
         if first:
@@ -235,6 +256,6 @@ def average_fidelity(
         status = "ok"
     else:
         values = [np.where(first == 0, v, math.nan) for v in values]
-        status = tuple(f"error:{FAULTS[f][0].__name__}" if f else "ok" for f in first.tolist())
+        status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.tolist())
     return FidelityReport(*values, ensemble=ensemble.kind, circuit=circuit,
                           cavity=cavity, errors=err, status=status)

@@ -24,7 +24,6 @@ lost so downstream fidelity calculations see it.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -136,11 +135,27 @@ def _sorted(factors: Sequence[str], amps: np.ndarray, **fields) -> JointState:
 def matrix(rows: Sequence[Sequence]) -> np.ndarray:
     """Collect rows of scalar or array entries into one (batch..., n, m) map."""
     entries = [x for row in rows for x in row]
-    shape = np.broadcast_shapes(*(np.shape(x) for x in entries))
-    out = np.empty(shape + (len(rows), len(rows[0])), dtype=np.result_type(float, *entries))
+    dtype = np.result_type(float, *entries)
+    shapes = [x.shape for x in entries if getattr(x, "ndim", 0)]
+    if not shapes:
+        return np.array(rows, dtype=dtype)
+    out = np.empty(np.broadcast_shapes(*shapes) + (len(rows), len(rows[0])), dtype=dtype)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             out[..., i, j] = x
+    return out
+
+
+def replace_unchecked(item, **changes):
+    """Copy of a frozen dataclass with ``changes`` applied, without its checks.
+
+    The checks are written for single values; a batched copy holds arrays
+    whose entries the caller validated one by one.  Only the dataclass
+    fields are copied, never a cached property of ``item``.
+    """
+    out = object.__new__(type(item))
+    for f in dataclasses.fields(item):
+        object.__setattr__(out, f.name, changes.get(f.name, getattr(item, f.name)))
     return out
 
 
@@ -148,17 +163,15 @@ def stack(items: Sequence, shape: tuple[int, ...] = (-1,)):
     """One value whose leaves hold arrays over ``items``, reshaped to ``shape``.
 
     Dataclasses are stacked field by field and tuples entry by entry, so a
-    list of configurations becomes one batched configuration.  Each item
-    was validated when it was built, so the stacked copy is not validated
-    again (its checks are written for single values).
+    list of inputs becomes one batched input.  Each item was validated when
+    it was built, so the stacked copy is not validated again.
     """
     first = items[0]
     if dataclasses.is_dataclass(first):
-        out = copy.copy(first)
-        for f in dataclasses.fields(first):
-            column = [getattr(item, f.name) for item in items]
-            object.__setattr__(out, f.name, stack(column, shape))
-        return out
+        return replace_unchecked(first, **{
+            f.name: stack([getattr(item, f.name) for item in items], shape)
+            for f in dataclasses.fields(first)
+        })
     if isinstance(first, tuple):
         return tuple(stack(list(column), shape) for column in zip(*items))
     return np.array(items).reshape(shape)
@@ -239,11 +252,11 @@ def apply_mode_map(
         )
 
     nb = len(state.batch_shape)
-    src = [nb + state.factors.index(n) for n in in_names]
-    amps = np.moveaxis(state.amps, src, range(-len(in_names), 0))
+    axes = [nb + state.factors.index(f) for f in keep + list(in_names)]
+    amps = state.amps.transpose(*range(nb), *axes)
     amps = amps.reshape(amps.shape[: nb + len(keep)] + (shape[1],))
     rules = rules.reshape(rules.shape[:-2] + (1,) * len(keep) + shape)
-    out = np.einsum("...oi,...i->...o", rules, amps)
+    out = np.matmul(rules, amps[..., None])[..., 0]
     out = out.reshape(out.shape[:-1] + (2,) * len(out_names))
     return _sorted(tuple(keep) + out_names, out, weight=state.weight, fault=state.fault)
 
@@ -275,3 +288,9 @@ def inner_product(a: JointState, b: JointState):
 
 def with_weight(state: JointState, weight) -> JointState:
     return dataclasses.replace(state, weight=weight)
+
+
+def read_only(state: JointState) -> JointState:
+    """``state`` with its amplitudes locked, for a cache that hands it to every caller."""
+    state.amps.flags.writeable = False
+    return state

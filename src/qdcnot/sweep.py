@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,14 +29,22 @@ from .cavity import CavityParams, is_strong_coupling
 from .circuits import DeviceErrorConfig
 from .devices import F_UC, ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from .fidelity import InputEnsemble, average_fidelity
-from .state import stack
+from .state import replace_unchecked
 
 
 class ConfigError(ValueError):
     """Invalid configuration key or value."""
 
 
-AXIS_NAMES = ("kappa_s_over_kappa", "g_over_kappa", "err", "p_sw")
+# sweep axis -> the config keys one axis value sets
+AXIS_KEYS = {
+    "kappa_s_over_kappa": ("kappa_s_over_kappa",),
+    "g_over_kappa": ("g_over_kappa",),
+    "err": ("xi1", "xi2", "tau_r1", "tau_l1", "tau_r2", "tau_l2",
+            "tau_r3", "tau_l3", "tau_r4", "tau_l4"),
+    "p_sw": ("sw1_t12", "sw1_r22", "sw2_t12", "sw2_r11"),
+}
+AXIS_NAMES = tuple(AXIS_KEYS)
 
 # key -> (kind, default, constraint-description, validator)
 CONFIG_SCHEMA = {
@@ -119,6 +127,22 @@ class SweepGrid:
         return [float(v) for v in np.linspace(lo, hi, n)]
 
 
+# component -> (its class, the config key of each of its fields in field
+# order); "cavity" is the CavityParams, every other name a DeviceErrorConfig field
+COMPONENTS = {
+    "cavity": (CavityParams, ("g_over_kappa", "kappa_s_over_kappa", "gamma_over_kappa")),
+    "xi1": (HwpError, ("xi1",)),
+    "xi2": (HwpError, ("xi2",)),
+    "cpbs1": (CpbsError, ("tau_r1", "tau_l1")),
+    "cpbs2": (CpbsError, ("tau_r2", "tau_l2")),
+    "cpbs3": (CpbsError, ("tau_r3", "tau_l3")),
+    "cpbs4": (CpbsError, ("tau_r4", "tau_l4")),
+    "sw1": (SwitchCoeffs, ("sw1_t12", "sw1_t21", "sw1_r11", "sw1_r22")),
+    "sw2": (SwitchCoeffs, ("sw2_t12", "sw2_t21", "sw2_r11", "sw2_r22")),
+    "cloner": (ClonerConfig, ("cloner_fidelity",)),
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     values: dict
@@ -130,25 +154,17 @@ class SimConfig:
             v["axis2"], v["axis2_lo"], v["axis2_hi"], v["axis2_points"], v["axis2_scale"],
         )
 
+    def _component(self, name: str):
+        """One validated component (see :data:`COMPONENTS`)."""
+        cls, keys = COMPONENTS[name]
+        return cls(*(self.values[k] for k in keys))
+
     def cavity(self) -> CavityParams:
-        v = self.values
-        return CavityParams(
-            g=v["g_over_kappa"], kappa_s=v["kappa_s_over_kappa"], gamma=v["gamma_over_kappa"]
-        )
+        return self._component("cavity")
 
     def device_errors(self) -> DeviceErrorConfig:
-        v = self.values
-        return DeviceErrorConfig(
-            xi1=HwpError(v["xi1"]),
-            xi2=HwpError(v["xi2"]),
-            cpbs1=CpbsError(v["tau_r1"], v["tau_l1"]),
-            cpbs2=CpbsError(v["tau_r2"], v["tau_l2"]),
-            cpbs3=CpbsError(v["tau_r3"], v["tau_l3"]),
-            cpbs4=CpbsError(v["tau_r4"], v["tau_l4"]),
-            sw1=SwitchCoeffs(v["sw1_t12"], v["sw1_t21"], v["sw1_r11"], v["sw1_r22"]),
-            sw2=SwitchCoeffs(v["sw2_t12"], v["sw2_t21"], v["sw2_r11"], v["sw2_r22"]),
-            cloner=ClonerConfig(v["cloner_fidelity"]),
-        )
+        return DeviceErrorConfig(**{f.name: self._component(f.name)
+                                    for f in fields(DeviceErrorConfig)})
 
     def input_ensemble(self) -> InputEnsemble:
         return resolve_ensemble(self.values["ensemble"], self.values["haar_n"], self.values["seed"])
@@ -274,19 +290,22 @@ def resolve_ensemble(name: str, haar_n: int = 1000, seed: int = 0) -> InputEnsem
 
 
 def _point_config(cfg: SimConfig, axis: str, value: float) -> SimConfig:
-    values = dict(cfg.values)
-    if axis in ("kappa_s_over_kappa", "g_over_kappa"):
-        values[axis] = value
-    elif axis == "err":
-        for k in ("xi1", "xi2", "tau_r1", "tau_l1", "tau_r2", "tau_l2",
-                  "tau_r3", "tau_l3", "tau_r4", "tau_l4"):
-            values[k] = value
-    elif axis == "p_sw":
-        for k in ("sw1_t12", "sw1_r22", "sw2_t12", "sw2_r11"):
-            values[k] = value
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return SimConfig(values)
+    return SimConfig({**cfg.values, **dict.fromkeys(AXIS_KEYS[axis], value)})
+
+
+def _moved_components(line: SimConfig, axis: str) -> dict[str, tuple]:
+    """Component name -> (class, the line's arguments, the slots ``axis`` sets).
+
+    Only the components one value of ``axis`` moves are listed; a point's
+    arguments are the line's with every listed slot set to its value.
+    """
+    keys = AXIS_KEYS[axis]
+    moved = {}
+    for name, (cls, component_keys) in COMPONENTS.items():
+        slots = [j for j, k in enumerate(component_keys) if k in keys]
+        if slots:
+            moved[name] = (cls, [line.values[k] for k in component_keys], slots)
+    return moved
 
 
 def _error_row(v1: float, v2: float, exc_name: str) -> tuple:
@@ -295,32 +314,44 @@ def _error_row(v1: float, v2: float, exc_name: str) -> tuple:
 
 
 def _eval_line(cfg: SimConfig, v1: float, v2s: list[float], ensemble: InputEnsemble) -> list:
-    """Rows of one axis-2 line of the grid, evaluated as one batch."""
+    """Rows of one axis-2 line of the grid, evaluated as one batch.
+
+    The line's config is validated once.  Each point builds only the
+    components its axis-2 value moves, and a point outside their domain
+    keeps its own error row.  The valid points run as one config whose moved
+    fields hold a (k, 1) array of their values; every other field stays a
+    scalar.
+    """
     line = _point_config(cfg, cfg.values["axis1"], v1)
+    try:
+        parts = {"cavity": line.cavity(), **vars(line.device_errors())}
+    except ValueError as exc:  # the axis-1 value is outside a component's domain
+        return [_error_row(v1, v2, type(exc).__name__) for v2 in v2s]
+    moved = _moved_components(line, cfg.values["axis2"])
     rows: list = [None] * len(v2s)
-    batch, cavities, errors = [], [], []
+    valid = []
     for i, v2 in enumerate(v2s):
-        point = _point_config(line, cfg.values["axis2"], v2)
         try:
-            cavity, err = point.cavity(), point.device_errors()
-        except Exception as exc:  # grid rows are never silently dropped
+            for cls, args, slots in moved.values():
+                for j in slots:
+                    args[j] = v2
+                cls(*args)
+        except ValueError as exc:  # what the component validators raise
             rows[i] = _error_row(v1, v2, type(exc).__name__)
             continue
-        batch.append(i)
-        cavities.append(cavity)
-        errors.append(err)
-    if batch:
-        try:
-            report = average_fidelity(
-                cfg.values["circuit"], stack(cavities, (-1, 1)), stack(errors, (-1, 1)), ensemble
-            )
-        except Exception as exc:  # grid rows are never silently dropped
-            for i in batch:
-                rows[i] = _error_row(v1, v2s[i], type(exc).__name__)
-            return rows
-        for k, i in enumerate(batch):
-            rows[i] = (v1, v2s[i], float(report.f_up[k]), float(report.f_down[k]),
-                       float(report.f_both[k]), report.status[k])
+        valid.append(i)
+    if not valid:
+        return rows
+    column = np.array([v2s[i] for i in valid]).reshape(-1, 1)
+    for name, (cls, _, slots) in moved.items():
+        names = [fields(cls)[j].name for j in slots]
+        parts[name] = replace_unchecked(parts[name], **dict.fromkeys(names, column))
+    cavity = parts.pop("cavity")
+    report = average_fidelity(cfg.values["circuit"], cavity, DeviceErrorConfig(**parts), ensemble)
+    values = zip(report.f_up.tolist(), report.f_down.tolist(), report.f_both.tolist(),
+                 report.status)
+    for i, (f_up, f_down, f_both, status) in zip(valid, values):
+        rows[i] = (v1, v2s[i], f_up, f_down, f_both, status)
     return rows
 
 

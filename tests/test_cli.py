@@ -40,6 +40,18 @@ def test_simulate_invalid_config_exits_1(tmp_path, capsys):
     assert "xi1" in capsys.readouterr().err
 
 
+def test_simulate_output_norm_fault_exits_1(tmp_path, capsys):
+    # a config whose output norm exceeds 1 is outside the model's domain
+    cfg = write_cfg(tmp_path, (
+        "ensemble = superposition4\nxi1 = 0.1\nkappa_s_over_kappa = 0\ng_over_kappa = 3\n"
+    ))
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: output norm exceeds 1: ")
+
+
 def test_reproduce_workers_flag_retired(tmp_path, capsys):
     # grid rows run as batches in one process; the worker-pool flag is gone
     out_dir = tmp_path / "out"

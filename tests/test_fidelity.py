@@ -1,12 +1,13 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qdcnot.cavity import CavityCoeffs, CavityParams, cavity_coeffs
 from qdcnot.circuits import CnotInputs, DeviceErrorConfig, baseline_cnot, optimized_cnot
-from qdcnot.devices import F_UC, ClonerConfig, SwitchCoeffs
+from qdcnot.devices import F_UC, ClonerConfig, HwpError, SwitchCoeffs
 from qdcnot.fidelity import (
     InputEnsemble,
     average_fidelity,
@@ -15,7 +16,7 @@ from qdcnot.fidelity import (
     success_probability,
     target_state,
 )
-from qdcnot.state import make_state, tensor, with_weight
+from qdcnot.state import make_state, replace_unchecked, stack, tensor, with_weight
 
 SQH = math.sqrt(0.5)
 IDEAL = CavityCoeffs.ideal()
@@ -255,3 +256,59 @@ def test_monotone_degradation_on_error_ladder():
         report = average_fidelity("optimized", STRONG, err, InputEnsemble.basis4())
         values.append(report.f_both)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+P_SW = (0.2, 0.6, 1.0)
+
+
+def switch_line(err: DeviceErrorConfig) -> DeviceErrorConfig:
+    """``err`` with the four routed switch legs holding a (3, 1) column over P_SW."""
+    col = np.array(P_SW).reshape(-1, 1)
+    return replace(err, sw1=replace_unchecked(err.sw1, t12=col, r22=col),
+                   sw2=replace_unchecked(err.sw2, t12=col, r11=col))
+
+
+def test_switch_line_reports_one_value_and_status_per_point():
+    strong = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
+    base = DeviceErrorConfig.uniform(1e-2, cloner=ClonerConfig(F_UC))
+    ensemble = InputEnsemble.basis4()
+    # only the weight moves along a switch line; the amplitudes have no point axis
+    assert optimized_cnot(ensemble.inputs, strong, switch_line(base)).batch_shape == (4,)
+    for circuit in ("optimized", "baseline"):
+        report = average_fidelity(circuit, strong, switch_line(base), ensemble)
+        assert report.f_both.shape == report.f_up.shape == (3,)
+        assert report.status == ("ok",) * 3
+        for k, p in enumerate(P_SW):
+            point = replace(base, sw1=SwitchCoeffs(t12=p, r22=p), sw2=SwitchCoeffs(t12=p, r11=p))
+            single = average_fidelity(circuit, strong, point, ensemble)
+            for name in ("f_up", "f_down", "f_both", "success_up", "success_down"):
+                assert getattr(report, name)[k] == pytest.approx(getattr(single, name), abs=1e-12)
+
+
+def test_core_norm_fault_flags_every_switch_point():
+    # this core output (superposition inputs, xi1 = 0.1, kappa_s = 0) has norm > 1
+    cavity = CavityParams(g=3.0, kappa_s=0.0, gamma=0.1)
+    err = replace(DeviceErrorConfig(), xi1=HwpError(0.1))
+    ensemble = InputEnsemble.superposition4()
+    with pytest.raises(AssertionError, match="output norm exceeds 1"):
+        average_fidelity("optimized", cavity, err, ensemble)
+    for circuit in ("optimized", "baseline"):
+        report = average_fidelity(circuit, cavity, switch_line(err), ensemble)
+        assert report.status == ("error:AssertionError",) * 3
+        assert np.isnan(report.f_both).all() and report.f_both.shape == (3,)
+
+
+def test_ensemble_caches_are_built_once_and_locked():
+    ensemble = InputEnsemble.superposition4()
+    assert ensemble.targets is ensemble.targets
+    assert ensemble.inputs.state is ensemble.inputs.state
+    with pytest.raises(ValueError, match="read-only"):
+        ensemble.targets["both"].amps[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        ensemble.inputs.state.amps[...] = 0
+    # a batched copy never inherits the cached state of the item it copies
+    first = CnotInputs.basis("R", "L")
+    assert first.state.batch_shape == ()
+    stacked = stack([first, CnotInputs.basis("L", "R")])
+    assert stacked.state.batch_shape == (2,)
+    assert stacked.state.amplitude(("L", "R", "up")).tolist() == [0, SQH]

@@ -1,0 +1,55 @@
+"""Every cell of three ``reproduce`` outputs against the recorded references.
+
+``bench/reference/`` holds ``fig3a.csv``, ``fig4b.csv`` and
+``table_anchors.csv`` as recorded from a known-good tree.  Numbers must
+agree within one unit of the 10th significant digit (the last digit the
+CSV prints), every other cell exactly, so numeric drift fails the tests
+without a benchmark run.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from qdcnot.sweep import reproduce
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+
+
+def last_digit(x: float) -> float:
+    """One unit in the 10th significant digit of ``x``; 0 for 0."""
+    return 10.0 ** (math.floor(math.log10(abs(x))) - 9) if x else 0.0
+
+
+def same_cell(got: str, want: str) -> bool:
+    try:
+        x, y = float(got), float(want)
+    except ValueError:  # a name, a header or a status
+        return got == want
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    # the slack covers the binary rounding of two decimal strings one unit apart
+    return abs(x - y) <= 1.00001 * max(last_digit(x), last_digit(y))
+
+
+def test_last_digit_rule():
+    assert same_cell("0.9374123457", "0.9374123458")
+    assert not same_cell("0.9374123457", "0.9374123459")
+    assert same_cell("nan", "nan") and not same_cell("nan", "0")
+    assert not same_cell("1e-17", "0") and same_cell("0", "0")
+    assert not same_cell("error:ValueError", "ok")
+
+
+@pytest.mark.parametrize("target", ["fig3a", "fig4b", "table_anchors"])
+def test_reproduce_matches_reference(target, tmp_path):
+    out = reproduce(target, str(tmp_path))
+    got = Path(out["csv"]).read_text(encoding="utf-8").splitlines()
+    want = (REFERENCE / f"{target}.csv").read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want)
+    bad = [
+        (n, g, w) for n, (g, w) in enumerate(zip(got, want), start=1)
+        if len(g.split(",")) != len(w.split(","))
+        or not all(same_cell(a, b) for a, b in zip(g.split(","), w.split(",")))
+    ]
+    assert bad == [], f"{len(bad)} rows differ, first: {bad[:3]}"

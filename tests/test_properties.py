@@ -16,6 +16,7 @@ from qdcnot.cavity import CavityParams, cavity_coeffs
 from qdcnot.circuits import (
     CnotInputs,
     DeviceErrorConfig,
+    OutputNormError,
     baseline_cnot,
     optimized_cnot,
     output_amplitudes,
@@ -23,6 +24,7 @@ from qdcnot.circuits import (
 from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.state import stack
+from qdcnot.sweep import AXIS_NAMES, _config_with, _point_config, _run_grid
 
 from oracle import baseline_dense, dense_vector
 
@@ -144,3 +146,48 @@ def test_fidelities_lie_in_unit_interval(inps, cavity, err, circuit):
         reject()
     for value in (report.f_up, report.f_down, report.f_both):
         assert 0 <= value <= 1 + 1e-12
+
+
+@st.composite
+def grids(draw):
+    """Configs over any two distinct axes, ranges reaching outside every domain."""
+    axis1, axis2 = draw(st.permutations(AXIS_NAMES))[:2]
+    overrides = dict(
+        circuit=draw(st.sampled_from(["baseline", "optimized"])),
+        ensemble=draw(st.sampled_from(["basis4", "superposition4"])),
+        xi1=draw(st.floats(-1.0, 1.0)), tau_r1=draw(unit), sw2_t21=draw(unit),
+        kappa_s_over_kappa=draw(st.floats(0.0, 3.0)), g_over_kappa=draw(st.floats(0.0, 3.0)),
+    )
+    for n, axis in ((1, axis1), (2, axis2)):
+        lo = draw(st.floats(-0.5, 2.0))
+        overrides.update({
+            f"axis{n}": axis, f"axis{n}_lo": lo, f"axis{n}_hi": lo + draw(st.floats(0.01, 2.0)),
+            f"axis{n}_points": draw(st.integers(2, 5)),
+        })
+    return _config_with(**overrides)
+
+
+@PROPERTY
+@given(grids())
+def test_grid_lines_equal_per_point_builds(cfg):
+    v = cfg.values
+    ensemble = cfg.input_ensemble()
+    rows = _run_grid(cfg, ensemble)
+    assert len(rows) == v["axis1_points"] * v["axis2_points"]
+    for row in rows:
+        point = _point_config(_point_config(cfg, v["axis1"], row[0]), v["axis2"], row[1])
+        try:
+            cavity, err = point.cavity(), point.device_errors()
+        except ValueError as exc:  # the point is outside a component's domain
+            assert row[5] == f"error:{type(exc).__name__}"
+            assert all(math.isnan(x) for x in row[2:5])
+            continue
+        try:
+            report = average_fidelity(v["circuit"], cavity, err, ensemble)
+        except OutputNormError:  # grid rows keep the assertion's name
+            assert row[5] == "error:AssertionError"
+            assert all(math.isnan(x) for x in row[2:5])
+            continue
+        assert row[5] == "ok"
+        for got, want in zip(row[2:5], (report.f_up, report.f_down, report.f_both)):
+            assert got == pytest.approx(want, abs=1e-12)

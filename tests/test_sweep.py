@@ -226,6 +226,75 @@ def test_failed_grid_point_emits_sentinel_row():
     assert all(r[4] == "ok" for r in table[1:] if r[1] >= 0)
 
 
+def err_psw_cfg(**overrides):
+    return small_cfg(**dict(dict(
+        circuit="optimized",
+        axis1="err", axis1_lo=1e-4, axis1_hi=1e-1, axis1_points=3, axis1_scale="log",
+        axis2="p_sw", axis2_lo=0.6, axis2_hi=1.0, axis2_points=3,
+        kappa_s_over_kappa=0.05, g_over_kappa=2.5,
+    ), **overrides))
+
+
+def test_invalid_grid_points_keep_their_error_rows():
+    # a point fails exactly when err > 1 (wave plates, CPBSs) or p_sw leaves
+    # [0, 1] (switches); linspace(-0.2, 1.2, 8) passes 0 at -2.8e-17
+    def expected(err, p_sw):
+        return "error:ValueError" if err > 1 or not 0 <= p_sw <= 1 else "ok"
+
+    table = sweep_err_psw(err_psw_cfg(
+        axis1_lo=0.0, axis1_hi=2.0, axis1_points=5, axis1_scale="linear",
+        axis2_lo=-0.2, axis2_hi=1.2, axis2_points=8,
+    ))
+    statuses = [r[3] for r in table[1:]]
+    assert statuses == [expected(r[0], r[1]) for r in table[1:]]
+    assert (statuses.count("error:ValueError"), statuses.count("ok")) == (25, 15)
+    assert all(math.isnan(r[2]) for r in table[1:] if r[3] != "ok")
+
+    table = sweep_err_psw(err_psw_cfg(
+        axis1="p_sw", axis1_lo=-0.2, axis1_hi=1.2, axis1_points=5, axis1_scale="linear",
+        axis2="err", axis2_lo=0.0, axis2_hi=2.0, axis2_points=7,
+    ))
+    statuses = [r[3] for r in table[1:]]
+    assert statuses == [expected(r[1], r[0]) for r in table[1:]]
+    assert (statuses.count("error:ValueError"), statuses.count("ok")) == (23, 12)
+
+
+def test_programming_error_in_a_stage_raises_instead_of_writing_rows(monkeypatch):
+    # only a point outside a component's domain (ValueError at build time) or
+    # a failed output check becomes an error row; a bug in a stage propagates
+    import qdcnot.circuits as circuits
+
+    def broken(*args):
+        raise TypeError("broken stage")
+
+    monkeypatch.setattr(circuits, "spin_hadamard", broken)
+    with pytest.raises(TypeError, match="broken stage"):
+        sweep_coupling(small_cfg())
+    with pytest.raises(TypeError, match="broken stage"):
+        sweep_err_psw(err_psw_cfg())
+
+
+def test_line_moves_only_the_swept_fields(monkeypatch):
+    seen = []
+    real = sweep_mod.average_fidelity
+
+    def spy(circuit, cavity, err, ensemble):
+        seen.append((cavity, err))
+        return real(circuit, cavity, err, ensemble)
+
+    monkeypatch.setattr(sweep_mod, "average_fidelity", spy)
+    sweep_err_psw(err_psw_cfg(axis2_lo=-0.2, axis2_hi=1.0, axis2_points=4))
+    cavity, err = seen[0]
+    # the valid points of the line (p_sw = -0.2 is not one) as a (k, 1) column
+    column = np.array([[0.2], [0.6], [1.0]])
+    np.testing.assert_allclose(err.sw1.t12, column, rtol=1e-15)
+    for moved in (err.sw1.r22, err.sw2.t12, err.sw2.r11):
+        assert moved is err.sw1.t12
+    for scalar in (cavity.g, cavity.kappa_s, err.xi1.xi, err.cpbs4.tau_r, err.sw1.t21,
+                   err.sw2.r22, err.cloner.fidelity):
+        assert np.ndim(scalar) == 0
+
+
 # --- CSV contract
 
 def test_write_csv_format(tmp_path):
