@@ -25,14 +25,18 @@ control-L coefficients).
 Every circuit function also runs a batch: inputs whose amplitudes are
 arrays (a stacked ensemble) and configurations whose swept fields are
 arrays (a grid line) broadcast against each other, and the output state
-carries one run per batch element.
+carries one run per batch element.  The circuit is linear in its input,
+so the core runs only on the four photon-basis inputs, all with the
+batch's one spin; each input's output is then the combination of those
+four outputs its own coefficients give.  However many inputs a batch
+holds, the stages see four.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,13 +90,28 @@ class CnotInputs:
             if abs(n - 1) > 1e-9:
                 raise ValueError(f"{name} amplitudes not normalized: |.|^2 = {n}")
 
+    @property
+    def shared_spin_init(self) -> tuple[complex, complex]:
+        """The one ``spin_init`` of a single or a stacked input."""
+        up, down = (np.asarray(v) for v in self.spin_init)
+        if np.any(up != up.flat[0]) or np.any(down != down.flat[0]):
+            raise ValueError("stacked inputs must share one spin_init: the circuit runs "
+                             "the photon basis with a single spin")
+        return (up.flat[0].item(), down.flat[0].item())
+
     @cached_property
-    def state(self) -> JointState:
-        """The input as one product state over (p1, p2, spin), built once per object."""
-        p1 = make_state(P1, [("R", self.alpha), ("L", self.beta)])
-        p2 = make_state(P2, [("R", self.delta), ("L", self.gamma_amp)])
-        spin = make_state(SPIN, [("up", self.spin_init[0]), ("down", self.spin_init[1])])
-        return read_only(tensor(tensor(p1, p2), spin))
+    def state(self) -> tuple[JointState, np.ndarray]:
+        """The input in the photon basis, (basis state, coefficients), built once per object.
+
+        The basis state holds |RR>, |RL>, |LR>, |LL> over (p1, p2) on one
+        batch axis, each tensored with the shared spin; the coefficients
+        (alpha delta, alpha gamma, beta delta, beta gamma) of each input sit
+        on a last axis of length 4.  Both are read-only.
+        """
+        a, b, d, g = (np.asarray(x) for x in (self.alpha, self.beta, self.delta, self.gamma_amp))
+        coefficients = np.stack([a * d, a * g, b * d, b * g], axis=-1)
+        coefficients.flags.writeable = False
+        return _photon_basis(self.shared_spin_init), coefficients
 
     @classmethod
     def basis(cls, control: str, target: str, spin_init=DEFAULT_SPIN_INIT) -> "CnotInputs":
@@ -100,6 +119,15 @@ class CnotInputs:
         a, b = amp[control]
         d, g = amp[target]
         return cls(a, b, d, g, spin_init)
+
+
+@lru_cache(maxsize=8)
+def _photon_basis(spin_init: tuple[complex, complex]) -> JointState:
+    """|RR>, |RL>, |LR>, |LL> on one batch axis, each tensored with the spin."""
+    p1 = make_state(P1, [("R", [1.0, 1.0, 0.0, 0.0]), ("L", [0.0, 0.0, 1.0, 1.0])])
+    p2 = make_state(P2, [("R", [1.0, 0.0, 1.0, 0.0]), ("L", [0.0, 1.0, 0.0, 1.0])])
+    spin = make_state(SPIN, [("up", spin_init[0]), ("down", spin_init[1])])
+    return read_only(tensor(tensor(p1, p2), spin))
 
 
 @dataclass(frozen=True)
@@ -133,15 +161,39 @@ def _coeffs(cavity: CavityParams | CavityCoeffs) -> CavityCoeffs:
     return cavity if isinstance(cavity, CavityCoeffs) else cavity_coeffs(cavity)
 
 
+def config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) -> tuple:
+    """Broadcast shape of every config field: () for one config, (k, 1) for a line."""
+    parts = (cavity, *vars(err).values())
+    return np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
+
+
 def _cavity_pass(
-    state: JointState, photon: str, dir_factor: str, coeffs: CavityCoeffs, err: CpbsError
+    state: JointState, photon: str, dir_factor: str,
+    loop: tuple[np.ndarray, np.ndarray], interaction: np.ndarray,
 ) -> JointState:
-    """One photon through the CPBS-split cavity loop and back out."""
-    split, merge = cpbs_loop_maps(err)
+    """One photon through the CPBS-split cavity loop and back out.
+
+    ``loop`` is the CPBS's (split, merge) pair, ``interaction`` the
+    cavity's map; both passes of a run share them.
+    """
+    split, merge = loop
     state = apply_mode_map(state, photon, split, out_mode=(photon, dir_factor))
-    state = apply_mode_map(state, (photon, dir_factor, SPIN), interaction_map(coeffs))
+    state = apply_mode_map(state, (photon, dir_factor, SPIN), interaction)
     state = apply_mode_map(state, (photon, dir_factor), merge, out_mode=(photon,))
     return state
+
+
+def _expand(core: JointState, coefficients: np.ndarray) -> JointState:
+    """Each input's output: its coefficients' combination of the four basis outputs.
+
+    The basis runs on the last batch axis of ``core``, the axis where a grid
+    line holds its length-1 input axis; the inputs' batch axes take its place.
+    """
+    columns = core.amps.reshape(core.batch_shape + (-1,))
+    out = np.matmul(coefficients, columns)
+    if coefficients.ndim == 1 and core.batch_shape[:-1]:  # one input against a line
+        out = out[..., None, :]
+    return replace(core, amps=out.reshape(out.shape[:-1] + (2,) * len(core.factors)))
 
 
 class OutputNormError(AssertionError):
@@ -181,16 +233,27 @@ def baseline_cnot(
     cavity: CavityParams | CavityCoeffs,
     err: DeviceErrorConfig = DeviceErrorConfig(),
 ) -> JointState:
-    """Spin-cavity CNOT without the sign fix; uses xi1, xi2 and CPBS1 only."""
+    """Spin-cavity CNOT without the sign fix; uses xi1, xi2 and CPBS1 only.
+
+    The stages run on the photon basis of ``inputs`` (see
+    :attr:`CnotInputs.state`), and the output checks on each input's
+    output.  A config's fields are scalars, or hold a grid line's points
+    on a (k, 1) array whose last axis is the inputs' one.
+    """
+    shape = config_shape(cavity, err)
+    if shape[-1:] not in ((), (1,)):
+        raise ValueError(f"a batched config must hold its points on a (k, 1) array, "
+                         f"got shape {shape}")
     coeffs = _coeffs(cavity)
-    s = inputs.state
-    s = apply_mode_map(s, P1, hwp_map(err.xi1))
-    s = _cavity_pass(s, P1, P1_DIR, coeffs, err.cpbs1)
+    loop, interaction = cpbs_loop_maps(err.cpbs1), interaction_map(coeffs)
+    basis, coefficients = inputs.state
+    s = apply_mode_map(basis, P1, hwp_map(err.xi1))
+    s = _cavity_pass(s, P1, P1_DIR, loop, interaction)
     s = apply_mode_map(s, P1, hwp_map(err.xi2))
     s = apply_mode_map(s, SPIN, spin_hadamard())
-    s = _cavity_pass(s, P2, P2_DIR, coeffs, err.cpbs1)
+    s = _cavity_pass(s, P2, P2_DIR, loop, interaction)
     s = apply_mode_map(s, SPIN, spin_hadamard())
-    return _checked(s)
+    return _checked(_expand(s, coefficients))
 
 
 def sign_fix_amplitude(err: DeviceErrorConfig) -> float:

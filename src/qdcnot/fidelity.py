@@ -15,7 +15,10 @@ branch weight inside the number.  The combined ``f_both`` always folds all
 weight in.
 
 An ensemble runs as one batch, against target states built once per
-ensemble.  Given a grid line (configuration fields holding a ``(k, 1)``
+ensemble.  The circuit runs the four photon-basis inputs and expands
+their outputs to every input of the ensemble (see
+``circuits.baseline_cnot``), so the inputs of an ensemble share one
+``spin_init``.  Given a grid line (configuration fields holding a ``(k, 1)``
 array over the line's points wherever the line moves them),
 :func:`average_fidelity` runs the whole line against the whole ensemble at
 once and reports one value and one status per point.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -35,11 +38,21 @@ from .circuits import (
     CnotInputs,
     DeviceErrorConfig,
     baseline_cnot,
+    config_shape,
     fault_error,
     optimized_cnot,
 )
 from .devices import SQRT_HALF
-from .state import JointState, inner_product, make_state, project_spin, read_only, stack, tensor
+from .state import (
+    JointState,
+    inner_product,
+    make_state,
+    project_spin,
+    read_only,
+    replace_unchecked,
+    stack,
+    tensor,
+)
 
 
 @dataclass(frozen=True)
@@ -61,13 +74,17 @@ class InputEnsemble:
                 for mode in ("branch_up", "branch_down", "both")}
 
     @classmethod
+    @cache
     def basis4(cls) -> "InputEnsemble":
+        """|RR>, |RL>, |LR>, |LL>; built once per process."""
         return cls("basis4", tuple(
             CnotInputs.basis(c, t) for c in "RL" for t in "RL"
         ))
 
     @classmethod
+    @cache
     def superposition4(cls) -> "InputEnsemble":
+        """The four products of |R> +- |L> states; built once per process."""
         h = SQRT_HALF
         states = tuple(
             CnotInputs(h, s1 * h, h, s2 * h) for s1 in (1, -1) for s2 in (1, -1)
@@ -87,12 +104,22 @@ class InputEnsemble:
 def _haar_product(n: int, seed: int) -> InputEnsemble:
     # one draw; sample i takes its 4 real parts, then its 4 imaginary parts
     draws = np.random.default_rng(seed).normal(size=(n, 2, 4))
-    states = []
-    for a, b, d, g in draws[:, 0] + 1j * draws[:, 1]:
-        na = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        nt = math.sqrt(abs(d) ** 2 + abs(g) ** 2)
-        states.append(CnotInputs(a / na, b / na, d / nt, g / nt))
-    return InputEnsemble(f"haar_product({n}, seed={seed})", tuple(states))
+    z = draws[:, 0] + 1j * draws[:, 1]
+    # |z|^2 with libm's pow, as abs(z) ** 2 on each sample gives it: numpy's
+    # array square (|z| * |z|) differs from it in the last bit now and then
+    mod = np.hypot(z.real, z.imag)
+    sq = np.reshape([x ** 2 for x in mod.ravel().tolist()], mod.shape)
+    z[:, :2] /= np.sqrt(sq[:, 0] + sq[:, 1])[:, None]
+    z[:, 2:] /= np.sqrt(sq[:, 2] + sq[:, 3])[:, None]
+    norms = np.abs(z) ** 2
+    if np.any(np.abs(norms[:, ::2] + norms[:, 1::2] - 1) > 1e-9):
+        raise ValueError("haar_product: a drawn qubit is not normalized")
+    # normalized above, so each input skips the check its constructor makes
+    first = CnotInputs.basis("R", "R")
+    return InputEnsemble(f"haar_product({n}, seed={seed})", tuple(
+        replace_unchecked(first, alpha=a, beta=b, delta=d, gamma_amp=g)
+        for a, b, d, g in z.tolist()
+    ))
 
 
 def ideal_cnot_photons(inputs: CnotInputs) -> JointState:
@@ -119,14 +146,6 @@ def _ideal_output_spin(spin_init: tuple[complex, complex]) -> tuple[complex, com
     return (up / norm, down / norm)
 
 
-def _ideal_spin(spin_init) -> tuple:
-    """:func:`_ideal_output_spin` of a single or a stacked ``spin_init``."""
-    if np.ndim(spin_init[0]) == 0:
-        return _ideal_output_spin(tuple(spin_init))
-    pairs = [_ideal_output_spin(pair) for pair in zip(*(s.tolist() for s in spin_init))]
-    return tuple(np.array(column).reshape(np.shape(spin_init[0])) for column in zip(*pairs))
-
-
 def target_state(inputs: CnotInputs, mode: str) -> JointState:
     photons = ideal_cnot_photons(inputs)
     if mode == "branch_up":
@@ -134,21 +153,11 @@ def target_state(inputs: CnotInputs, mode: str) -> JointState:
     elif mode == "branch_down":
         spin = make_state("spin", [("down", 1.0)])
     elif mode == "both":
-        up, down = _ideal_spin(inputs.spin_init)
+        up, down = _ideal_output_spin(inputs.shared_spin_init)
         spin = make_state("spin", [("up", up), ("down", down)])
     else:
         raise ValueError(f"unknown fidelity mode {mode!r}")
     return tensor(photons, spin)
-
-
-def fidelity_single(out: JointState, inputs: CnotInputs, mode: str):
-    """|<target|out>|^2 with the unnormalized output; weight is folded in.
-
-    Per batch element for a batched output and stacked inputs.
-    """
-    if "spin" not in out.factors:
-        raise ValueError("output state has no spin factor")
-    return np.abs(inner_product(target_state(inputs, mode), out)) ** 2
 
 
 def success_probability(out: JointState, branch: str = "both"):
@@ -203,12 +212,6 @@ def run_circuit(
     raise ValueError(f"unknown circuit {circuit!r}")
 
 
-def _config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) -> tuple:
-    """Broadcast shape of every config field: () for one config, (k, 1) for a line."""
-    parts = (cavity, *vars(err).values())
-    return np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
-
-
 def average_fidelity(
     circuit: str,
     cavity: CavityParams | CavityCoeffs,
@@ -232,7 +235,7 @@ def average_fidelity(
     def mean(values):  # a running sum in ensemble order, then one division
         return np.cumsum(values, axis=-1)[..., -1] / n
 
-    def overlap(mode):  # fidelity_single against the ensemble's cached target
+    def overlap(mode):  # |<target|out>|^2, weight folded in, per input
         return np.abs(inner_product(targets[mode], out)) ** 2
 
     values = [
@@ -246,7 +249,7 @@ def average_fidelity(
     # field the circuit ignores (switches on the baseline) or that only moves
     # the weight (switches on the optimized circuit) leaves the amplitudes
     # without a point axis, so the points come from the config's shape
-    fault = np.broadcast_to(out.fault, np.broadcast_shapes(_config_shape(cavity, err),
+    fault = np.broadcast_to(out.fault, np.broadcast_shapes(config_shape(cavity, err),
                                                            out.batch_shape))
     first = np.take_along_axis(fault, np.argmax(fault != 0, axis=-1)[..., None], -1)[..., 0]
     if first.ndim == 0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -154,9 +155,14 @@ def replace_unchecked(item, **changes):
     fields are copied, never a cached property of ``item``.
     """
     out = object.__new__(type(item))
-    for f in dataclasses.fields(item):
-        object.__setattr__(out, f.name, changes.get(f.name, getattr(item, f.name)))
+    vars(out).update({name: changes.get(name, getattr(item, name))
+                      for name in _field_names(type(item))})
     return out
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def stack(items: Sequence, shape: tuple[int, ...] = (-1,)):

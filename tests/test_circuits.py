@@ -17,6 +17,7 @@ from qdcnot.circuits import (
     sign_fix_amplitude,
 )
 from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
+from qdcnot.state import stack
 
 from oracle import baseline_dense, dense_vector
 
@@ -253,14 +254,26 @@ def test_transfer_cpbs4_error_attenuates_control():
 def test_cavity_pass_builds_cpbs_maps_once(monkeypatch):
     import qdcnot.circuits as circuits
 
-    real, calls = circuits.cpbs_loop_maps, []
-    monkeypatch.setattr(circuits, "cpbs_loop_maps", lambda err: calls.append(err) or real(err))
+    calls = []
+    for name in ("cpbs_loop_maps", "interaction_map"):
+        real = getattr(circuits, name)
+        monkeypatch.setattr(circuits, name,
+                            lambda arg, real=real, name=name: calls.append(name) or real(arg))
     baseline_cnot(CnotInputs.basis("R", "L"), STRONG, DeviceErrorConfig.uniform(0.01))
-    # one control pass and one target pass through the CPBS1 loop
-    assert len(calls) == 2
+    # the control pass and the target pass through the CPBS1 loop share both maps
+    assert sorted(calls) == ["cpbs_loop_maps", "interaction_map"]
 
 
 # --- input validation
+
+def test_config_points_must_sit_on_a_column():
+    # a line's points on a (k,) array would pair up with the four basis inputs
+    cavities = stack([CavityParams(g=g, kappa_s=0.05, gamma=0.1) for g in (1, 2, 3, 4)])
+    with pytest.raises(ValueError, match=r"\(k, 1\)"):
+        baseline_cnot(CnotInputs.basis("R", "L"), cavities)
+    column = stack([CavityParams(g=g, kappa_s=0.05, gamma=0.1) for g in (1, 2, 3, 4)], (-1, 1))
+    assert baseline_cnot(CnotInputs.basis("R", "L"), column).batch_shape == (4, 1)
+
 
 def test_inputs_must_be_normalized():
     with pytest.raises(ValueError, match="normalized"):

@@ -8,21 +8,26 @@ import pytest
 from qdcnot.cavity import CavityCoeffs, CavityParams, cavity_coeffs
 from qdcnot.circuits import CnotInputs, DeviceErrorConfig, baseline_cnot, optimized_cnot
 from qdcnot.devices import F_UC, ClonerConfig, HwpError, SwitchCoeffs
+import qdcnot.fidelity as fidelity_module
 from qdcnot.fidelity import (
     InputEnsemble,
     average_fidelity,
-    fidelity_single,
     ideal_cnot_photons,
     success_probability,
     target_state,
 )
-from qdcnot.state import make_state, replace_unchecked, stack, tensor, with_weight
+from qdcnot.state import inner_product, make_state, replace_unchecked, stack, tensor, with_weight
 
 SQH = math.sqrt(0.5)
 IDEAL = CavityCoeffs.ideal()
 STRONG = cavity_coeffs(CavityParams(g=2.5, kappa_s=0.05, gamma=0.1))
 WEAK = cavity_coeffs(CavityParams(g=0.45, kappa_s=1.0, gamma=0.1))
 NO_ERR = DeviceErrorConfig()
+
+
+def fidelity_single(out, inputs, mode):
+    """|<target|out>|^2 of one run, the output's weight folded in."""
+    return abs(inner_product(target_state(inputs, mode), out)) ** 2
 
 
 def test_ideal_cnot_photons_truth_table():
@@ -300,15 +305,49 @@ def test_core_norm_fault_flags_every_switch_point():
 
 def test_ensemble_caches_are_built_once_and_locked():
     ensemble = InputEnsemble.superposition4()
+    # the fixed ensembles are built once per process, as haar_product is
+    assert ensemble is InputEnsemble.superposition4()
+    assert InputEnsemble.basis4() is InputEnsemble.basis4()
     assert ensemble.targets is ensemble.targets
     assert ensemble.inputs.state is ensemble.inputs.state
+    basis, coefficients = ensemble.inputs.state
     with pytest.raises(ValueError, match="read-only"):
         ensemble.targets["both"].amps[...] = 0
     with pytest.raises(ValueError, match="read-only"):
-        ensemble.inputs.state.amps[...] = 0
+        basis.amps[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        coefficients[...] = 0
     # a batched copy never inherits the cached state of the item it copies
     first = CnotInputs.basis("R", "L")
-    assert first.state.batch_shape == ()
+    assert first.state[1].shape == (4,)
     stacked = stack([first, CnotInputs.basis("L", "R")])
-    assert stacked.state.batch_shape == (2,)
-    assert stacked.state.amplitude(("L", "R", "up")).tolist() == [0, SQH]
+    assert stacked.state[1].shape == (2, 4)
+    assert stacked.state[1][:, 2].tolist() == [0, 1]   # the coefficient of |LR>
+
+
+def test_mixed_spin_init_rejected():
+    mixed = (CnotInputs.basis("R", "R"), CnotInputs.basis("R", "R", spin_init=(1.0, 0.0)))
+    with pytest.raises(ValueError, match="spin_init"):
+        baseline_cnot(stack(mixed), STRONG, NO_ERR)
+    with pytest.raises(ValueError, match="spin_init"):
+        average_fidelity("optimized", STRONG, NO_ERR, InputEnsemble("mixed", mixed))
+    # one shared spin, whatever it is, runs
+    shared = stack([CnotInputs.basis(c, "R", spin_init=(1.0, 0.0)) for c in "RL"])
+    assert baseline_cnot(shared, IDEAL, NO_ERR).batch_shape == (2,)
+
+
+def test_average_fidelity_runs_the_circuit_once(monkeypatch):
+    calls = []
+    for name in ("baseline_cnot", "optimized_cnot"):
+        real = getattr(fidelity_module, name)
+        monkeypatch.setattr(fidelity_module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    err = DeviceErrorConfig.uniform(1e-2, cloner=ClonerConfig(F_UC))
+    for circuit in ("baseline", "optimized"):
+        for ensemble in (InputEnsemble.basis4(), InputEnsemble.haar_product(50)):
+            calls.clear()
+            average_fidelity(circuit, STRONG, err, ensemble)
+            assert calls == [f"{circuit}_cnot"]
+        calls.clear()
+        average_fidelity(circuit, STRONG, switch_line(err), InputEnsemble.superposition4())
+        assert calls == [f"{circuit}_cnot"]

@@ -2,14 +2,16 @@
 
 The batched engine is checked against the independent dense-matrix oracle,
 the closed form, linearity in the input, single runs, and the unit
-interval of the reported fidelities.
+interval of the reported fidelities.  The engine runs every input through
+the photon basis and expands it afterwards; the oracle runs each input
+whole.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from qdcnot.cavity import CavityParams, cavity_coeffs
@@ -76,6 +78,57 @@ def test_engine_matches_dense_oracle(inp, cavity, err):
         return
     assert norm <= 1 + 1e-9 + 1e-12
     assert np.max(np.abs(dense_vector(out) - expected)) < 1e-12
+
+
+def oracle_circuit_output(circuit, inp, cavity, err):
+    """The oracle's output of one input, and its norm before the switches and sign fix."""
+    v = oracle_output(inp, cavity, err)
+    norm = float(np.sum(np.abs(v) ** 2))
+    if circuit == "optimized":
+        sw1, sw2 = err.sw1, err.sw2
+        v = v * math.sqrt(sw1.t12 * sw1.r22 * sw2.t12 * sw2.r11 * err.cloner.fidelity)
+        # the sign fix on the spin-up, control-L amplitudes (index p1*4 + p2*2 + spin)
+        v[[4, 6]] *= -math.sqrt((1 - err.cpbs2.tau_l) * (1 - err.cpbs3.tau_l)
+                                * (1 - err.cpbs4.tau_r))
+    return v, norm
+
+
+@PROPERTY
+@given(st.lists(inputs, min_size=1, max_size=6), st.lists(cavities, min_size=1, max_size=3),
+       st.lists(errors, min_size=3, max_size=3), st.sampled_from(["baseline", "optimized"]))
+# superposition inputs through a non-unitary HWP: at both points some
+# expanded output exceeds norm 1, although no basis column does
+@example(list(InputEnsemble.superposition4().states),
+         [CavityParams(g=3.0, kappa_s=0.0, gamma=0.1), CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)],
+         [DeviceErrorConfig(xi1=HwpError(0.1))] * 3, "optimized")
+def test_basis_expansion_matches_oracle_on_each_input(inps, cavs, errs, circuit):
+    n = len(cavs)
+    errs = errs[:n]
+    run = baseline_cnot if circuit == "baseline" else optimized_cnot
+    cavity, err = stack(cavs, (-1, 1)), stack(errs, (-1, 1))
+    out = run(stack(inps), cavity, err)
+    amps = (out.amps * np.asarray(out.weight)[..., None, None, None]).reshape(n, len(inps), 8)
+    fault = np.broadcast_to(out.fault, (n, len(inps)))
+    # one input against the line keeps the line's length-1 input axis
+    single = run(inps[0], cavity, err)
+    assert single.amps.shape == (n, 1, 2, 2, 2)
+    assert np.max(np.abs(single.amps[:, 0] - out.amps[:, 0])) < 1e-12
+    report = average_fidelity(circuit, cavity, err, InputEnsemble("drawn", tuple(inps)))
+    for p in range(n):
+        norms = []
+        for m, inp in enumerate(inps):
+            expected, norm = oracle_circuit_output(circuit, inp, cavs[p], errs[p])
+            norms.append(norm)
+            assert np.max(np.abs(amps[p, m] - expected)) < 1e-12
+            # the norm check runs on each expanded output
+            if fault[p, m]:
+                assert fault[p, m] == 2 and norm > 1 + 1e-9 - 1e-12
+            else:
+                assert norm <= 1 + 1e-9 + 1e-12
+        if report.status[p] == "ok":
+            assert max(norms) <= 1 + 1e-9 + 1e-12
+        else:
+            assert report.status[p] == "error:AssertionError" and max(norms) > 1 + 1e-9 - 1e-12
 
 
 @PROPERTY
