@@ -10,9 +10,8 @@ rate kappa.  The photon-spin interaction keeps the spin branch fixed and
 flips polarization exactly when it flips propagation direction; hot
 transitions scatter with (r1, t1), cold ones with (-t0, -r0).
 
-On a grid line the swept rate holds an array (one entry per point of a
-batched run); the coefficients and the interaction map are then batched
-too.
+In a chunk of grid points a swept rate holds an array (one entry per
+point); the coefficients and the interaction map are then batched too.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .state import check_domain
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,12 @@ class CavityParams:
     gamma: float
     kappa: float = 1.0
 
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        for name in ("g", "kappa_s", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+    DOMAIN = {
+        "kappa": (lambda v: v > 0, "kappa must be positive"),
+        **{name: (lambda v: v >= 0, f"{name} must be nonnegative")
+           for name in ("g", "kappa_s", "gamma")},
+    }
+    __post_init__ = check_domain
 
 
 @dataclass(frozen=True)

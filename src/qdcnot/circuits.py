@@ -23,13 +23,13 @@ circuit's output expression (the sign fix lands only on the two spin-up
 control-L coefficients).
 
 Every circuit function also runs a batch: inputs whose amplitudes are
-arrays (a stacked ensemble) and configurations whose swept fields are
-arrays (a grid line) broadcast against each other, and the output state
-carries one run per batch element.  The circuit is linear in its input,
-so the core runs only on the four photon-basis inputs, all with the
-batch's one spin; each input's output is then the combination of those
-four outputs its own coefficients give.  However many inputs a batch
-holds, the stages see four.
+arrays (a stacked ensemble) and configurations whose fields are (k, 1)
+arrays (a chunk of grid points) broadcast against each other, and the
+output state carries one run per batch element.  The circuit is linear in
+its input, so the stages run only on the photon-basis inputs, all with the
+batch's one spin, each stage one dense 4x4 map on (photon, spin) per point
+(a CPBS1 loop pass folds into one); each input's output is then the
+combination of the four basis outputs its own coefficients give.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ from .state import (
     with_weight,
 )
 
-P1, P1_DIR = "p1", "p1_dir"
-P2, P2_DIR = "p2", "p2_dir"
+P1, P2 = "p1", "p2"
 SPIN = "spin"
 
 # electron spin prepared as (|up> - |down>)/sqrt(2)
@@ -162,36 +161,40 @@ def _coeffs(cavity: CavityParams | CavityCoeffs) -> CavityCoeffs:
 
 
 def config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) -> tuple:
-    """Broadcast shape of every config field: () for one config, (k, 1) for a line."""
+    """Broadcast shape of every config field: () for one config, (k, 1) for a chunk."""
     parts = (cavity, *vars(err).values())
     return np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
 
 
-def _cavity_pass(
-    state: JointState, photon: str, dir_factor: str,
-    loop: tuple[np.ndarray, np.ndarray], interaction: np.ndarray,
-) -> JointState:
-    """One photon through the CPBS-split cavity loop and back out.
+def _points_last(m: np.ndarray) -> np.ndarray:
+    """A (batch..., a, b) map as an (a, b, points) view, its batch flattened onto a last axis."""
+    return m.reshape((-1,) + m.shape[-2:]).transpose(1, 2, 0)
 
-    ``loop`` is the CPBS's (split, merge) pair, ``interaction`` the
-    cavity's map; both passes of a run share them.
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a · b`` point by point: ``a`` is (i, j, points), ``b`` (j, ..., points).
+
+    Each entry is one sum of products in index order, without fused
+    multiply-adds, so a symmetric input keeps a symmetric output to the bit.
     """
-    split, merge = loop
-    state = apply_mode_map(state, photon, split, out_mode=(photon, dir_factor))
-    state = apply_mode_map(state, (photon, dir_factor, SPIN), interaction)
-    state = apply_mode_map(state, (photon, dir_factor), merge, out_mode=(photon,))
-    return state
+    return np.einsum("ij...,j...->i...", a, b)
+
+
+def _with_spin(m: np.ndarray) -> np.ndarray:
+    """An (a, b, points) map on a photon as ``m ⊗ I`` on (photon, spin)."""
+    a, b, n = m.shape
+    return (m[:, None, :, None] * np.eye(2)[:, None, :, None]).reshape(2 * a, 2 * b, n)
 
 
 def _expand(core: JointState, coefficients: np.ndarray) -> JointState:
     """Each input's output: its coefficients' combination of the four basis outputs.
 
-    The basis runs on the last batch axis of ``core``, the axis where a grid
-    line holds its length-1 input axis; the inputs' batch axes take its place.
+    The basis runs on the last batch axis of ``core``, the axis where a chunk
+    of grid points holds its length-1 input axis; the inputs' axes take its place.
     """
     columns = core.amps.reshape(core.batch_shape + (-1,))
     out = np.matmul(coefficients, columns)
-    if coefficients.ndim == 1 and core.batch_shape[:-1]:  # one input against a line
+    if coefficients.ndim == 1 and core.batch_shape[:-1]:  # one input against a chunk
         out = out[..., None, :]
     return replace(core, amps=out.reshape(out.shape[:-1] + (2,) * len(core.factors)))
 
@@ -237,23 +240,34 @@ def baseline_cnot(
 
     The stages run on the photon basis of ``inputs`` (see
     :attr:`CnotInputs.state`), and the output checks on each input's
-    output.  A config's fields are scalars, or hold a grid line's points
+    output.  A config's fields are scalars, or hold a chunk's grid points
     on a (k, 1) array whose last axis is the inputs' one.
     """
     shape = config_shape(cavity, err)
     if shape[-1:] not in ((), (1,)):
         raise ValueError(f"a batched config must hold its points on a (k, 1) array, "
                          f"got shape {shape}")
-    coeffs = _coeffs(cavity)
-    loop, interaction = cpbs_loop_maps(err.cpbs1), interaction_map(coeffs)
+    maps = (*cpbs_loop_maps(err.cpbs1), interaction_map(_coeffs(cavity)),
+            hwp_map(err.xi1), hwp_map(err.xi2))
+    batch = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
+    split, merge, interaction, hwp1, hwp2 = (_points_last(m) for m in maps)
+    # one pass through the CPBS1 loop as a 4x4 on (photon, spin); both photons share it
+    loop = _mul(_with_spin(merge), _mul(interaction, _with_spin(split)))
     basis, coefficients = inputs.state
-    s = apply_mode_map(basis, P1, hwp_map(err.xi1))
-    s = _cavity_pass(s, P1, P1_DIR, loop, interaction)
-    s = apply_mode_map(s, P1, hwp_map(err.xi2))
-    s = apply_mode_map(s, SPIN, spin_hadamard())
-    s = _cavity_pass(s, P2, P2_DIR, loop, interaction)
-    s = apply_mode_map(s, SPIN, spin_hadamard())
-    return _checked(_expand(s, coefficients))
+    # axes ((p1, spin), p1 input, point): the control photon's stages, on the
+    # basis inputs |R R> and |L R>, whose p2 is a spectator
+    x = basis.amps[::2, :, 0].transpose(1, 2, 0).reshape(4, 2, 1)
+    x = _mul(_with_spin(hwp2), _mul(loop, _mul(_with_spin(hwp1), x)))
+    hadamard = (np.eye(2)[:, None, :, None] * spin_hadamard()[:, None, :]).reshape(4, 4, 1)
+    x = _mul(hadamard, x)  # on the spin only, so before p2 is put back
+    # axes ((p2, spin), basis input, p1, point): every basis input, its p2 put
+    # back, through the target photon's loop pass and spin rotation
+    x = x.reshape(2, 2, 2, -1).transpose(1, 2, 0, 3)
+    x = (np.eye(2)[:, None, None, :, None, None] * x[:, :, None]).reshape(4, 4, 2, -1)
+    x = _mul(hadamard, _mul(loop, x))
+    # axes (point, basis input, p1, p2, spin), the points back on the config's batch
+    amps = x.reshape(2, 2, 4, 2, -1).transpose(4, 2, 3, 0, 1).reshape(batch[:-1] + (4, 2, 2, 2))
+    return _checked(_expand(JointState(basis.factors, amps), coefficients))
 
 
 def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
@@ -307,7 +321,7 @@ class CnotAmplitudes:
     ``rr_up_closed`` is the independent closed-form value of ``up[0]``;
     ``rr_up_reference`` is the widely-quoted reference variant of the same
     coefficient, kept verbatim for comparison (it carries three apparent
-    transcription slips; see ``closed_form_discrepancy``).
+    transcription slips; it matches ``up[0]`` only when CPBS1 is error-free).
     """
 
     up: tuple[complex, complex, complex, complex]
@@ -415,14 +429,4 @@ def output_amplitudes(
         prefactor=cnot_prefactor(err),
         rr_up_closed=rr_up_closed_form(inputs, coeffs, err),
         rr_up_reference=rr_up_closed_form(inputs, coeffs, err, reference=True),
-    )
-
-
-def closed_form_discrepancy(
-    inputs: CnotInputs, coeffs: CavityCoeffs, err: DeviceErrorConfig
-) -> float:
-    """|reference - corrected| closed-form value; zero iff CPBS1 is error-free."""
-    return abs(
-        rr_up_closed_form(inputs, coeffs, err, reference=True)
-        - rr_up_closed_form(inputs, coeffs, err, reference=False)
     )

@@ -10,9 +10,10 @@ universal cloner enter only through their success amplitudes: the switch
 as the factor sqrt(T or R) each routed leg contributes
 (:func:`switch_amplitude`), the cloner as sqrt(fidelity).
 
-On a grid line the swept fields hold an array (one entry per point of a
-batched run, built with ``state.replace_unchecked``); each map function then
-returns a batched matrix.  The field checks are written for single values.
+In a chunk of grid points the swept fields hold an array (one entry per
+point, built with ``state.replace_unchecked``); each map function then
+returns a batched matrix.  Each field's domain is declared once, in its
+class's ``DOMAIN``, as a test that holds per value of a scalar or array.
 """
 
 from __future__ import annotations
@@ -22,12 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import matrix
+from .state import check_domain, matrix
 
 SQRT_HALF = math.sqrt(0.5)
 
 # optimal universal-cloner fidelity bound
 F_UC = 5.0 / 6.0
+
+
+def _unit(v):
+    return (0 <= v) & (v <= 1)
 
 
 @dataclass(frozen=True)
@@ -36,9 +41,8 @@ class HwpError:
 
     xi: float = 0.0
 
-    def __post_init__(self):
-        if abs(self.xi) > 1:
-            raise ValueError(f"hwp error xi must satisfy |xi| <= 1, got {self.xi}")
+    DOMAIN = {"xi": (lambda v: abs(v) <= 1, "hwp error xi must satisfy |xi| <= 1")}
+    __post_init__ = check_domain
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,8 @@ class CpbsError:
     tau_r: float = 0.0
     tau_l: float = 0.0
 
-    def __post_init__(self):
-        for name in ("tau_r", "tau_l"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"cpbs error {name} must be in [0, 1], got {v}")
+    DOMAIN = {name: (_unit, f"cpbs error {name} must be in [0, 1]") for name in ("tau_r", "tau_l")}
+    __post_init__ = check_domain
 
 
 @dataclass(frozen=True)
@@ -62,20 +63,17 @@ class SwitchCoeffs:
     r11: float = 1.0
     r22: float = 1.0
 
-    def __post_init__(self):
-        for name in ("t12", "t21", "r11", "r22"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"switch coefficient {name} must be in [0, 1], got {v}")
+    DOMAIN = {name: (_unit, f"switch coefficient {name} must be in [0, 1]")
+              for name in ("t12", "t21", "r11", "r22")}
+    __post_init__ = check_domain
 
 
 @dataclass(frozen=True)
 class ClonerConfig:
     fidelity: float = 1.0
 
-    def __post_init__(self):
-        if not 0.5 <= self.fidelity <= 1:
-            raise ValueError(f"cloner fidelity must be in [0.5, 1], got {self.fidelity}")
+    DOMAIN = {"fidelity": (lambda v: (0.5 <= v) & (v <= 1), "cloner fidelity must be in [0.5, 1]")}
+    __post_init__ = check_domain
 
 
 def hwp_map(err: HwpError) -> np.ndarray:

@@ -18,10 +18,10 @@ An ensemble runs as one batch, against target states built once per
 ensemble.  The circuit runs the four photon-basis inputs and expands
 their outputs to every input of the ensemble (see
 ``circuits.baseline_cnot``), so the inputs of an ensemble share one
-``spin_init``.  Given a grid line (configuration fields holding a ``(k, 1)``
-array over the line's points wherever the line moves them),
-:func:`average_fidelity` runs the whole line against the whole ensemble at
-once and reports one value and one status per point.
+``spin_init``.  Given a chunk of grid points (configuration fields holding
+a ``(k, 1)`` array over the points wherever the grid moves them),
+:func:`average_fidelity` runs the whole chunk against the whole ensemble
+at once and reports one value and one status per point.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class FidelityReport:
 
     ``f_up``/``f_down`` are conditioned on the ideal 1/2 herald weight of
     their branch; the folded variants and ``f_both`` include all weight.
-    For a grid row every value is an array over the row's points, and
+    For a chunk of grid points every value is an array over them, and
     ``status`` says per point "ok" or which output check failed.
     """
 
@@ -220,10 +220,10 @@ def average_fidelity(
 ) -> FidelityReport:
     """Arithmetic mean of the per-input fidelities, in a fixed order.
 
-    ``cavity`` and ``err`` are one configuration, or a grid line: the
-    fields the line moves hold a ``(k, 1)`` array over its k points (the
-    entries validated one by one), every other field a scalar.  One
-    configuration whose output fails a check raises; a line reports the
+    ``cavity`` and ``err`` are one configuration, or a chunk of grid
+    points: the fields the grid moves hold a ``(k, 1)`` array over its k
+    points (each entry inside its domain), every other field a scalar.  One
+    configuration whose output fails a check raises; a chunk reports the
     failure in that point's status and leaves its values nan.
     """
     if not ensemble.states:

@@ -1,14 +1,14 @@
 """Dense batched complex-amplitude states over named qubit factors.
 
 A :class:`JointState` holds one complex array: leading batch axes (for a
-grid row, the points of the row and then the inputs of the ensemble; none
-for a single run), then one size-2 axis per named tensor factor, with the
-factor names kept sorted.  A scalar or batched ``weight`` accumulates the
-success-amplitude prefactors picked up along a circuit (switch
-transmittances, cloner fidelity).  The factor set is not fixed: a stage
-may introduce a factor (a photon entering the cavity acquires a
-direction) or remove one (the two counter-propagating rails recombine
-into a single output port).
+chunk of grid points, the points and then the inputs of the ensemble;
+none for a single run), then one size-2 axis per named tensor factor,
+with the factor names kept sorted.  A scalar or batched ``weight``
+accumulates the success-amplitude prefactors picked up along a circuit
+(switch transmittances, cloner fidelity).  A map may change the factor
+set: a CPBS split gives a photon a direction factor and the merge removes
+it.  The circuits fold both into one loop-pass map, so a circuit's states
+only ever hold the two photons and the spin.
 
 Every factor is a qubit whose basis values follow from its name:
 ``spin`` is (up, down), a name ending in ``_dir`` is a propagation
@@ -150,14 +150,27 @@ def matrix(rows: Sequence[Sequence]) -> np.ndarray:
 def replace_unchecked(item, **changes):
     """Copy of a frozen dataclass with ``changes`` applied, without its checks.
 
-    The checks are written for single values; a batched copy holds arrays
-    whose entries the caller validated one by one.  Only the dataclass
-    fields are copied, never a cached property of ``item``.
+    A batched copy holds arrays whose entries the caller checked already
+    (a grid checks its axis values as arrays).  Only the dataclass fields
+    are copied, never a cached property of ``item``.
     """
     out = object.__new__(type(item))
     vars(out).update({name: changes.get(name, getattr(item, name))
                       for name in _field_names(type(item))})
     return out
+
+
+def check_domain(item) -> None:
+    """Raise a ValueError naming the first field of ``item`` outside its domain.
+
+    A component class declares ``DOMAIN``: field -> (a test that holds for
+    each value inside the field's domain, scalar or array; the rule the
+    error states).  A grid reads the same tests as per-point masks.
+    """
+    for name, (test, rule) in type(item).DOMAIN.items():
+        value = getattr(item, name)
+        if not np.all(test(value)):
+            raise ValueError(f"{rule}, got {value}")
 
 
 @lru_cache(maxsize=None)

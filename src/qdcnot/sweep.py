@@ -3,9 +3,9 @@
 Configs are flat ``key = value`` text files (``#`` comments allowed); the
 full schema with defaults and constraints lives in :data:`CONFIG_SCHEMA`.
 Sweeps evaluate a two-axis grid in axis1-outer order, one row per point,
-and CSV output is byte-deterministic: same config, same bytes.  Each line
-of the grid along axis 2 runs as one batch against the whole input
-ensemble; a point that fails keeps its row, with its own error status.
+and CSV output is byte-deterministic: same config, same bytes.  The
+flattened grid runs in bounded chunks of points, each one batch against
+the whole input ensemble; a point that fails keeps its row and status.
 
 ``reproduce`` runs canonical configurations and compares a set of named
 reference fidelity anchors for this architecture against the computed
@@ -289,76 +289,60 @@ def resolve_ensemble(name: str, haar_n: int = 1000, seed: int = 0) -> InputEnsem
 # grid sweeps
 
 
-def _point_config(cfg: SimConfig, axis: str, value: float) -> SimConfig:
-    return SimConfig({**cfg.values, **dict.fromkeys(AXIS_KEYS[axis], value)})
+# One chunk of a grid holds at most CHUNK_POINTS points, so the circuit's
+# per-point arrays stay small, and at most CHUNK_POINT_INPUTS (point, input)
+# pairs: as many as a 61-point line against haar_product(1000).
+CHUNK_POINTS = 128
+CHUNK_POINT_INPUTS = 61_000
 
 
-def _moved_components(line: SimConfig, axis: str) -> dict[str, tuple]:
-    """Component name -> (class, the line's arguments, the slots ``axis`` sets).
-
-    Only the components one value of ``axis`` moves are listed; a point's
-    arguments are the line's with every listed slot set to its value.
-    """
+def _axis_fields(axis: str) -> dict[str, list[str]]:
+    """Component name -> the names of the fields one value of ``axis`` sets."""
     keys = AXIS_KEYS[axis]
-    moved = {}
-    for name, (cls, component_keys) in COMPONENTS.items():
-        slots = [j for j, k in enumerate(component_keys) if k in keys]
-        if slots:
-            moved[name] = (cls, [line.values[k] for k in component_keys], slots)
-    return moved
+    return {name: [f.name for f, key in zip(fields(cls), component_keys) if key in keys]
+            for name, (cls, component_keys) in COMPONENTS.items()
+            if set(component_keys) & set(keys)}
 
 
-def _error_row(v1: float, v2: float, exc_name: str) -> tuple:
-    nan = float("nan")
-    return (v1, v2, nan, nan, nan, f"error:{exc_name}")
-
-
-def _eval_line(cfg: SimConfig, v1: float, v2s: list[float], ensemble: InputEnsemble) -> list:
-    """Rows of one axis-2 line of the grid, evaluated as one batch.
-
-    The line's config is validated once.  Each point builds only the
-    components its axis-2 value moves, and a point outside their domain
-    keeps its own error row.  The valid points run as one config whose moved
-    fields hold a (k, 1) array of their values; every other field stays a
-    scalar.
-    """
-    line = _point_config(cfg, cfg.values["axis1"], v1)
-    try:
-        parts = {"cavity": line.cavity(), **vars(line.device_errors())}
-    except ValueError as exc:  # the axis-1 value is outside a component's domain
-        return [_error_row(v1, v2, type(exc).__name__) for v2 in v2s]
-    moved = _moved_components(line, cfg.values["axis2"])
-    rows: list = [None] * len(v2s)
-    valid = []
-    for i, v2 in enumerate(v2s):
-        try:
-            for cls, args, slots in moved.values():
-                for j in slots:
-                    args[j] = v2
-                cls(*args)
-        except ValueError as exc:  # what the component validators raise
-            rows[i] = _error_row(v1, v2, type(exc).__name__)
-            continue
-        valid.append(i)
-    if not valid:
-        return rows
-    column = np.array([v2s[i] for i in valid]).reshape(-1, 1)
-    for name, (cls, _, slots) in moved.items():
-        names = [fields(cls)[j].name for j in slots]
-        parts[name] = replace_unchecked(parts[name], **dict.fromkeys(names, column))
-    cavity = parts.pop("cavity")
-    report = average_fidelity(cfg.values["circuit"], cavity, DeviceErrorConfig(**parts), ensemble)
-    values = zip(report.f_up.tolist(), report.f_down.tolist(), report.f_both.tolist(),
-                 report.status)
-    for i, (f_up, f_down, f_both, status) in zip(valid, values):
-        rows[i] = (v1, v2s[i], f_up, f_down, f_both, status)
-    return rows
+def _in_domain(axis: str, values: np.ndarray) -> np.ndarray:
+    """Per value of ``axis``: does each component field it sets accept it (see ``DOMAIN``)."""
+    return np.logical_and.reduce([COMPONENTS[name][0].DOMAIN[field][0](values)
+                                  for name, names in _axis_fields(axis).items() for field in names])
 
 
 def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> list[tuple]:
-    grid = cfg.grid()
-    v2s = grid.axis_values(2)
-    return [row for v1 in grid.axis_values(1) for row in _eval_line(cfg, v1, v2s, ensemble)]
+    """Rows of the grid in axis1-outer order, evaluated in chunks of points.
+
+    A point outside a component's domain keeps its own error row.  The
+    valid points of each chunk run as one config whose fields moved by
+    either axis hold a (k, 1) column of the points' values; every other
+    field stays a scalar.
+    """
+    grid, v = cfg.grid(), cfg.values
+    axes, values = (v["axis1"], v["axis2"]), (grid.axis_values(1), grid.axis_values(2))
+    points = (np.repeat(values[0], len(values[1])), np.tile(values[1], len(values[0])))
+    valid = np.outer(*(_in_domain(axis, np.array(x)) for axis, x in zip(axes, values))).ravel()
+    moved: dict[str, dict[str, int]] = {}  # component -> field -> index of the axis setting it
+    for a, axis in enumerate(axes):
+        for name, names in _axis_fields(axis).items():
+            moved.setdefault(name, {}).update(dict.fromkeys(names, a))
+    parts = {"cavity": cfg.cavity(), **vars(cfg.device_errors())}
+    f = np.full((3, len(valid)), math.nan)
+    status = ["ok" if ok else "error:ValueError" for ok in valid.tolist()]
+    step = max(1, min(CHUNK_POINTS, CHUNK_POINT_INPUTS // len(ensemble.states)))
+    for start in range(0, len(valid), step):
+        chunk = start + np.flatnonzero(valid[start:start + step])
+        if not len(chunk):
+            continue
+        columns = [p[chunk].reshape(-1, 1) for p in points]
+        run = {**parts, **{name: replace_unchecked(parts[name], **{
+            field: columns[a] for field, a in slots.items()}) for name, slots in moved.items()}}
+        cavity = run.pop("cavity")
+        report = average_fidelity(v["circuit"], cavity, DeviceErrorConfig(**run), ensemble)
+        f[:, chunk] = report.f_up, report.f_down, report.f_both
+        for i, s in zip(chunk.tolist(), report.status):
+            status[i] = s
+    return list(zip(*(p.tolist() for p in points), *f.tolist(), status))
 
 
 def sweep_coupling(cfg: SimConfig) -> list[list]:
@@ -400,19 +384,14 @@ def sweep_err_psw(cfg: SimConfig) -> list[list]:
     return [header] + [[r[0], r[1], r[4], r[5]] for r in rows]
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
 def write_csv(table: list[list], path: str) -> None:
     """UTF-8, comma-separated, 10 significant digits, LF endings."""
     if not table:
         raise ValueError("refusing to write an empty table")
+    lines = [",".join([format(c, ".10g") if isinstance(c, float) else str(c) for c in row])
+             for row in table]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in table:
-            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from qdcnot.circuits import (
     CnotInputs,
     DeviceErrorConfig,
     baseline_cnot,
-    closed_form_discrepancy,
     cnot_prefactor,
     extract_branch_amplitudes,
     optimized_cnot,
@@ -225,10 +224,11 @@ def test_closed_form_matches_composition_500_random_configs():
 def test_closed_form_reference_variant_disagrees_with_composition():
     # the reference coefficient variant only matches when CPBS1 is perfect
     inputs = CnotInputs(0.6, 0.8, 0.28, 0.96)
-    err = DeviceErrorConfig(cpbs1=CpbsError(0.05, 0.05))
-    assert closed_form_discrepancy(inputs, STRONG, err) > 1e-4
-    clean = DeviceErrorConfig(xi1=HwpError(0.07), xi2=HwpError(0.03))
-    assert closed_form_discrepancy(inputs, STRONG, clean) == 0.0
+    for err, differs in ((DeviceErrorConfig(cpbs1=CpbsError(0.05, 0.05)), True),
+                         (DeviceErrorConfig(xi1=HwpError(0.07), xi2=HwpError(0.03)), False)):
+        amps = output_amplitudes(inputs, STRONG, err)
+        discrepancy = abs(amps.rr_up_reference - amps.rr_up_closed)
+        assert discrepancy > 1e-4 if differs else discrepancy == 0.0
 
 
 def test_output_amplitudes_branch_layout():

@@ -26,7 +26,8 @@ from qdcnot.circuits import (
 from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.state import stack
-from qdcnot.sweep import AXIS_NAMES, _config_with, _point_config, _run_grid
+import qdcnot.sweep as sweep_mod
+from qdcnot.sweep import AXIS_KEYS, AXIS_NAMES, SimConfig, _config_with, _run_grid
 
 from oracle import baseline_dense, dense_vector
 
@@ -220,15 +221,17 @@ def grids(draw):
     return _config_with(**overrides)
 
 
-@PROPERTY
-@given(grids())
-def test_grid_lines_equal_per_point_builds(cfg):
+def point_config(cfg, axis, value):
+    """``cfg`` with every key ``axis`` sets moved to ``value``, unvalidated."""
+    return SimConfig({**cfg.values, **dict.fromkeys(AXIS_KEYS[axis], value)})
+
+
+def assert_rows_match_point_builds(cfg, rows):
+    """Each grid row equals the same point built and evaluated on its own."""
     v = cfg.values
     ensemble = cfg.input_ensemble()
-    rows = _run_grid(cfg, ensemble)
-    assert len(rows) == v["axis1_points"] * v["axis2_points"]
     for row in rows:
-        point = _point_config(_point_config(cfg, v["axis1"], row[0]), v["axis2"], row[1])
+        point = point_config(point_config(cfg, v["axis1"], row[0]), v["axis2"], row[1])
         try:
             cavity, err = point.cavity(), point.device_errors()
         except ValueError as exc:  # the point is outside a component's domain
@@ -244,3 +247,40 @@ def test_grid_lines_equal_per_point_builds(cfg):
         assert row[5] == "ok"
         for got, want in zip(row[2:5], (report.f_up, report.f_down, report.f_both)):
             assert got == pytest.approx(want, abs=1e-12)
+
+
+@PROPERTY
+@given(grids())
+def test_grid_lines_equal_per_point_builds(cfg):
+    v = cfg.values
+    rows = _run_grid(cfg, cfg.input_ensemble())
+    assert len(rows) == v["axis1_points"] * v["axis2_points"]
+    assert_rows_match_point_builds(cfg, rows)
+
+
+def test_chunk_boundaries_keep_every_point_row(monkeypatch):
+    # 4 grid points per chunk: the 4 x 8 grid runs in 8 chunks.  The first
+    # p_sw line (-0.5) is invalid and spans the boundary at point 4; err
+    # -0.2 and 1.2 (and -2.8e-17, linspace's 0) are invalid, so the boundary
+    # at point 16 has an invalid point on each side
+    monkeypatch.setattr(sweep_mod, "CHUNK_POINTS", 4)
+    calls = []
+    real = sweep_mod.average_fidelity
+
+    def spy(circuit, cavity, err, ensemble):
+        calls.append(np.shape(err.xi1.xi))
+        return real(circuit, cavity, err, ensemble)
+
+    monkeypatch.setattr(sweep_mod, "average_fidelity", spy)
+    cfg = _config_with(
+        circuit="optimized", ensemble="basis4",
+        axis1="p_sw", axis1_lo=-0.5, axis1_hi=1.0, axis1_points=4,
+        axis2="err", axis2_lo=-0.2, axis2_hi=1.2, axis2_points=8,
+    )
+    rows = _run_grid(cfg, cfg.input_ensemble())
+    assert len(rows) == 32 and [r[0] for r in rows[::8]] == [-0.5, 0.0, 0.5, 1.0]
+    assert [r[5] for r in rows[:8]] == ["error:ValueError"] * 8
+    assert (rows[15][5], rows[16][5]) == ("error:ValueError", "error:ValueError")
+    # the chunks of the first line hold no valid point and run nothing
+    assert len(calls) == 6 and all(shape[0] <= 4 and shape[1:] == (1,) for shape in calls)
+    assert_rows_match_point_builds(cfg, rows)

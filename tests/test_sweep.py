@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def test_programming_error_in_a_stage_raises_instead_of_writing_rows(monkeypatch
         sweep_err_psw(err_psw_cfg())
 
 
-def test_line_moves_only_the_swept_fields(monkeypatch):
+def test_chunk_moves_only_the_swept_fields(monkeypatch):
     seen = []
     real = sweep_mod.average_fidelity
 
@@ -284,15 +285,57 @@ def test_line_moves_only_the_swept_fields(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "average_fidelity", spy)
     sweep_err_psw(err_psw_cfg(axis2_lo=-0.2, axis2_hi=1.0, axis2_points=4))
+    assert len(seen) == 1  # the 3 x 4 grid is one chunk
     cavity, err = seen[0]
-    # the valid points of the line (p_sw = -0.2 is not one) as a (k, 1) column
-    column = np.array([[0.2], [0.6], [1.0]])
-    np.testing.assert_allclose(err.sw1.t12, column, rtol=1e-15)
+    # the valid points (p_sw = -0.2 is not one), axis1-outer: both axes'
+    # fields hold (k, 1) columns, each axis one array for all its fields
+    np.testing.assert_allclose(err.xi1.xi, np.repeat(np.logspace(-4, -1, 3), 3)[:, None],
+                               rtol=1e-15)
+    np.testing.assert_allclose(err.sw1.t12, np.tile([0.2, 0.6, 1.0], 3)[:, None], rtol=1e-15)
+    for moved in (err.xi2.xi, err.cpbs1.tau_r, err.cpbs1.tau_l, err.cpbs2.tau_r,
+                  err.cpbs3.tau_l, err.cpbs4.tau_r, err.cpbs4.tau_l):
+        assert moved is err.xi1.xi
     for moved in (err.sw1.r22, err.sw2.t12, err.sw2.r11):
         assert moved is err.sw1.t12
-    for scalar in (cavity.g, cavity.kappa_s, err.xi1.xi, err.cpbs4.tau_r, err.sw1.t21,
-                   err.sw2.r22, err.cloner.fidelity):
+    for scalar in (cavity.g, cavity.kappa_s, cavity.gamma, err.sw1.t21, err.sw1.r11,
+                   err.sw2.t21, err.sw2.r22, err.cloner.fidelity):
         assert np.ndim(scalar) == 0
+
+
+def test_domain_mask_matches_point_builds():
+    # just past each bound (g, kappa_s < 0; |xi| > 1; tau, p_sw outside
+    # [0, 1]) is invalid, exactly at it valid
+    below, above = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
+    values = np.array([np.nextafter(-1.0, -2.0), -1.0, below, 0.0, 0.5, 1.0, above, 2.5])
+    cfg = small_cfg()
+    for axis in sweep_mod.AXIS_NAMES:
+        built = []
+        for value in values.tolist():
+            point = SimConfig({**cfg.values, **dict.fromkeys(sweep_mod.AXIS_KEYS[axis], value)})
+            try:
+                point.cavity(), point.device_errors()
+            except ValueError:
+                built.append(False)
+            else:
+                built.append(True)
+        assert sweep_mod._in_domain(axis, values).tolist() == built, axis
+    in_unit = [False, False, False, True, True, True, False, False]
+    assert sweep_mod._in_domain("p_sw", values).tolist() == in_unit
+    assert sweep_mod._in_domain("err", values).tolist() == in_unit
+    assert sweep_mod._in_domain("g_over_kappa", values).tolist() == [False] * 3 + [True] * 5
+    # every field of every component, one by one: the per-value test is the
+    # one its constructor applies
+    parts = {"cavity": cfg.cavity(), **vars(cfg.device_errors())}
+    for name, (cls, _) in sweep_mod.COMPONENTS.items():
+        for field, (test, _) in cls.DOMAIN.items():
+            for value in values.tolist() + [-0.5, 0.25, 0.75]:
+                try:
+                    replace(parts[name], **{field: value})
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert bool(test(value)) == accepted, (name, field, value)
+            assert test(values).tolist() == [bool(test(x)) for x in values.tolist()]
 
 
 # --- CSV contract
