@@ -33,8 +33,8 @@ class CavityParams:
     kappa: float = 1.0
 
     DOMAIN = {
-        "kappa": (lambda v: v > 0, "kappa must be positive"),
-        **{name: (lambda v: v >= 0, f"{name} must be nonnegative")
+        "kappa": (lambda v: np.isfinite(v) & (v > 0), "kappa must be positive and finite"),
+        **{name: (lambda v: np.isfinite(v) & (v >= 0), f"{name} must be nonnegative and finite")
            for name in ("g", "kappa_s", "gamma")},
     }
     __post_init__ = check_domain

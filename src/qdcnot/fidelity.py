@@ -160,15 +160,6 @@ def target_state(inputs: CnotInputs, mode: str) -> JointState:
     return tensor(photons, spin)
 
 
-def success_probability(out: JointState, branch: str = "both"):
-    """Squared norm of one spin branch (or of the whole state)."""
-    if branch == "both":
-        return out.norm_sq()
-    if branch in ("up", "down"):
-        return project_spin(out, branch)[1]
-    raise ValueError(f"unknown branch {branch!r}")
-
-
 @dataclass(frozen=True)
 class FidelityReport:
     """Ensemble-averaged fidelities for one circuit configuration.
@@ -186,8 +177,6 @@ class FidelityReport:
     success_down: float
     ensemble: str
     circuit: str
-    cavity: CavityParams | CavityCoeffs
-    errors: DeviceErrorConfig
     status: str | tuple[str, ...] = "ok"
 
     @property
@@ -242,8 +231,8 @@ def average_fidelity(
         mean(2 * overlap("branch_up")),
         mean(2 * overlap("branch_down")),
         mean(overlap("both")),
-        mean(success_probability(out, "up")),
-        mean(success_probability(out, "down")),
+        mean(project_spin(out, "up")[1]),
+        mean(project_spin(out, "down")[1]),
     ]
     # per point, the first input (in ensemble order) that failed a check; a
     # field the circuit ignores (switches on the baseline) or that only moves
@@ -260,5 +249,4 @@ def average_fidelity(
     else:
         values = [np.where(first == 0, v, math.nan) for v in values]
         status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.tolist())
-    return FidelityReport(*values, ensemble=ensemble.kind, circuit=circuit,
-                          cavity=cavity, errors=err, status=status)
+    return FidelityReport(*values, ensemble=ensemble.kind, circuit=circuit, status=status)

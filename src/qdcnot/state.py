@@ -5,17 +5,14 @@ chunk of grid points, the points and then the inputs of the ensemble;
 none for a single run), then one size-2 axis per named tensor factor,
 with the factor names kept sorted.  A scalar or batched ``weight``
 accumulates the success-amplitude prefactors picked up along a circuit
-(switch transmittances, cloner fidelity).  A map may change the factor
-set: a CPBS split gives a photon a direction factor and the merge removes
-it.  The circuits fold both into one loop-pass map, so a circuit's states
-only ever hold the two photons and the spin.
+(switch transmittances, cloner fidelity).  A circuit's states hold the two
+photons and the spin.
 
 Every factor is a qubit whose basis values follow from its name:
-``spin`` is (up, down), a name ending in ``_dir`` is a propagation
-direction (down, up), any other is a polarization (R, L).  Stage maps are
-(batched) matrices on one or more factors, indexed by the binary number
-their labels spell in the order the factors are named, the first factor
-most significant.
+``spin`` is (up, down), any other is a polarization (R, L).  Stage maps
+are square (batched) matrices on one or more factors, indexed by the
+binary number their labels spell in the order the factors are named, the
+first factor most significant.
 
 All operations are pure functions; nothing here renormalizes.  Maps are
 applied as given, including non-unitary ones, and lost amplitude stays
@@ -37,17 +34,12 @@ Label = tuple[str, ...]
 ModeSelector = Union[str, Sequence[str]]
 
 _POLARIZATION = ("R", "L")
-_DIRECTION = ("down", "up")
 _SPIN = ("up", "down")
 
 
 def _basis(factor: str) -> tuple[str, str]:
-    """Value names of a factor, by basis index: spin, direction or polarization."""
-    if factor == "spin":
-        return _SPIN
-    if factor.endswith("_dir"):
-        return _DIRECTION
-    return _POLARIZATION
+    """Value names of a factor, by basis index: spin or polarization."""
+    return _SPIN if factor == "spin" else _POLARIZATION
 
 
 @dataclass(frozen=True)
@@ -239,59 +231,45 @@ def tensor(a: JointState, b: JointState) -> JointState:
     )
 
 
-def apply_mode_map(
-    state: JointState,
-    mode: ModeSelector,
-    rules: np.ndarray,
-    out_mode: ModeSelector | None = None,
-) -> JointState:
+def apply_mode_map(state: JointState, mode: ModeSelector, rules: np.ndarray) -> JointState:
     """Apply a linear map to one (possibly composite) tensor factor.
 
-    ``rules`` is a (batch..., 2**len(out_mode), 2**len(mode)) matrix whose
-    batch axes broadcast against the state's.  ``out_mode`` lets a map
-    change the factor set, e.g. splitting a polarization factor into
-    (polarization, direction) or merging it back.  Non-unitary maps are
+    ``rules`` is a square (batch..., 2**len(mode), 2**len(mode)) matrix
+    whose batch axes broadcast against the state's.  Non-unitary maps are
     applied as given; callers own any norm bounds.
     """
-    in_names = _as_names(mode)
-    out_names = in_names if out_mode is None else _as_names(out_mode)
-    for name in in_names:
+    names = _as_names(mode)
+    for name in names:
         if name not in state.factors:
             raise ValueError(f"state has no factor {name!r}")
-    keep = [f for f in state.factors if f not in in_names]
-    clash = set(keep) & set(out_names)
-    if clash:
-        raise ValueError(f"output factors already present: {sorted(clash)}")
+    keep = [f for f in state.factors if f not in names]
     rules = np.asarray(rules)
-    shape = (2 ** len(out_names), 2 ** len(in_names))
-    if rules.shape[-2:] != shape:
-        raise ValueError(
-            f"map from {in_names} to {out_names} must be {shape[0]}x{shape[1]}, "
-            f"got {rules.shape[-2:]}"
-        )
+    n = 2 ** len(names)
+    if rules.shape[-2:] != (n, n):
+        raise ValueError(f"map on {names} must be {n}x{n}, got {rules.shape[-2:]}")
 
     nb = len(state.batch_shape)
-    axes = [nb + state.factors.index(f) for f in keep + list(in_names)]
+    axes = [nb + state.factors.index(f) for f in keep + list(names)]
     amps = state.amps.transpose(*range(nb), *axes)
-    amps = amps.reshape(amps.shape[: nb + len(keep)] + (shape[1],))
-    rules = rules.reshape(rules.shape[:-2] + (1,) * len(keep) + shape)
+    amps = amps.reshape(amps.shape[: nb + len(keep)] + (n,))
+    rules = rules.reshape(rules.shape[:-2] + (1,) * len(keep) + (n, n))
     out = np.matmul(rules, amps[..., None])[..., 0]
-    out = out.reshape(out.shape[:-1] + (2,) * len(out_names))
-    return _sorted(tuple(keep) + out_names, out, weight=state.weight, fault=state.fault)
+    out = out.reshape(out.shape[:-1] + (2,) * len(names))
+    return _sorted(tuple(keep) + names, out, weight=state.weight, fault=state.fault)
 
 
-def project_spin(state: JointState, branch: str, factor: str = "spin"):
+def project_spin(state: JointState, branch: str):
     """Project onto one spin branch without renormalizing.
 
     Returns the branch state (spin factor removed, amplitudes untouched)
     and its squared-norm weight including the global weight, so the two
     branch weights sum to the total squared norm.
     """
-    if factor not in state.factors:
-        raise ValueError(f"state has no factor {factor!r}")
-    axis = len(state.batch_shape) + state.factors.index(factor)
-    amps = np.take(state.amps, _value_index(factor, branch), axis=axis)
-    rest = tuple(f for f in state.factors if f != factor)
+    if "spin" not in state.factors:
+        raise ValueError("state has no factor 'spin'")
+    axis = len(state.batch_shape) + state.factors.index("spin")
+    amps = np.take(state.amps, _value_index("spin", branch), axis=axis)
+    rest = tuple(f for f in state.factors if f != "spin")
     branch_state = JointState(rest, amps, state.weight, state.fault)
     return branch_state, branch_state.norm_sq()
 

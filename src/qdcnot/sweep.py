@@ -233,16 +233,6 @@ def load_config(path: str) -> SimConfig:
         return parse_config_text(fh.read())
 
 
-def save_config(cfg: SimConfig, path: str) -> None:
-    """Write every key; floats via repr so a reload is bit-identical."""
-    lines = []
-    for key in CONFIG_SCHEMA:
-        value = cfg.values[key]
-        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 _CALIBRATION_CACHE: dict[tuple[int, int], InputEnsemble] = {}
 
 

@@ -10,9 +10,10 @@ from qdcnot.cavity import (
     interaction_map,
     is_strong_coupling,
 )
-from qdcnot.state import apply_mode_map, make_state
+from qdcnot.state import PRUNE_TOL, apply_mode_map, make_state
 
-FACTORS = ("pol", "pol_dir", "spin")
+# (pol, dir, spin) labels in the column order of interaction_map: the bits
+# pol (R, L), dir (down, up), spin (up, down), pol most significant
 LABELS = [(p, d, s) for p in "RL" for d in ("down", "up") for s in ("up", "down")]
 STRONG = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
 WEAK = CavityParams(g=0.45, kappa_s=1.0, gamma=0.1)
@@ -71,6 +72,8 @@ def test_invalid_rates_rejected():
         CavityParams(g=-1, kappa_s=0, gamma=0.1)
     with pytest.raises(ValueError):
         CavityParams(g=1, kappa_s=0, gamma=0.1, kappa=0)
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        CavityParams(g=1, kappa_s=0, gamma=0.1, kappa=math.inf)
 
 
 def test_strong_coupling_predicate():
@@ -84,9 +87,9 @@ def test_strong_coupling_boundary_is_strict():
 
 
 def images(c, src):
-    """Nonzero images of one (pol, dir, spin) label under the interaction map."""
-    out = apply_mode_map(make_state(FACTORS, [(src, 1.0)]), FACTORS, interaction_map(c))
-    return out.entries
+    """Nonzero images of one (pol, dir, spin) label: its column of the interaction map."""
+    column = interaction_map(c)[:, LABELS.index(src)]
+    return {lbl: amp for lbl, amp in zip(LABELS, column.tolist()) if abs(amp) > PRUNE_TOL}
 
 
 def test_interact_ideal_limit():
@@ -101,13 +104,13 @@ def test_interact_strong_coupling_rule():
 
 
 def test_interact_requires_direction():
-    # the map acts on (pol, direction, spin): a direction outside the two
-    # propagation directions, or a state without a direction, is rejected
-    with pytest.raises(ValueError, match="sideways"):
-        make_state(FACTORS, [(("R", "sideways", "up"), 1.0)])
+    # the map is 8x8 over (pol, direction, spin): applied to a state without
+    # a direction, it is rejected as a shape mismatch
+    m = interaction_map(CavityCoeffs.ideal())
+    assert m.shape == (8, 8)
     s = make_state(("pol", "spin"), [(("R", "up"), 1.0)])
-    with pytest.raises(ValueError, match="pol_dir"):
-        apply_mode_map(s, FACTORS, interaction_map(CavityCoeffs.ideal()))
+    with pytest.raises(ValueError, match=r"\('pol', 'spin'\) must be 4x4, got \(8, 8\)"):
+        apply_mode_map(s, ("pol", "spin"), m)
 
 
 def _hand_encoded_matrix(c):
@@ -156,9 +159,9 @@ def test_interaction_preserves_spin_and_links_pol_to_dir():
 
 def test_interact_linear_over_spin_superposition():
     c = cavity_coeffs(STRONG)
-    sup = make_state(FACTORS, [(("R", "down", "up"), math.sqrt(0.5)),
-                               (("R", "down", "down"), math.sqrt(0.5))])
-    out = apply_mode_map(sup, FACTORS, interaction_map(c))
+    sup = np.zeros(8)
+    sup[[LABELS.index(("R", "down", "up")), LABELS.index(("R", "down", "down"))]] = math.sqrt(0.5)
+    out = interaction_map(c) @ sup
     for src in (("R", "down", "up"), ("R", "down", "down")):
         for lbl, amp in images(c, src).items():
-            assert out.amplitude(lbl) == pytest.approx(amp * math.sqrt(0.5))
+            assert out[LABELS.index(lbl)] == pytest.approx(amp * math.sqrt(0.5))

@@ -25,6 +25,15 @@ def test_cavity_subcommand(capsys):
     assert float(values["r0"]) == pytest.approx(1 - 0.2 / 0.205, abs=1e-9)
 
 
+@pytest.mark.parametrize("flag, field", [("--gamma", "gamma"), ("--g", "g"), ("--ks", "kappa_s")])
+def test_cavity_subcommand_rejects_non_finite_rates(capsys, flag, field):
+    rates = {"--g": "1", "--ks": "0", "--gamma": "0.1", flag: "inf"}
+    assert main(["cavity", *[x for kv in rates.items() for x in kv]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be")
+
+
 def test_simulate_prints_report(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "circuit = baseline\nensemble = basis4\n")
     assert main(["simulate", "--config", cfg]) == 0

@@ -13,10 +13,17 @@ from qdcnot.fidelity import (
     InputEnsemble,
     average_fidelity,
     ideal_cnot_photons,
-    success_probability,
     target_state,
 )
-from qdcnot.state import inner_product, make_state, replace_unchecked, stack, tensor, with_weight
+from qdcnot.state import (
+    inner_product,
+    make_state,
+    project_spin,
+    replace_unchecked,
+    stack,
+    tensor,
+    with_weight,
+)
 
 SQH = math.sqrt(0.5)
 IDEAL = CavityCoeffs.ideal()
@@ -113,14 +120,14 @@ def test_target_state_modes():
 
 def test_success_probability_ideal_baseline_branches():
     out = baseline_cnot(CnotInputs(0.6, 0.8, 0.28, 0.96), IDEAL, NO_ERR)
-    assert success_probability(out, "down") == pytest.approx(0.5, abs=1e-12)
-    assert success_probability(out, "up") == pytest.approx(0.5, abs=1e-12)
-    assert success_probability(out) == pytest.approx(1.0, abs=1e-12)
+    assert project_spin(out, "down")[1] == pytest.approx(0.5, abs=1e-12)
+    assert project_spin(out, "up")[1] == pytest.approx(0.5, abs=1e-12)
+    assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_success_probability_ideal_optimized_is_one():
     out = optimized_cnot(CnotInputs(0.6, 0.8, 0.28, 0.96), IDEAL, NO_ERR)
-    assert success_probability(out) == pytest.approx(1.0, abs=1e-12)
+    assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_success_probability_measured_switches():
@@ -130,13 +137,13 @@ def test_success_probability_measured_switches():
         cloner=ClonerConfig(0.82),
     )
     out = optimized_cnot(CnotInputs.basis("R", "R"), IDEAL, err)
-    assert success_probability(out) == pytest.approx(0.29684, abs=1e-5)
+    assert out.norm_sq() == pytest.approx(0.29684, abs=1e-5)
 
 
 def test_success_probability_unknown_branch():
     out = baseline_cnot(CnotInputs.basis("R", "R"), IDEAL, NO_ERR)
-    with pytest.raises(ValueError, match="branch"):
-        success_probability(out, "left")
+    with pytest.raises(ValueError, match="'left'"):
+        project_spin(out, "left")
 
 
 # --- ensembles

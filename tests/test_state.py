@@ -28,12 +28,19 @@ def random_state(rng, factors=("a",), values=("R", "L")):
 
 
 def test_make_state_single_ket():
-    s = make_state(("spin", "p2", "p1", "p1_dir"), [(("up", "L", "R", "down"), 1.0)])
+    s = make_state(("spin", "p2", "p1", "a"), [(("up", "L", "R", "L"), 1.0)])
     assert s.norm_sq() == pytest.approx(1.0)
     # factor names are stored sorted; labels are permuted to match
-    assert s.factors == ("p1", "p1_dir", "p2", "spin")
-    assert s.amplitude(("R", "down", "L", "up")) == 1.0
-    assert s.entries == {("R", "down", "L", "up"): 1.0}
+    assert s.factors == ("a", "p1", "p2", "spin")
+    assert s.amplitude(("L", "R", "L", "up")) == 1.0
+    assert s.entries == {("L", "R", "L", "up"): 1.0}
+
+
+def test_every_factor_but_spin_is_a_polarization():
+    # no factor name selects a direction basis: (down, up) are not its values
+    with pytest.raises(ValueError, match="'down'"):
+        make_state("p1_dir", [("down", 1.0)])
+    assert make_state("p1_dir", [("L", 1.0)]).amplitude("L") == 1.0
 
 
 def test_make_state_spin_init():
@@ -75,7 +82,7 @@ def test_uncovered_label_names_it():
     with pytest.raises(ValueError, match=r"\('a', 'spin'\).*4x4"):
         apply_mode_map(s, ("a", "spin"), np.eye(2))
     with pytest.raises(ValueError, match="'sideways'"):
-        make_state("a_dir", [("sideways", 1.0)])
+        make_state("a", [("sideways", 1.0)])
 
 
 def test_missing_factor_rejected():

@@ -13,11 +13,9 @@ from qdcnot.sweep import (
     SimConfig,
     calibrate_ensemble,
     check_anchors,
-    load_config,
     parse_config_text,
     reproduce,
     resolve_ensemble,
-    save_config,
     sweep_coupling,
     sweep_err_psw,
     write_csv,
@@ -86,21 +84,6 @@ def test_non_finite_float_rejected_naming_key():
 def test_repeated_key_rejected_with_lineno():
     with pytest.raises(ConfigError, match=r"repeated config key 'g_over_kappa' \(line 3"):
         parse_config_text("g_over_kappa = 1.0\ncircuit = baseline\ng_over_kappa = 2.5\n")
-
-
-def test_config_round_trip_bit_identical(tmp_path):
-    text = (
-        "circuit = baseline\nkappa_s_over_kappa = 0.05\ng_over_kappa = 2.5\n"
-        "gamma_over_kappa = 0.1\nxi1 = 0.01\ntau_r1 = 0.01\nseed = 7\n"
-    )
-    cfg = parse_config_text(text)
-    p1 = tmp_path / "a.cfg"
-    p2 = tmp_path / "b.cfg"
-    save_config(cfg, str(p1))
-    cfg2 = load_config(str(p1))
-    assert cfg2.values == cfg.values
-    save_config(cfg2, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_grid_validation():
@@ -328,7 +311,7 @@ def test_domain_mask_matches_point_builds():
     parts = {"cavity": cfg.cavity(), **vars(cfg.device_errors())}
     for name, (cls, _) in sweep_mod.COMPONENTS.items():
         for field, (test, _) in cls.DOMAIN.items():
-            for value in values.tolist() + [-0.5, 0.25, 0.75]:
+            for value in values.tolist() + [-0.5, 0.25, 0.75, math.inf]:
                 try:
                     replace(parts[name], **{field: value})
                     accepted = True
