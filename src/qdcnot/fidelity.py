@@ -49,7 +49,6 @@ from .state import (
     make_state,
     project_spin,
     read_only,
-    replace_unchecked,
     stack,
     tensor,
 )
@@ -92,34 +91,19 @@ class InputEnsemble:
         return cls("superposition4", states)
 
     @classmethod
-    def haar_product(cls, n: int, seed: int = 0) -> "InputEnsemble":
-        """n product inputs, each qubit drawn from the uniform pure-state measure.
+    @cache
+    def haar_product(cls) -> "InputEnsemble":
+        """The 36 products of the six cardinal qubit states; built once per process.
 
-        Built once per (n, seed) in a process.
+        R, L, (R +- L)/sqrt2 and (R +- iL)/sqrt2 form a qubit 2-design, and
+        every reported value is at most quadratic in each photon's state, so
+        the mean over these 36 inputs is the exact uniform product average.
         """
-        return _haar_product(n, seed)
-
-
-@lru_cache(maxsize=8)
-def _haar_product(n: int, seed: int) -> InputEnsemble:
-    # one draw; sample i takes its 4 real parts, then its 4 imaginary parts
-    draws = np.random.default_rng(seed).normal(size=(n, 2, 4))
-    z = draws[:, 0] + 1j * draws[:, 1]
-    # |z|^2 with libm's pow, as abs(z) ** 2 on each sample gives it: numpy's
-    # array square (|z| * |z|) differs from it in the last bit now and then
-    mod = np.hypot(z.real, z.imag)
-    sq = np.reshape([x ** 2 for x in mod.ravel().tolist()], mod.shape)
-    z[:, :2] /= np.sqrt(sq[:, 0] + sq[:, 1])[:, None]
-    z[:, 2:] /= np.sqrt(sq[:, 2] + sq[:, 3])[:, None]
-    norms = np.abs(z) ** 2
-    if np.any(np.abs(norms[:, ::2] + norms[:, 1::2] - 1) > 1e-9):
-        raise ValueError("haar_product: a drawn qubit is not normalized")
-    # normalized above, so each input skips the check its constructor makes
-    first = CnotInputs.basis("R", "R")
-    return InputEnsemble(f"haar_product({n}, seed={seed})", tuple(
-        replace_unchecked(first, alpha=a, beta=b, delta=d, gamma_amp=g)
-        for a, b, d, g in z.tolist()
-    ))
+        h = SQRT_HALF
+        cardinal = ((1.0, 0.0), (0.0, 1.0), (h, h), (h, -h), (h, 1j * h), (h, -1j * h))
+        return cls("haar_product", tuple(
+            CnotInputs(a, b, d, g) for a, b in cardinal for d, g in cardinal
+        ))
 
 
 def ideal_cnot_photons(inputs: CnotInputs) -> JointState:

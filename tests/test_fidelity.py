@@ -159,31 +159,17 @@ def test_basis4_and_superposition4_members():
     assert all(abs(abs(s.alpha) - SQH) < 1e-12 for s in sup.states)
 
 
-def test_haar_product_is_seeded_and_normalized():
-    e1 = InputEnsemble.haar_product(50, seed=3)
-    e2 = InputEnsemble.haar_product(50, seed=3)
-    assert all(
-        s1.alpha == s2.alpha and s1.gamma_amp == s2.gamma_amp
-        for s1, s2 in zip(e1.states, e2.states)
-    )
-    e3 = InputEnsemble.haar_product(50, seed=4)
-    assert any(s1.alpha != s3.alpha for s1, s3 in zip(e1.states, e3.states))
-
-
-def test_haar_product_matches_per_sample_draws():
-    # the one-draw build gives bit-identical states to drawing sample by sample
-    rng = np.random.default_rng(5)
-    expected = []
-    for _ in range(200):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        na = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
-        nt = math.sqrt(abs(v[2]) ** 2 + abs(v[3]) ** 2)
-        expected.append((v[0] / na, v[1] / na, v[2] / nt, v[3] / nt))
-    got = [(s.alpha, s.beta, s.delta, s.gamma_amp)
-           for s in InputEnsemble.haar_product(200, seed=5).states]
-    assert got == expected
-    # built once per (n, seed) in a process
-    assert InputEnsemble.haar_product(200, seed=5) is InputEnsemble.haar_product(200, seed=5)
+def test_haar_product_is_36_normalized_cardinal_products_built_once():
+    ensemble = InputEnsemble.haar_product()
+    assert ensemble.kind == "haar_product"
+    assert len(ensemble.states) == 36
+    for s in ensemble.states:
+        assert abs(s.alpha) ** 2 + abs(s.beta) ** 2 == pytest.approx(1.0, abs=1e-15)
+        assert abs(s.delta) ** 2 + abs(s.gamma_amp) ** 2 == pytest.approx(1.0, abs=1e-15)
+    # 36 distinct inputs, each photon in one of six states
+    assert len({(s.alpha, s.beta, s.delta, s.gamma_amp) for s in ensemble.states}) == 36
+    assert len({(s.alpha, s.beta) for s in ensemble.states}) == 6
+    assert ensemble is InputEnsemble.haar_product()
 
 
 def test_average_fidelity_rejects_empty_ensemble():
@@ -193,7 +179,7 @@ def test_average_fidelity_rejects_empty_ensemble():
 
 def test_average_fidelity_ideal_everything():
     for ens in (InputEnsemble.basis4(), InputEnsemble.superposition4(),
-                InputEnsemble.haar_product(20)):
+                InputEnsemble.haar_product()):
         report = average_fidelity("optimized", IDEAL, NO_ERR, ens)
         assert report.f_up == pytest.approx(1.0, abs=1e-12)
         assert report.f_down == pytest.approx(1.0, abs=1e-12)
@@ -312,7 +298,7 @@ def test_core_norm_fault_flags_every_switch_point():
 
 def test_ensemble_caches_are_built_once_and_locked():
     ensemble = InputEnsemble.superposition4()
-    # the fixed ensembles are built once per process, as haar_product is
+    # the fixed ensembles are built once per process
     assert ensemble is InputEnsemble.superposition4()
     assert InputEnsemble.basis4() is InputEnsemble.basis4()
     assert ensemble.targets is ensemble.targets
@@ -351,7 +337,7 @@ def test_average_fidelity_runs_the_circuit_once(monkeypatch):
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
     err = DeviceErrorConfig.uniform(1e-2, cloner=ClonerConfig(F_UC))
     for circuit in ("baseline", "optimized"):
-        for ensemble in (InputEnsemble.basis4(), InputEnsemble.haar_product(50)):
+        for ensemble in (InputEnsemble.basis4(), InputEnsemble.haar_product()):
             calls.clear()
             average_fidelity(circuit, STRONG, err, ensemble)
             assert calls == [f"{circuit}_cnot"]

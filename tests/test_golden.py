@@ -1,5 +1,7 @@
 """Every cell of three ``reproduce`` outputs against the recorded references.
 
+The ``table_anchors`` summary text is pinned byte for byte as well.
+
 ``bench/reference/`` holds ``fig3a.csv``, ``fig4b.csv`` and
 ``table_anchors.csv`` as recorded from a known-good tree.  Numbers must
 agree within one unit of the 10th significant digit (the last digit the
@@ -53,3 +55,22 @@ def test_reproduce_matches_reference(target, tmp_path):
         or not all(same_cell(a, b) for a, b in zip(g.split(","), w.split(",")))
     ]
     assert bad == [], f"{len(bad)} rows differ, first: {bad[:3]}"
+
+
+# The summary of every anchor, as a known-good tree prints it; the
+# DOCUMENTED line names the best ensemble any candidate reaches.
+ANCHOR_SUMMARY = (
+    "baseline_strong_ideal: expected 0.9374 +/- 0.0100, got 0.937089 (basis4) -> PASS\n"
+    "baseline_weak_ideal: expected 0.3234 +/- 0.0100, got 0.323419 (basis4) -> PASS\n"
+    "baseline_strong_err1e-2: expected 0.8789 +/- 0.0150, got 0.899527 (basis4) -> DOCUMENTED"
+    " [residual +0.020627; best ensemble superposition4 -> 0.899071]\n"
+    "baseline_weak_err1e-2: expected 0.3002 +/- 0.0150, got 0.304392 (basis4) -> PASS\n"
+    "optimized_measured_switches: expected 0.2627 +/- 0.0150, got 0.264931 (basis4) -> PASS\n"
+    "optimized_best_case: expected 0.7800 +/- 0.0100, got 0.780210 (basis4) -> PASS\n"
+)
+
+
+def test_anchor_summary_text(tmp_path):
+    out = reproduce("table_anchors", str(tmp_path))
+    assert out["summary"] == ANCHOR_SUMMARY
+    assert Path(out["summary_path"]).read_text(encoding="utf-8") == ANCHOR_SUMMARY

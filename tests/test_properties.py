@@ -284,3 +284,33 @@ def test_chunk_boundaries_keep_every_point_row(monkeypatch):
     # the chunks of the first line hold no valid point and run nothing
     assert len(calls) == 6 and all(shape[0] <= 4 and shape[1:] == (1,) for shape in calls)
     assert_rows_match_point_builds(cfg, rows)
+
+
+def rotated(ensemble, u1, u2):
+    """``ensemble`` with the 2x2 unitary ``u1`` applied to each control, ``u2`` to each target."""
+    return InputEnsemble("rotated", tuple(
+        CnotInputs(*(u1 @ [s.alpha, s.beta]), *(u2 @ [s.delta, s.gamma_amp]))
+        for s in ensemble.states
+    ))
+
+
+def unitary(v):
+    """The SU(2) matrix whose first column is ``qubit(v)``."""
+    a, b = qubit(v)
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+@PROPERTY
+@given(cavities, errors, st.sampled_from(["baseline", "optimized"]), qubits, qubits)
+def test_haar_product_average_is_rotation_invariant(cavity, err, circuit, v1, v2):
+    # every reported value is at most quadratic in each photon's state, and
+    # the six cardinal states are a qubit 2-design: rotating either photon's
+    # six states leaves the 36-input average unchanged
+    ensemble = InputEnsemble.haar_product()
+    try:
+        exact = average_fidelity(circuit, cavity, err, ensemble)
+        moved = average_fidelity(circuit, cavity, err, rotated(ensemble, unitary(v1), unitary(v2)))
+    except AssertionError:  # some output norm exceeds 1
+        reject()
+    for name in ("f_up", "f_down", "f_both", "success_up", "success_down"):
+        assert getattr(moved, name) == pytest.approx(getattr(exact, name), abs=1e-12)

@@ -40,7 +40,6 @@ def test_minimal_config_gets_defaults():
     assert cfg.values["circuit"] == "baseline"
     assert cfg.values["gamma_over_kappa"] == 0.1
     assert cfg.values["ensemble"] == "calibration"
-    assert cfg.values["seed"] == 0
 
 
 def test_retired_workers_key_rejected():
@@ -48,6 +47,15 @@ def test_retired_workers_key_rejected():
     # parallel worker count is rejected like any unknown key
     with pytest.raises(ConfigError, match="unknown config key 'workers' \\(line 2\\)"):
         parse_config_text("circuit = baseline\nworkers = 2\n")
+
+
+def test_retired_haar_keys_rejected():
+    # haar_product is the exact uniform product average, with no sample
+    # size or seed; an old config naming either is rejected like any unknown key
+    for line in ("haar_n = 1000", "seed = 0"):
+        key = line.partition(" ")[0]
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}' \\(line 2\\)"):
+            parse_config_text(f"ensemble = haar_product\n{line}\n")
 
 
 def test_unknown_key_named_in_error():
@@ -98,7 +106,7 @@ def test_grid_validation():
 def test_ensemble_resolution():
     assert resolve_ensemble("basis4").kind == "basis4"
     assert resolve_ensemble("superposition4").kind == "superposition4"
-    assert resolve_ensemble("haar_product", haar_n=10, seed=1).kind == "haar_product(10, seed=1)"
+    assert resolve_ensemble("haar_product").kind == "haar_product"
     with pytest.raises(ConfigError):
         resolve_ensemble("nope")
 
