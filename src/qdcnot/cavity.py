@@ -10,8 +10,9 @@ rate kappa.  The photon-spin interaction keeps the spin branch fixed and
 flips polarization exactly when it flips propagation direction; hot
 transitions scatter with (r1, t1), cold ones with (-t0, -r0).
 
-In a chunk of grid points a swept rate holds an array (one entry per
-point); the coefficients and the interaction map are then batched too.
+In a block of grid points a swept rate holds an array (one entry per
+row or column of the block); the coefficients and the interaction map are
+then batched too.
 """
 
 from __future__ import annotations

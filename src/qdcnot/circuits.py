@@ -23,13 +23,16 @@ circuit's output expression (the sign fix lands only on the two spin-up
 control-L coefficients).
 
 Every circuit function also runs a batch: inputs whose amplitudes are
-arrays (a stacked ensemble) and configurations whose fields are (k, 1)
-arrays (a chunk of grid points) broadcast against each other, and the
-output state carries one run per batch element.  The circuit is linear in
-its input, so the stages run only on the photon-basis inputs, all with the
-batch's one spin, each stage one dense 4x4 map on (photon, spin) per point
-(a CPBS1 loop pass folds into one); each input's output is then the
-combination of the four basis outputs its own coefficients give.
+arrays (a stacked ensemble) and configurations whose fields are arrays
+ending in a length-1 input axis (a block of grid points: the axis1 values
+on an (m, 1, 1) array, the axis2 values on a (1, n, 1) one) broadcast
+against each other, and the output state carries one run per batch
+element.  The circuit is linear in its input, so the stages run only on
+the photon-basis inputs, all with the batch's one spin, each stage one
+dense 4x4 map on (photon, spin) per point the maps span (a CPBS1 loop
+pass folds into one); each input's output is then the combination of the
+four basis outputs its own coefficients give.  A field that only scales
+the global weight (:data:`WEIGHT_ONLY`) adds no point to the stages.
 """
 
 from __future__ import annotations
@@ -161,13 +164,19 @@ def _coeffs(cavity: CavityParams | CavityCoeffs) -> CavityCoeffs:
 
 
 def config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) -> tuple:
-    """Broadcast shape of every config field: () for one config, (k, 1) for a chunk."""
+    """Broadcast shape of every config field: () for one config, (m, n, 1) for a grid block."""
     parts = (cavity, *vars(err).values())
     return np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
 
 
-def _points_last(m: np.ndarray) -> np.ndarray:
-    """A (batch..., a, b) map as an (a, b, points) view, its batch flattened onto a last axis."""
+def _points_last(m: np.ndarray, batch: tuple) -> np.ndarray:
+    """A (batch..., a, b) map as (a, b, points), the common ``batch`` flattened onto a last axis.
+
+    A map that spans part of ``batch`` (an axis another map moves) is
+    broadcast to all of it first; a map of one point stays one point.
+    """
+    if m.size > m.shape[-2] * m.shape[-1]:
+        m = np.broadcast_to(m, batch + m.shape[-2:])
     return m.reshape((-1,) + m.shape[-2:]).transpose(1, 2, 0)
 
 
@@ -189,12 +198,12 @@ def _with_spin(m: np.ndarray) -> np.ndarray:
 def _expand(core: JointState, coefficients: np.ndarray) -> JointState:
     """Each input's output: its coefficients' combination of the four basis outputs.
 
-    The basis runs on the last batch axis of ``core``, the axis where a chunk
+    The basis runs on the last batch axis of ``core``, the axis where a block
     of grid points holds its length-1 input axis; the inputs' axes take its place.
     """
     columns = core.amps.reshape(core.batch_shape + (-1,))
     out = np.matmul(coefficients, columns)
-    if coefficients.ndim == 1 and core.batch_shape[:-1]:  # one input against a chunk
+    if coefficients.ndim == 1 and core.batch_shape[:-1]:  # one input against a block
         out = out[..., None, :]
     return replace(core, amps=out.reshape(out.shape[:-1] + (2,) * len(core.factors)))
 
@@ -240,17 +249,18 @@ def baseline_cnot(
 
     The stages run on the photon basis of ``inputs`` (see
     :attr:`CnotInputs.state`), and the output checks on each input's
-    output.  A config's fields are scalars, or hold a chunk's grid points
-    on a (k, 1) array whose last axis is the inputs' one.
+    output.  A config's fields are scalars, or hold a block's grid points
+    on arrays whose last axis is the length-1 input axis; the stages run on
+    the broadcast of the maps' point axes only.
     """
     shape = config_shape(cavity, err)
     if shape[-1:] not in ((), (1,)):
-        raise ValueError(f"a batched config must hold its points on a (k, 1) array, "
+        raise ValueError(f"a batched config must end in the length-1 input axis, "
                          f"got shape {shape}")
     maps = (*cpbs_loop_maps(err.cpbs1), interaction_map(_coeffs(cavity)),
             hwp_map(err.xi1), hwp_map(err.xi2))
     batch = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
-    split, merge, interaction, hwp1, hwp2 = (_points_last(m) for m in maps)
+    split, merge, interaction, hwp1, hwp2 = (_points_last(m, batch) for m in maps)
     # one pass through the CPBS1 loop as a 4x4 on (photon, spin); both photons share it
     loop = _mul(_with_spin(merge), _mul(interaction, _with_spin(split)))
     basis, coefficients = inputs.state
@@ -280,6 +290,11 @@ def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
     return -np.sqrt(
         (1 - err.cpbs2.tau_l) * (1 - err.cpbs3.tau_l) * (1 - err.cpbs4.tau_r)
     )
+
+
+# the DeviceErrorConfig fields that only scale the optimized circuit's
+# global weight (see cnot_prefactor): they move no amplitude of any stage
+WEIGHT_ONLY = frozenset({"sw1", "sw2", "cloner"})
 
 
 def cnot_prefactor(err: DeviceErrorConfig) -> float:

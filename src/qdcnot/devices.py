@@ -10,10 +10,11 @@ universal cloner enter only through their success amplitudes: the switch
 as the factor sqrt(T or R) each routed leg contributes
 (:func:`switch_amplitude`), the cloner as sqrt(fidelity).
 
-In a chunk of grid points the swept fields hold an array (one entry per
-point, built with ``state.replace_unchecked``); each map function then
-returns a batched matrix.  Each field's domain is declared once, in its
-class's ``DOMAIN``, as a test that holds per value of a scalar or array.
+In a block of grid points the swept fields hold an array (one entry per
+row or column of the block, built with ``state.replace_unchecked``); each
+map function then returns a batched matrix.  Each field's domain is
+declared once, in its class's ``DOMAIN``, as a test that holds per value
+of a scalar or array.
 """
 
 from __future__ import annotations

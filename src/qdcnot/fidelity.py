@@ -18,10 +18,11 @@ An ensemble runs as one batch, against target states built once per
 ensemble.  The circuit runs the four photon-basis inputs and expands
 their outputs to every input of the ensemble (see
 ``circuits.baseline_cnot``), so the inputs of an ensemble share one
-``spin_init``.  Given a chunk of grid points (configuration fields holding
-a ``(k, 1)`` array over the points wherever the grid moves them),
-:func:`average_fidelity` runs the whole chunk against the whole ensemble
-at once and reports one value and one status per point.
+``spin_init``.  Given a block of grid points (configuration fields holding
+an ``(m, 1, 1)`` array of axis1 values or a ``(1, n, 1)`` array of axis2
+values wherever the grid moves them), :func:`average_fidelity` runs the
+whole block against the whole ensemble at once and reports one value and
+one status per point.
 """
 
 from __future__ import annotations
@@ -150,8 +151,9 @@ class FidelityReport:
 
     ``f_up``/``f_down`` are conditioned on the ideal 1/2 herald weight of
     their branch; the folded variants and ``f_both`` include all weight.
-    For a chunk of grid points every value is an array over them, and
-    ``status`` says per point "ok" or which output check failed.
+    For a block of grid points every value is an array over them, and
+    ``status`` says per point, in row-major order, "ok" or which output
+    check failed.
     """
 
     f_up: float
@@ -193,11 +195,12 @@ def average_fidelity(
 ) -> FidelityReport:
     """Arithmetic mean of the per-input fidelities, in a fixed order.
 
-    ``cavity`` and ``err`` are one configuration, or a chunk of grid
-    points: the fields the grid moves hold a ``(k, 1)`` array over its k
-    points (each entry inside its domain), every other field a scalar.  One
-    configuration whose output fails a check raises; a chunk reports the
-    failure in that point's status and leaves its values nan.
+    ``cavity`` and ``err`` are one configuration, or a block of grid
+    points: the fields the grid moves hold arrays over its points that end
+    in the length-1 input axis, ``(m, 1, 1)`` for axis1 and ``(1, n, 1)``
+    for axis2 (each entry inside its domain), every other field a scalar.
+    One configuration whose output fails a check raises; a block reports
+    the failure in that point's status and leaves its values nan.
     """
     if not ensemble.states:
         raise ValueError("empty input ensemble")
@@ -232,5 +235,5 @@ def average_fidelity(
         status = "ok"
     else:
         values = [np.where(first == 0, v, math.nan) for v in values]
-        status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.tolist())
+        status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
     return FidelityReport(*values, ensemble=ensemble.kind, circuit=circuit, status=status)

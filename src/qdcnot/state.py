@@ -1,9 +1,10 @@
 """Dense batched complex-amplitude states over named qubit factors.
 
 A :class:`JointState` holds one complex array: leading batch axes (for a
-chunk of grid points, the points and then the inputs of the ensemble;
-none for a single run), then one size-2 axis per named tensor factor,
-with the factor names kept sorted.  A scalar or batched ``weight``
+block of grid points, its rows, its columns and then the inputs of the
+ensemble, an axis no amplitude moves along kept at length 1; none for a
+single run), then one size-2 axis per named tensor factor, with the
+factor names kept sorted.  A scalar or batched ``weight``
 accumulates the success-amplitude prefactors picked up along a circuit
 (switch transmittances, cloner fidelity).  A circuit's states hold the two
 photons and the spin.

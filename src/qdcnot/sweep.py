@@ -3,9 +3,11 @@
 Configs are flat ``key = value`` text files (``#`` comments allowed); the
 full schema with defaults and constraints lives in :data:`CONFIG_SCHEMA`.
 Sweeps evaluate a two-axis grid in axis1-outer order, one row per point,
-and CSV output is byte-deterministic: same config, same bytes.  The
-flattened grid runs in bounded chunks of points, each one batch against
-the whole input ensemble; a point that fails keeps its row and status.
+and CSV output is byte-deterministic: same config, same bytes.  The grid
+runs in bounded blocks of valid rows by valid columns, each one batch
+against the whole input ensemble with the axis1 values on one array axis
+and the axis2 values on another; a point that fails keeps its row and
+status.
 
 ``reproduce`` runs canonical configurations and compares a set of named
 reference fidelity anchors for this architecture against the computed
@@ -19,6 +21,7 @@ bound; collapse under realistic switches).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -27,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .cavity import CavityParams, is_strong_coupling
-from .circuits import DeviceErrorConfig
+from .circuits import WEIGHT_ONLY, DeviceErrorConfig
 from .devices import F_UC, ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from .fidelity import InputEnsemble, average_fidelity
 from .state import replace_unchecked
@@ -269,8 +272,10 @@ def resolve_ensemble(name: str) -> InputEnsemble:
 # grid sweeps
 
 
-# One chunk of a grid holds at most CHUNK_POINTS points, so the circuit's
-# per-point arrays stay small.
+# One block of a grid spans at most CHUNK_POINTS points of the circuit's
+# amplitude stages, so its per-point arrays stay small.  An axis that sets
+# only WEIGHT_ONLY components adds no such point (its values only scale the
+# global weight), but it too puts at most CHUNK_POINTS values in a block.
 CHUNK_POINTS = 128
 
 
@@ -288,38 +293,56 @@ def _in_domain(axis: str, values: np.ndarray) -> np.ndarray:
                                   for name, names in _axis_fields(axis).items() for field in names])
 
 
-def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> list[tuple]:
-    """Rows of the grid in axis1-outer order, evaluated in chunks of points.
+def _block_steps(axes: tuple[str, str], lengths: tuple[int, int]) -> tuple[int, int]:
+    """(rows, columns) of one block: at most CHUNK_POINTS amplitude points.
 
-    A point outside a component's domain keeps its own error row.  The
-    valid points of each chunk run as one config whose fields moved by
-    either axis hold a (k, 1) column of the points' values; every other
-    field stays a scalar.
+    Each axis puts at most CHUNK_POINTS values in a block; when both move
+    amplitudes, a block stacks as many rows as fit beside its columns.
+    """
+    moves = [not _axis_fields(axis).keys() <= WEIGHT_ONLY for axis in axes]
+    columns = min(lengths[1], CHUNK_POINTS)
+    return min(lengths[0], CHUNK_POINTS // columns if all(moves) else CHUNK_POINTS), columns
+
+
+def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> list[tuple]:
+    """Rows of the grid in axis1-outer order, evaluated in blocks of points.
+
+    A point outside a component's domain keeps its own error row.  Validity
+    is per axis value, so the valid points are the valid rows by the valid
+    columns; each block of them runs as one config whose fields moved by
+    axis1 hold one (m, 1, 1) array of its rows' values and those moved by
+    axis2 one (1, n, 1) array of its columns' values, the last axis being
+    the input slot; every other field stays a scalar.
     """
     grid, v = cfg.grid(), cfg.values
-    axes, values = (v["axis1"], v["axis2"]), (grid.axis_values(1), grid.axis_values(2))
-    points = (np.repeat(values[0], len(values[1])), np.tile(values[1], len(values[0])))
-    valid = np.outer(*(_in_domain(axis, np.array(x)) for axis, x in zip(axes, values))).ravel()
+    axes = (v["axis1"], v["axis2"])
+    values = (np.array(grid.axis_values(1)), np.array(grid.axis_values(2)))
+    valid = [np.flatnonzero(_in_domain(axis, x)) for axis, x in zip(axes, values)]
     moved: dict[str, dict[str, int]] = {}  # component -> field -> index of the axis setting it
     for a, axis in enumerate(axes):
         for name, names in _axis_fields(axis).items():
             moved.setdefault(name, {}).update(dict.fromkeys(names, a))
     parts = {"cavity": cfg.cavity(), **vars(cfg.device_errors())}
-    f = np.full((3, len(valid)), math.nan)
-    status = ["ok" if ok else "error:ValueError" for ok in valid.tolist()]
-    for start in range(0, len(valid), CHUNK_POINTS):
-        chunk = start + np.flatnonzero(valid[start:start + CHUNK_POINTS])
-        if not len(chunk):
-            continue
-        columns = [p[chunk].reshape(-1, 1) for p in points]
-        run = {**parts, **{name: replace_unchecked(parts[name], **{
-            field: columns[a] for field, a in slots.items()}) for name, slots in moved.items()}}
-        cavity = run.pop("cavity")
-        report = average_fidelity(v["circuit"], cavity, DeviceErrorConfig(**run), ensemble)
-        f[:, chunk] = report.f_up, report.f_down, report.f_both
-        for i, s in zip(chunk.tolist(), report.status):
-            status[i] = s
-    return list(zip(*(p.tolist() for p in points), *f.tolist(), status))
+    f = np.full((3, len(values[0]), len(values[1])), math.nan)
+    status = np.full(f.shape[1:], "error:ValueError", dtype=object)
+    if all(len(ix) for ix in valid):  # else no point is valid and nothing runs
+        steps = _block_steps(axes, (len(valid[0]), len(valid[1])))
+        for block in itertools.product(*([ix[k:k + step] for k in range(0, len(ix), step)]
+                                         for ix, step in zip(valid, steps))):
+            axis_values = (values[0][block[0]].reshape(-1, 1, 1),
+                           values[1][block[1]].reshape(1, -1, 1))
+            run = {**parts, **{name: replace_unchecked(parts[name], **{
+                field: axis_values[a] for field, a in slots.items()})
+                for name, slots in moved.items()}}
+            cavity = run.pop("cavity")
+            report = average_fidelity(v["circuit"], cavity, DeviceErrorConfig(**run), ensemble)
+            rows, columns = np.ix_(*block)
+            f[:, rows, columns] = report.f_up, report.f_down, report.f_both
+            status[rows, columns] = np.reshape(np.array(report.status, dtype=object),
+                                               (len(block[0]), -1))
+    points = (np.repeat(values[0], len(values[1])), np.tile(values[1], len(values[0])))
+    return list(zip(*(p.tolist() for p in points), *(x.ravel().tolist() for x in f),
+                    status.ravel().tolist()))
 
 
 def sweep_coupling(cfg: SimConfig) -> list[list]:
@@ -362,10 +385,18 @@ def sweep_err_psw(cfg: SimConfig) -> list[list]:
 
 
 def write_csv(table: list[list], path: str) -> None:
-    """UTF-8, comma-separated, 10 significant digits, LF endings."""
+    """UTF-8, comma-separated, 10 significant digits, LF endings.
+
+    Every row whose cells have the types of the first data row's is
+    written with one format string (``%.10g`` gives the bytes of
+    ``format(v, ".10g")``); any other row cell by cell.
+    """
     if not table:
         raise ValueError("refusing to write an empty table")
-    lines = [",".join([format(c, ".10g") if isinstance(c, float) else str(c) for c in row])
+    kinds = [*map(type, table[min(1, len(table) - 1)])]
+    template = ",".join("%.10g" if issubclass(k, float) else "%s" for k in kinds)
+    lines = [template % tuple(row) if [*map(type, row)] == kinds else
+             ",".join([format(c, ".10g") if isinstance(c, float) else str(c) for c in row])
              for row in table]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

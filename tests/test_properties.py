@@ -251,6 +251,20 @@ def assert_rows_match_point_builds(cfg, rows):
 
 @PROPERTY
 @given(grids())
+# maps on different grid dims: the wave plates and CPBSs move along axis1,
+# the cavity along axis2; invalid rows and columns on both axes
+@example(_config_with(
+    circuit="optimized", ensemble="superposition4", xi1=0.05,
+    axis1="err", axis1_lo=-0.2, axis1_hi=1.2, axis1_points=4,
+    axis2="kappa_s_over_kappa", axis2_lo=-0.5, axis2_hi=2.0, axis2_points=5,
+))
+# a weight-only axis first: the switches scale the weight along axis1,
+# every amplitude moves along axis2
+@example(_config_with(
+    circuit="optimized", ensemble="basis4",
+    axis1="p_sw", axis1_lo=-0.5, axis1_hi=1.0, axis1_points=4,
+    axis2="err", axis2_lo=-0.2, axis2_hi=1.2, axis2_points=5,
+))
 def test_grid_lines_equal_per_point_builds(cfg):
     v = cfg.values
     rows = _run_grid(cfg, cfg.input_ensemble())
@@ -258,32 +272,55 @@ def test_grid_lines_equal_per_point_builds(cfg):
     assert_rows_match_point_builds(cfg, rows)
 
 
+# axis -> the config field one of its values sets, read from a block's config
+AXIS_FIELD = {
+    "kappa_s_over_kappa": lambda cavity, err: cavity.kappa_s,
+    "g_over_kappa": lambda cavity, err: cavity.g,
+    "err": lambda cavity, err: err.xi1.xi,
+    "p_sw": lambda cavity, err: err.sw1.t12,
+}
+
+
 def test_chunk_boundaries_keep_every_point_row(monkeypatch):
-    # 4 grid points per chunk: the 4 x 8 grid runs in 8 chunks.  The first
-    # p_sw line (-0.5) is invalid and spans the boundary at point 4; err
-    # -0.2 and 1.2 (and -2.8e-17, linspace's 0) are invalid, so the boundary
-    # at point 16 has an invalid point on each side
+    # 4 amplitude points per block.  err over linspace(-0.5, 1.5, 9) is valid
+    # on 0..1 only, kappa_s over linspace(-1, 1, 5) on 0..1 only, so invalid
+    # rows or columns lie before the first block and after the last
     monkeypatch.setattr(sweep_mod, "CHUNK_POINTS", 4)
-    calls = []
     real = sweep_mod.average_fidelity
+    err_axis = dict(lo=-0.5, hi=1.5, points=9)
+    kappa_axis = dict(lo=-1.0, hi=1.0, points=5)
+    # err x kappa_s: 3 valid columns fill a block's row, so 1 row per block;
+    # kappa_s x err: 5 valid columns split 4 | 1, 1 row per block;
+    # err x p_sw: p_sw only scales the weight, so 4 err rows per block;
+    # p_sw x kappa_s: still at most 4 p_sw values per block
+    for (axis1, range1), (axis2, range2), blocks in (
+        (("err", err_axis), ("kappa_s_over_kappa", kappa_axis), [(1, 3)] * 5),
+        (("kappa_s_over_kappa", kappa_axis), ("err", err_axis), [(1, 4), (1, 1)] * 3),
+        (("err", err_axis), ("p_sw", kappa_axis), [(4, 3), (1, 3)]),
+        (("p_sw", dict(lo=0.0, hi=1.0, points=6)), ("kappa_s_over_kappa", kappa_axis),
+         [(4, 3), (2, 3)]),
+    ):
+        calls = []
 
-    def spy(circuit, cavity, err, ensemble):
-        calls.append(np.shape(err.xi1.xi))
-        return real(circuit, cavity, err, ensemble)
+        def spy(circuit, cavity, err, ensemble):
+            calls.append(tuple(AXIS_FIELD[axis](cavity, err) for axis in (axis1, axis2)))
+            return real(circuit, cavity, err, ensemble)
 
-    monkeypatch.setattr(sweep_mod, "average_fidelity", spy)
-    cfg = _config_with(
-        circuit="optimized", ensemble="basis4",
-        axis1="p_sw", axis1_lo=-0.5, axis1_hi=1.0, axis1_points=4,
-        axis2="err", axis2_lo=-0.2, axis2_hi=1.2, axis2_points=8,
-    )
-    rows = _run_grid(cfg, cfg.input_ensemble())
-    assert len(rows) == 32 and [r[0] for r in rows[::8]] == [-0.5, 0.0, 0.5, 1.0]
-    assert [r[5] for r in rows[:8]] == ["error:ValueError"] * 8
-    assert (rows[15][5], rows[16][5]) == ("error:ValueError", "error:ValueError")
-    # the chunks of the first line hold no valid point and run nothing
-    assert len(calls) == 6 and all(shape[0] <= 4 and shape[1:] == (1,) for shape in calls)
-    assert_rows_match_point_builds(cfg, rows)
+        monkeypatch.setattr(sweep_mod, "average_fidelity", spy)
+        overrides = dict(circuit="optimized", ensemble="basis4", axis1=axis1, axis2=axis2)
+        for n, axis_range in ((1, range1), (2, range2)):
+            overrides.update({f"axis{n}_{k}": x for k, x in axis_range.items()})
+        cfg = _config_with(**overrides)
+        rows = _run_grid(cfg, cfg.input_ensemble())
+        assert len(rows) == range1["points"] * range2["points"]
+        # the block's axis1 values on an (m, 1, 1) array, its axis2 values on (1, n, 1)
+        assert [(np.shape(a)[0], np.shape(b)[1]) for a, b in calls] == blocks
+        assert all(np.shape(a)[1:] == (1, 1) and np.shape(b)[::2] == (1, 1) for a, b in calls)
+        # together the blocks hold each valid point exactly once, in row order
+        points = [(x, y) for a, b in calls for x in np.ravel(a) for y in np.ravel(b)]
+        valid = [(r[0], r[1]) for r in rows if r[5] != "error:ValueError"]
+        assert sorted(points) == valid and len(set(points)) == len(points)
+        assert_rows_match_point_builds(cfg, rows)
 
 
 def rotated(ensemble, u1, u2):

@@ -276,13 +276,14 @@ def test_chunk_moves_only_the_swept_fields(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "average_fidelity", spy)
     sweep_err_psw(err_psw_cfg(axis2_lo=-0.2, axis2_hi=1.0, axis2_points=4))
-    assert len(seen) == 1  # the 3 x 4 grid is one chunk
+    assert len(seen) == 1  # the 3 x 4 grid is one block
     cavity, err = seen[0]
-    # the valid points (p_sw = -0.2 is not one), axis1-outer: both axes'
-    # fields hold (k, 1) columns, each axis one array for all its fields
-    np.testing.assert_allclose(err.xi1.xi, np.repeat(np.logspace(-4, -1, 3), 3)[:, None],
-                               rtol=1e-15)
-    np.testing.assert_allclose(err.sw1.t12, np.tile([0.2, 0.6, 1.0], 3)[:, None], rtol=1e-15)
+    # the valid rows and columns (p_sw = -0.2 is not one): the err values
+    # on an (m, 1, 1) array, the p_sw values on a (1, n, 1) array, each axis
+    # one array for all its fields
+    assert np.shape(err.xi1.xi) == (3, 1, 1) and np.shape(err.sw1.t12) == (1, 3, 1)
+    np.testing.assert_allclose(err.xi1.xi[:, 0, 0], np.logspace(-4, -1, 3), rtol=1e-15)
+    np.testing.assert_allclose(err.sw1.t12[0, :, 0], [0.2, 0.6, 1.0], rtol=1e-15)
     for moved in (err.xi2.xi, err.cpbs1.tau_r, err.cpbs1.tau_l, err.cpbs2.tau_r,
                   err.cpbs3.tau_l, err.cpbs4.tau_r, err.cpbs4.tau_l):
         assert moved is err.xi1.xi
@@ -291,6 +292,49 @@ def test_chunk_moves_only_the_swept_fields(monkeypatch):
     for scalar in (cavity.g, cavity.kappa_s, cavity.gamma, err.sw1.t21, err.sw1.r11,
                    err.sw2.t21, err.sw2.r22, err.cloner.fidelity):
         assert np.ndim(scalar) == 0
+
+
+def test_grid_without_a_valid_column_runs_nothing(monkeypatch):
+    # every axis2 value (p_sw outside [0, 1], or a negative g) is invalid:
+    # no block has a column, so every row is an error row and the circuit
+    # never runs; likewise when every axis1 value (err above 1) is
+    def unreachable(*args):
+        raise AssertionError("average_fidelity called")
+
+    monkeypatch.setattr(sweep_mod, "average_fidelity", unreachable)
+    for invalid in (dict(axis2_lo=1.5, axis2_hi=2.0),
+                    dict(axis2="g_over_kappa", axis2_lo=-2.0, axis2_hi=-1.0),
+                    dict(axis1_lo=1.5, axis1_hi=2.0)):
+        table = sweep_mod._run_grid(err_psw_cfg(**invalid), InputEnsemble.basis4())
+        assert len(table) == 9
+        assert all(r[5] == "error:ValueError" and all(map(math.isnan, r[2:5])) for r in table)
+
+
+def test_fig4b_runs_its_stages_on_the_err_points_only(monkeypatch):
+    # p_sw only scales the optimized circuit's weight, so the canonical
+    # 31 x 41 grid runs the amplitude stages on its 31 err values, once
+    import qdcnot.circuits as circuits
+
+    stage_points, outputs = [], []
+    points_last, baseline = circuits._points_last, circuits.baseline_cnot
+
+    def spy_points(m, batch):
+        out = points_last(m, batch)
+        stage_points.append(out.shape[-1])
+        return out
+
+    def spy_baseline(*args):
+        out = baseline(*args)
+        outputs.append(out.amps.shape)
+        return out
+
+    monkeypatch.setattr(circuits, "_points_last", spy_points)
+    monkeypatch.setattr(circuits, "baseline_cnot", spy_baseline)
+    table = sweep_err_psw(_config_with(**sweep_mod._TARGET_OVERRIDES["fig4b"]))
+    assert len(table) == 1 + 31 * 41
+    assert max(stage_points) == 31 and set(stage_points) <= {1, 31}
+    # one run; its output spans the 31 err rows, a length-1 p_sw axis and the inputs
+    assert outputs == [(31, 1, 4, 2, 2, 2)]
 
 
 def test_domain_mask_matches_point_builds():
@@ -336,6 +380,21 @@ def test_write_csv_format(tmp_path):
     write_csv([["a", "b"], [0.937412345678, 1.0], [float("nan"), 2.5]], str(path))
     data = path.read_bytes()
     assert data == b"a,b\n0.9374123457,1\nnan,2.5\n"
+
+
+def test_write_csv_rows_of_other_kinds_keep_per_cell_bytes(tmp_path):
+    # rows of the first data row's kinds share one format string; the rest
+    # (a header, an int, a bool or a string where a float was, a short row)
+    # are written cell by cell, every float as format(v, ".10g")
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+              0.1 + 0.2, -123456.78901234, 1e16, 2.5e-7]
+    table = ([["x", "y", "status"]] + [[x, -x, "ok"] for x in values]
+             + [[1, 2.0, "ok"], [True, 0.5, "ok"], [0.5, "ok", 3.0], [0.25]])
+    path = tmp_path / "t.csv"
+    write_csv(table, str(path))
+    expected = [",".join(format(c, ".10g") if isinstance(c, float) else str(c) for c in row)
+                for row in table]
+    assert path.read_text().split("\n") == expected + [""]
 
 
 def test_write_csv_ten_significant_digits(tmp_path):
