@@ -28,11 +28,11 @@ ending in a length-1 input axis (a block of grid points: the axis1 values
 on an (m, 1, 1) array, the axis2 values on a (1, n, 1) one) broadcast
 against each other, and the output state carries one run per batch
 element.  The circuit is linear in its input, so the stages run only on
-the photon-basis inputs, all with the batch's one spin, each stage one
-dense 4x4 map on (photon, spin) per point the maps span (a CPBS1 loop
-pass folds into one); each input's output is then the combination of the
-four basis outputs its own coefficients give.  A field that only scales
-the global weight (:data:`WEIGHT_ONLY`) adds no point to the stages.
+the photon-basis inputs, all with the batch's one spin; no stage flips
+the spin, so each photon's stages are 2x2 maps per spin branch and point
+(:func:`loop_pass`), and each input's output is then the combination of
+the four basis outputs its own coefficients give.  A field that only
+scales the global weight (:data:`WEIGHT_ONLY`) adds no point to the stages.
 """
 
 from __future__ import annotations
@@ -169,30 +169,51 @@ def config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) ->
     return np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
 
 
-def _points_last(m: np.ndarray, batch: tuple) -> np.ndarray:
-    """A (batch..., a, b) map as (a, b, points), the common ``batch`` flattened onto a last axis.
+def _flat(m: np.ndarray, batch: tuple) -> np.ndarray:
+    """A (batch..., a, b) map as a contiguous (a, b, points): one point or all of ``batch``."""
+    entries = m.shape[-2:]
+    if m.size == entries[0] * entries[1]:
+        return m.reshape(entries + (1,))
+    return np.broadcast_to(m, batch + entries).reshape((-1,) + entries).transpose(1, 2, 0).copy()
 
-    A map that spans part of ``batch`` (an axis another map moves) is
-    broadcast to all of it first; a map of one point stays one point.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a · b`` per point of (..., i, j, points) and (..., j, k, points) arrays, each entry
+    summed in index order without fused multiply-adds (symmetric inputs stay symmetric)."""
+    return (a[..., :, :, None, :] * b[..., None, :, :, :]).sum(-3)
+
+
+def loop_pass(cpbs1: CpbsError, coeffs: CavityCoeffs, batch: tuple) -> np.ndarray:
+    """One pass through the CPBS1 loop per spin branch, a (spin, 2, 2, points) map.
+
+    No stage flips the spin, so ``(merge ⊗ I) · interaction · (split ⊗ I)`` on
+    (photon, spin) is block-diagonal: block ``s`` is ``merge · interaction[s::2, s::2] · split``.
     """
-    if m.size > m.shape[-2] * m.shape[-1]:
-        m = np.broadcast_to(m, batch + m.shape[-2:])
-    return m.reshape((-1,) + m.shape[-2:]).transpose(1, 2, 0)
+    split, merge = (_flat(m, batch) for m in cpbs_loop_maps(cpbs1))
+    interaction = _flat(interaction_map(coeffs), batch).reshape(4, 2, 4, 2, -1)
+    return _dot(merge, _dot(interaction.diagonal(axis1=1, axis2=3).transpose(3, 0, 1, 2), split))
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a · b`` point by point: ``a`` is (i, j, points), ``b`` (j, ..., points).
-
-    Each entry is one sum of products in index order, without fused
-    multiply-adds, so a symmetric input keeps a symmetric output to the bit.
-    """
-    return np.einsum("ij...,j...->i...", a, b)
-
-
-def _with_spin(m: np.ndarray) -> np.ndarray:
-    """An (a, b, points) map on a photon as ``m ⊗ I`` on (photon, spin)."""
-    a, b, n = m.shape
-    return (m[:, None, :, None] * np.eye(2)[:, None, :, None]).reshape(2 * a, 2 * b, n)
+def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, spin: np.ndarray) -> np.ndarray:
+    """The stages on the photon basis with the ``spin`` ket: (points..., basis, p1, p2, spin)."""
+    parts = (coeffs, err.cpbs1, err.xi1, err.xi2)  # the points: those of the fields read here
+    batch = np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
+    loop = loop_pass(err.cpbs1, coeffs, batch)  # both photons pass it
+    hwp1, hwp2 = (_flat(hwp_map(xi), batch) for xi in (err.xi1, err.xi2))
+    hadamard = spin_hadamard()
+    # axes (spin, p1, p1 input, point): the control photon's HWP1, loop pass
+    # and HWP2 in each spin branch, then the spin rotation mixes the branches
+    x = _dot(hwp2, _dot(loop, hwp1 * spin[:, None, None, None]))
+    x = _dot(hadamard[:, :, None], x.reshape(2, 4, -1)).reshape(2, 2, 2, -1)
+    # axes (spin, p1, p1 input, p2, p2 input, point): the target photon's loop
+    # pass in each spin branch, an outer product, then the second spin rotation
+    x = loop[:, None, None] * x[:, :, :, None, None]
+    out = np.empty_like(x)
+    for u in (0, 1):
+        np.multiply(hadamard[u, 0], x[0], out=out[u])
+        out[u] += hadamard[u, 1] * x[1]
+    x = out.transpose(5, 2, 4, 1, 3, 0)  # frees the outer product before the copy
+    return x.reshape(batch[:-1] + (4, 2, 2, 2))
 
 
 def _expand(core: JointState, coefficients: np.ndarray) -> JointState:
@@ -250,34 +271,15 @@ def baseline_cnot(
     The stages run on the photon basis of ``inputs`` (see
     :attr:`CnotInputs.state`), and the output checks on each input's
     output.  A config's fields are scalars, or hold a block's grid points
-    on arrays whose last axis is the length-1 input axis; the stages run on
-    the broadcast of the maps' point axes only.
+    on arrays whose last axis is the length-1 input axis.
     """
     shape = config_shape(cavity, err)
     if shape[-1:] not in ((), (1,)):
         raise ValueError(f"a batched config must end in the length-1 input axis, "
                          f"got shape {shape}")
-    maps = (*cpbs_loop_maps(err.cpbs1), interaction_map(_coeffs(cavity)),
-            hwp_map(err.xi1), hwp_map(err.xi2))
-    batch = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
-    split, merge, interaction, hwp1, hwp2 = (_points_last(m, batch) for m in maps)
-    # one pass through the CPBS1 loop as a 4x4 on (photon, spin); both photons share it
-    loop = _mul(_with_spin(merge), _mul(interaction, _with_spin(split)))
-    basis, coefficients = inputs.state
-    # axes ((p1, spin), p1 input, point): the control photon's stages, on the
-    # basis inputs |R R> and |L R>, whose p2 is a spectator
-    x = basis.amps[::2, :, 0].transpose(1, 2, 0).reshape(4, 2, 1)
-    x = _mul(_with_spin(hwp2), _mul(loop, _mul(_with_spin(hwp1), x)))
-    hadamard = (np.eye(2)[:, None, :, None] * spin_hadamard()[:, None, :]).reshape(4, 4, 1)
-    x = _mul(hadamard, x)  # on the spin only, so before p2 is put back
-    # axes ((p2, spin), basis input, p1, point): every basis input, its p2 put
-    # back, through the target photon's loop pass and spin rotation
-    x = x.reshape(2, 2, 2, -1).transpose(1, 2, 0, 3)
-    x = (np.eye(2)[:, None, None, :, None, None] * x[:, :, None]).reshape(4, 4, 2, -1)
-    x = _mul(hadamard, _mul(loop, x))
-    # axes (point, basis input, p1, p2, spin), the points back on the config's batch
-    amps = x.reshape(2, 2, 4, 2, -1).transpose(4, 2, 3, 0, 1).reshape(batch[:-1] + (4, 2, 2, 2))
-    return _checked(_expand(JointState(basis.factors, amps), coefficients))
+    basis, coefficients = inputs.state  # every basis input holds the spin ket amps[0, 0, 0]
+    return _checked(_expand(JointState(basis.factors, _basis_outputs(
+        _coeffs(cavity), err, basis.amps[0, 0, 0])), coefficients))
 
 
 def sign_fix_amplitude(err: DeviceErrorConfig) -> float:

@@ -272,11 +272,11 @@ def resolve_ensemble(name: str) -> InputEnsemble:
 # grid sweeps
 
 
-# One block of a grid spans at most CHUNK_POINTS points of the circuit's
-# amplitude stages, so its per-point arrays stay small.  An axis that sets
-# only WEIGHT_ONLY components adds no such point (its values only scale the
-# global weight), but it too puts at most CHUNK_POINTS values in a block.
-CHUNK_POINTS = 128
+# A grid block spans at most CHUNK_POINTS points of the circuit's amplitude
+# stages and at most CHUNK_POINTS // 3 values of each axis: every point of a
+# block, including those of an axis that sets only WEIGHT_ONLY components
+# (no amplitude moves), holds an overlap per input.  Sized by tracemalloc.
+CHUNK_POINTS = 384
 
 
 def _axis_fields(axis: str) -> dict[str, list[str]]:
@@ -294,14 +294,11 @@ def _in_domain(axis: str, values: np.ndarray) -> np.ndarray:
 
 
 def _block_steps(axes: tuple[str, str], lengths: tuple[int, int]) -> tuple[int, int]:
-    """(rows, columns) of one block: at most CHUNK_POINTS amplitude points.
-
-    Each axis puts at most CHUNK_POINTS values in a block; when both move
-    amplitudes, a block stacks as many rows as fit beside its columns.
-    """
+    """(rows, columns) of one block; if both axes move amplitudes, as many rows as fit."""
     moves = [not _axis_fields(axis).keys() <= WEIGHT_ONLY for axis in axes]
-    columns = min(lengths[1], CHUNK_POINTS)
-    return min(lengths[0], CHUNK_POINTS // columns if all(moves) else CHUNK_POINTS), columns
+    share = CHUNK_POINTS // 3
+    columns = min(lengths[1], share)
+    return min(lengths[0], share, CHUNK_POINTS // columns if all(moves) else share), columns
 
 
 def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> list[tuple]:
@@ -324,7 +321,7 @@ def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> list[tuple]:
             moved.setdefault(name, {}).update(dict.fromkeys(names, a))
     parts = {"cavity": cfg.cavity(), **vars(cfg.device_errors())}
     f = np.full((3, len(values[0]), len(values[1])), math.nan)
-    status = np.full(f.shape[1:], "error:ValueError", dtype=object)
+    status = np.array(["error:ValueError"] * f[0].size, dtype=object).reshape(f.shape[1:])
     if all(len(ix) for ix in valid):  # else no point is valid and nothing runs
         steps = _block_steps(axes, (len(valid[0]), len(valid[1])))
         for block in itertools.product(*([ix[k:k + step] for k in range(0, len(ix), step)]
@@ -375,9 +372,9 @@ def sweep_err_psw(cfg: SimConfig) -> list[list]:
         raise ConfigError(f"err/p_sw sweep needs axes err and p_sw, got {sorted(axes)}")
     if not is_strong_coupling(cfg.cavity()):
         raise ConfigError("err/p_sw sweep requires a strong-coupling cavity")
-    values = dict(cfg.values)
-    values["cloner_fidelity"] = F_UC
-    pinned = SimConfig(values)
+    if (cloner := cfg.values["cloner_fidelity"]) not in (CONFIG_SCHEMA["cloner_fidelity"][1], F_UC):
+        raise ConfigError(f"err/p_sw sweep pins cloner_fidelity to 5/6, got {cloner!r}")
+    pinned = SimConfig({**cfg.values, "cloner_fidelity": F_UC})
     ensemble = pinned.input_ensemble()
     rows = _run_grid(pinned, ensemble)
     header = [cfg.values["axis1"], cfg.values["axis2"], "f_both", "status"]

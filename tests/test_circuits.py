@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from qdcnot.cavity import CavityCoeffs, CavityParams, cavity_coeffs
+from qdcnot.cavity import CavityCoeffs, CavityParams, cavity_coeffs, interaction_map
 from qdcnot.circuits import (
     CnotInputs,
     DeviceErrorConfig,
     baseline_cnot,
     cnot_prefactor,
     extract_branch_amplitudes,
+    loop_pass,
     optimized_cnot,
     output_amplitudes,
     rr_up_closed_form,
     sign_fix_amplitude,
 )
-from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
-from qdcnot.state import stack
+from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs, cpbs_loop_maps
+from qdcnot.state import replace_unchecked, stack
 
 from oracle import baseline_dense, dense_vector
 
@@ -262,6 +263,40 @@ def test_cavity_pass_builds_cpbs_maps_once(monkeypatch):
     baseline_cnot(CnotInputs.basis("R", "L"), STRONG, DeviceErrorConfig.uniform(0.01))
     # the control pass and the target pass through the CPBS1 loop share both maps
     assert sorted(calls) == ["cpbs_loop_maps", "interaction_map"]
+
+
+def test_loop_pass_is_the_spin_blocks_of_the_folded_pass():
+    # split, cavity and merge never flip the spin: the CPBS1 loop pass folded
+    # on (photon, spin) has no spin-flipping entry, and its two spin blocks
+    # are the per-spin maps the engine builds, for one config and for blocks
+    # whose cavity and CPBS1 errors move on (m, 1, 1) and (1, n, 1) axes
+    rng = np.random.default_rng(5)
+    cavity = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
+    rows, columns = rng.uniform(0, 2, (3, 1, 1)), rng.uniform(0, 3, (1, 4, 1))
+    taus = rng.uniform(0, 0.3, (2, 3, 1, 1))
+    cases = [
+        (cavity, CpbsError(0.03, 0.07)),
+        (replace_unchecked(cavity, kappa_s=rows, g=columns), CpbsError(0.03, 0.07)),
+        (replace_unchecked(cavity, g=columns), replace_unchecked(CpbsError(), tau_r=taus[0],
+                                                                 tau_l=taus[1])),
+        (replace_unchecked(cavity, kappa_s=columns),
+         replace_unchecked(CpbsError(), tau_r=taus[0], tau_l=0.02)),
+    ]
+    eye = np.eye(2)
+    for cavity, cpbs in cases:
+        coeffs = cavity_coeffs(cavity)
+        split, merge = cpbs_loop_maps(cpbs)
+        # m ⊗ I with the spin as the last, least significant bit
+        with_spin = [(m[..., :, None, :, None] * eye[:, None, :]).reshape(
+            m.shape[:-2] + (2 * m.shape[-2], 2 * m.shape[-1])) for m in (split, merge)]
+        fold = with_spin[1] @ interaction_map(coeffs) @ with_spin[0]
+        batch = fold.shape[:-2]
+        blocks = fold.reshape(batch + (2, 2, 2, 2))  # (photon out, spin out, photon in, spin in)
+        assert not np.any(blocks[..., :, 0, :, 1]) and not np.any(blocks[..., :, 1, :, 0])
+        loops = loop_pass(cpbs, coeffs, batch)  # (spin, out, in, points)
+        for s in (0, 1):
+            expected = np.broadcast_to(blocks[..., :, s, :, s], batch + (2, 2)).reshape(-1, 2, 2)
+            np.testing.assert_allclose(loops[s].transpose(2, 0, 1), expected, rtol=0, atol=1e-15)
 
 
 # --- input validation

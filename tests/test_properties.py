@@ -282,20 +282,21 @@ AXIS_FIELD = {
 
 
 def test_chunk_boundaries_keep_every_point_row(monkeypatch):
-    # 4 amplitude points per block.  err over linspace(-0.5, 1.5, 9) is valid
-    # on 0..1 only, kappa_s over linspace(-1, 1, 5) on 0..1 only, so invalid
-    # rows or columns lie before the first block and after the last
-    monkeypatch.setattr(sweep_mod, "CHUNK_POINTS", 4)
+    # 12 amplitude points and 4 values per axis in a block.  err over
+    # linspace(-0.5, 1.5, 9) is valid on 0..1 only, kappa_s over
+    # linspace(-1, 1, 5) on 0..1 only, so invalid rows or columns lie before
+    # the first block and after the last
+    monkeypatch.setattr(sweep_mod, "CHUNK_POINTS", 12)
     real = sweep_mod.average_fidelity
     err_axis = dict(lo=-0.5, hi=1.5, points=9)
     kappa_axis = dict(lo=-1.0, hi=1.0, points=5)
-    # err x kappa_s: 3 valid columns fill a block's row, so 1 row per block;
-    # kappa_s x err: 5 valid columns split 4 | 1, 1 row per block;
+    # err x kappa_s: 3 valid columns, so 4 rows fit a block, then 1;
+    # kappa_s x err: 5 valid columns split 4 | 1, and all 3 rows fit;
     # err x p_sw: p_sw only scales the weight, so 4 err rows per block;
     # p_sw x kappa_s: still at most 4 p_sw values per block
     for (axis1, range1), (axis2, range2), blocks in (
-        (("err", err_axis), ("kappa_s_over_kappa", kappa_axis), [(1, 3)] * 5),
-        (("kappa_s_over_kappa", kappa_axis), ("err", err_axis), [(1, 4), (1, 1)] * 3),
+        (("err", err_axis), ("kappa_s_over_kappa", kappa_axis), [(4, 3), (1, 3)]),
+        (("kappa_s_over_kappa", kappa_axis), ("err", err_axis), [(3, 4), (3, 1)]),
         (("err", err_axis), ("p_sw", kappa_axis), [(4, 3), (1, 3)]),
         (("p_sw", dict(lo=0.0, hi=1.0, points=6)), ("kappa_s_over_kappa", kappa_axis),
          [(4, 3), (2, 3)]),

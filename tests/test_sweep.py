@@ -316,10 +316,10 @@ def test_fig4b_runs_its_stages_on_the_err_points_only(monkeypatch):
     import qdcnot.circuits as circuits
 
     stage_points, outputs = [], []
-    points_last, baseline = circuits._points_last, circuits.baseline_cnot
+    loop_pass, baseline = circuits.loop_pass, circuits.baseline_cnot
 
-    def spy_points(m, batch):
-        out = points_last(m, batch)
+    def spy_loop(*args):
+        out = loop_pass(*args)
         stage_points.append(out.shape[-1])
         return out
 
@@ -328,13 +328,43 @@ def test_fig4b_runs_its_stages_on_the_err_points_only(monkeypatch):
         outputs.append(out.amps.shape)
         return out
 
-    monkeypatch.setattr(circuits, "_points_last", spy_points)
+    monkeypatch.setattr(circuits, "loop_pass", spy_loop)
     monkeypatch.setattr(circuits, "baseline_cnot", spy_baseline)
     table = sweep_err_psw(_config_with(**sweep_mod._TARGET_OVERRIDES["fig4b"]))
     assert len(table) == 1 + 31 * 41
     assert max(stage_points) == 31 and set(stage_points) <= {1, 31}
     # one run; its output spans the 31 err rows, a length-1 p_sw axis and the inputs
     assert outputs == [(31, 1, 4, 2, 2, 2)]
+
+
+def test_grid_blocks_keep_their_memory_bound():
+    # tracemalloc peaks of warm grids: fig3a (0.65 MB with its 7 blocks; about
+    # 3.5 MB as one unchunked block) and err x p_sw with 400 weight-only
+    # p_sw values on the 36-input ensemble (4.3 MB with 128 p_sw values a block)
+    import tracemalloc
+
+    fig3a = _config_with(**sweep_mod._TARGET_OVERRIDES["fig3a"])
+    wide = _config_with(**dict(sweep_mod._TARGET_OVERRIDES["fig4b"], ensemble="haar_product",
+                               axis2_points=400))
+    for sweep, cfg, bound_mb in ((sweep_coupling, fig3a, 1.0), (sweep_err_psw, wide, 6.0)):
+        sweep(cfg)
+        tracemalloc.start()
+        try:
+            sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, (sweep.__name__, peak)
+
+
+def test_err_psw_rejects_a_cloner_it_would_override():
+    # the sweep pins the cloner at the universal bound 5/6: a config that
+    # sets another value is rejected instead of silently replaced
+    for value in (0.9, 0.5):
+        with pytest.raises(ConfigError, match="cloner_fidelity"):
+            sweep_err_psw(err_psw_cfg(cloner_fidelity=value))
+    pinned = sweep_err_psw(err_psw_cfg(cloner_fidelity=5 / 6))
+    assert pinned == sweep_err_psw(err_psw_cfg())
 
 
 def test_domain_mask_matches_point_builds():
