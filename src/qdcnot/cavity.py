@@ -88,19 +88,31 @@ def is_strong_coupling(params: CavityParams) -> bool:
     return params.g > (params.kappa_s + params.kappa) / 4
 
 
-def interaction_map(c: CavityCoeffs) -> np.ndarray:
-    """8x8 map over (polarization, direction, spin) of one pass through the cavity.
+# the 8 inputs (spin, polarization-direction) of interaction_map's blocks; for
+# each, where it goes when polarization and direction flip, and which of
+# (t1, -t0, r1, -r0) it stays and flips with (hot ones: t1 and r1).  Built with
+# Python ints: integer ufuncs here would page in ~0.25 MB of numpy at import.
+_INPUTS = [(spin, pd) for spin in (0, 1) for pd in range(4)]
+_HOT = [(pd >> 1) ^ (pd & 1) ^ spin for spin, pd in _INPUTS]
+_SPIN, _PD = (np.array(v) for v in zip(*_INPUTS))
+_FLIPPED = np.array([pd ^ 0b11 for _, pd in _INPUTS])
+_STAYS, _FLIPS = np.array([(0, 2) if hot else (1, 3) for hot in _HOT]).T
 
-    The spin branch is never flipped, and polarization flips exactly when
-    the propagation direction flips.  A transition is hot (coupled) when
-    an odd number of (polarization L, direction up, spin down) hold: it
-    stays with t1 and flips with r1; a cold one stays with -t0 and flips
-    with -r0.
+
+def interaction_map(c: CavityCoeffs) -> np.ndarray:
+    """One pass through the cavity: its two spin blocks, (..., spin, 4, 4).
+
+    The spin branch is never flipped, so the map on (polarization,
+    direction, spin) is block-diagonal in the spin; block ``s`` maps
+    (polarization, direction) with polarization the more significant bit.
+    Polarization flips exactly when the propagation direction flips.  A
+    transition is hot (coupled) when an odd number of (polarization L,
+    direction up, spin down) hold: it stays with t1 and flips with r1; a
+    cold one stays with -t0 and flips with -r0.
     """
-    m = np.zeros(np.broadcast_shapes(np.shape(c.t1), np.shape(c.t0)) + (8, 8))
-    for i in range(8):
-        pol, direction, spin = i >> 2, (i >> 1) & 1, i & 1
-        hot = pol ^ direction ^ spin
-        m[..., i, i] = c.t1 if hot else -c.t0
-        m[..., i ^ 0b110, i] = c.r1 if hot else -c.r0  # pol and direction flipped
+    t1, t0, r1, r0 = np.broadcast_arrays(c.t1, c.t0, c.r1, c.r0)
+    values = np.stack([t1, -t0, r1, -r0], axis=-1)
+    m = np.zeros(t1.shape + (2, 4, 4))
+    m[..., _SPIN, _PD, _PD] = values[..., _STAYS]
+    m[..., _SPIN, _FLIPPED, _PD] = values[..., _FLIPS]
     return m

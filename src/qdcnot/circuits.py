@@ -27,18 +27,23 @@ arrays (a stacked ensemble) and configurations whose fields are arrays
 ending in a length-1 input axis (a block of grid points: the axis1 values
 on an (m, 1, 1) array, the axis2 values on a (1, n, 1) one) broadcast
 against each other, and the output state carries one run per batch
-element.  The circuit is linear in its input, so the stages run only on
-the photon-basis inputs, all with the batch's one spin; no stage flips
-the spin, so each photon's stages are 2x2 maps per spin branch and point
-(:func:`loop_pass`), and each input's output is then the combination of
-the four basis outputs its own coefficients give.  A field that only
-scales the global weight (:data:`WEIGHT_ONLY`) adds no point to the stages.
+element.  The circuit is linear in its input, so the stages
+(:func:`_basis_outputs`, their one definition) run only on the
+photon-basis inputs, all with the batch's one spin; no stage flips the
+spin, so each photon's stages are 2x2 maps per spin branch and point
+(:func:`loop_pass`).  Each input's output is then the combination of the
+four basis outputs its own coefficients give, computed with the points
+on the last axis, (spin, input, photon pair, point); the output checks
+run on it, the optimized circuit's sign fix scales it per point, and the
+returned state's amplitudes are a view of it (:func:`output_columns`
+reads it back).  A field that only scales the global weight
+(:data:`WEIGHT_ONLY`) adds no point to the stages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,15 +60,8 @@ from .devices import (
     spin_hadamard,
     switch_amplitude,
 )
-from .state import (
-    JointState,
-    apply_mode_map,
-    make_state,
-    matrix,
-    read_only,
-    tensor,
-    with_weight,
-)
+from .state import JointState, make_state, read_only, tensor, with_weight
+from .state import apply_mode_map  # noqa: F401  (traced under this module by bench/spans.py)
 
 P1, P2 = "p1", "p2"
 SPIN = "spin"
@@ -92,9 +90,9 @@ class CnotInputs:
             if abs(n - 1) > 1e-9:
                 raise ValueError(f"{name} amplitudes not normalized: |.|^2 = {n}")
 
-    @property
+    @cached_property
     def shared_spin_init(self) -> tuple[complex, complex]:
-        """The one ``spin_init`` of a single or a stacked input."""
+        """The one ``spin_init`` of a single or a stacked input, found once per object."""
         up, down = (np.asarray(v) for v in self.spin_init)
         if np.any(up != up.flat[0]) or np.any(down != down.flat[0]):
             raise ValueError("stacked inputs must share one spin_init: the circuit runs "
@@ -163,18 +161,24 @@ def _coeffs(cavity: CavityParams | CavityCoeffs) -> CavityCoeffs:
     return cavity if isinstance(cavity, CavityCoeffs) else cavity_coeffs(cavity)
 
 
-def config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) -> tuple:
-    """Broadcast shape of every config field: () for one config, (m, n, 1) for a grid block."""
-    parts = (cavity, *vars(err).values())
+def _shape(*parts) -> tuple:
+    """Broadcast shape of every field of ``parts``: () for scalars, else that of their arrays."""
     return np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
 
 
-def _flat(m: np.ndarray, batch: tuple) -> np.ndarray:
-    """A (batch..., a, b) map as a contiguous (a, b, points): one point or all of ``batch``."""
-    entries = m.shape[-2:]
-    if m.size == entries[0] * entries[1]:
+def config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) -> tuple:
+    """Broadcast shape of every config field: () for one config, (m, n, 1) for a grid block."""
+    return _shape(cavity, *vars(err).values())
+
+
+def _flat(m: np.ndarray, batch: tuple, k: int = 2) -> np.ndarray:
+    """A (batch..., entries) map with ``k`` entry axes as a contiguous (entries..., points):
+    one point or all of ``batch``."""
+    entries = m.shape[m.ndim - k:]
+    if m.size == math.prod(entries):
         return m.reshape(entries + (1,))
-    return np.broadcast_to(m, batch + entries).reshape((-1,) + entries).transpose(1, 2, 0).copy()
+    return np.broadcast_to(m, batch + entries).reshape((-1,) + entries).transpose(
+        *range(1, k + 1), 0).copy()
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,17 +191,19 @@ def loop_pass(cpbs1: CpbsError, coeffs: CavityCoeffs, batch: tuple) -> np.ndarra
     """One pass through the CPBS1 loop per spin branch, a (spin, 2, 2, points) map.
 
     No stage flips the spin, so ``(merge ⊗ I) · interaction · (split ⊗ I)`` on
-    (photon, spin) is block-diagonal: block ``s`` is ``merge · interaction[s::2, s::2] · split``.
+    (photon, spin) is block-diagonal: block ``s`` is ``merge · interaction[s] · split``.
     """
     split, merge = (_flat(m, batch) for m in cpbs_loop_maps(cpbs1))
-    interaction = _flat(interaction_map(coeffs), batch).reshape(4, 2, 4, 2, -1)
-    return _dot(merge, _dot(interaction.diagonal(axis1=1, axis2=3).transpose(3, 0, 1, 2), split))
+    return _dot(merge, _dot(_flat(interaction_map(coeffs), batch, 3), split))
 
 
-def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, spin: np.ndarray) -> np.ndarray:
-    """The stages on the photon basis with the ``spin`` ket: (points..., basis, p1, p2, spin)."""
-    parts = (coeffs, err.cpbs1, err.xi1, err.xi2)  # the points: those of the fields read here
-    batch = np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
+def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, spin: np.ndarray,
+                   batch: tuple) -> np.ndarray:
+    """The stages on the photon basis with the ``spin`` ket, on the points of ``batch``.
+
+    Returns (spin, basis input, photon pair, point): the basis inputs and the
+    photon pairs both run |RR>, |RL>, |LR>, |LL>.
+    """
     loop = loop_pass(err.cpbs1, coeffs, batch)  # both photons pass it
     hwp1, hwp2 = (_flat(hwp_map(xi), batch) for xi in (err.xi1, err.xi2))
     hadamard = spin_hadamard()
@@ -205,28 +211,26 @@ def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, spin: np.ndarra
     # and HWP2 in each spin branch, then the spin rotation mixes the branches
     x = _dot(hwp2, _dot(loop, hwp1 * spin[:, None, None, None]))
     x = _dot(hadamard[:, :, None], x.reshape(2, 4, -1)).reshape(2, 2, 2, -1)
-    # axes (spin, p1, p1 input, p2, p2 input, point): the target photon's loop
+    # axes (spin, p1 input, p2 input, p1, p2, point): the target photon's loop
     # pass in each spin branch, an outer product, then the second spin rotation
-    x = loop[:, None, None] * x[:, :, :, None, None]
+    x = np.multiply(x.transpose(0, 2, 1, 3)[:, :, None, :, None],
+                    loop.transpose(0, 2, 1, 3)[:, None, :, None], order="C")
     out = np.empty_like(x)
     for u in (0, 1):
         np.multiply(hadamard[u, 0], x[0], out=out[u])
         out[u] += hadamard[u, 1] * x[1]
-    x = out.transpose(5, 2, 4, 1, 3, 0)  # frees the outer product before the copy
-    return x.reshape(batch[:-1] + (4, 2, 2, 2))
+    return out.reshape(2, 4, 4, -1)
 
 
-def _expand(core: JointState, coefficients: np.ndarray) -> JointState:
-    """Each input's output: its coefficients' combination of the four basis outputs.
-
-    The basis runs on the last batch axis of ``core``, the axis where a block
-    of grid points holds its length-1 input axis; the inputs' axes take its place.
-    """
-    columns = core.amps.reshape(core.batch_shape + (-1,))
-    out = np.matmul(coefficients, columns)
-    if coefficients.ndim == 1 and core.batch_shape[:-1]:  # one input against a block
-        out = out[..., None, :]
-    return replace(core, amps=out.reshape(out.shape[:-1] + (2,) * len(core.factors)))
+def branch_weights(y: np.ndarray) -> np.ndarray:
+    """Each spin branch's squared norm in a (spin, input, photon pair, point)
+    array, re^2 + im^2 summed over the photon pairs: (spin, input, point)."""
+    out = np.empty(y.shape[:2] + y.shape[3:])
+    for s in (0, 1):  # one branch at a time bounds the temporaries
+        squares = np.square(y[s].real)
+        squares += np.square(y[s].imag)
+        np.add.reduce(squares, axis=1, out=out[s])
+    return out
 
 
 class OutputNormError(AssertionError):
@@ -247,18 +251,56 @@ def fault_error(code: int, detail: str) -> Exception:
     return kind(f"{what}: {detail}")
 
 
-def _checked(s: JointState) -> JointState:
-    """Flag each run whose output is non-finite (code 1) or has norm > 1 (code 2).
+def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
+         *point_fields) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """Each input's core output, checked: (outputs, faults, point axes, input axes).
 
-    A single run raises instead; a batch records the codes in ``fault``
-    so that one failing run never fails the others.
+    The stages run on the photon basis of ``inputs`` (see
+    :attr:`CnotInputs.state`) at the points of the fields they read and of
+    ``point_fields``; each input's output is its coefficients' combination
+    of the four basis outputs, one ``(inputs, 4) @ (4, 4·points)`` matmul per
+    spin, laid out (spin, input, photon pair, point).  The output checks
+    flag each input and point whose output is non-finite (code 1) or has
+    norm > 1 (code 2) in an (input, point) array; a single run raises.
     """
-    norm = s.norm_sq()
-    finite = np.isfinite(s.amps).all(axis=tuple(range(-len(s.factors), 0)))
-    fault = np.where(finite, np.where(norm > 1 + NORM_TOL, 2, 0), 1)
-    if fault.ndim == 0 and fault:
-        raise fault_error(int(fault), f"norm {norm}")
-    return replace(s, fault=fault)
+    shape = config_shape(cavity, err)
+    if shape[-1:] not in ((), (1,)):
+        raise ValueError(f"a batched config must end in the length-1 input axis, "
+                         f"got shape {shape}")
+    coeffs = _coeffs(cavity)
+    points = _shape(coeffs, err.cpbs1, err.xi1, err.xi2, *point_fields)
+    basis, coefficients = inputs.state  # every basis input holds the spin ket amps[0, 0, 0]
+    x = _basis_outputs(coeffs, err, basis.amps[0, 0, 0], points).reshape(2, 4, -1)
+    y = np.matmul(coefficients.reshape(-1, 4), x).reshape(2, -1, 4, x.shape[-1] // 4)
+    del x  # the checks below need only y
+    norm = branch_weights(y).sum(axis=0)  # non-finite if an amplitude is
+    fault = np.where(np.isfinite(norm), np.where(norm > 1 + NORM_TOL, 2, 0), 1)
+    # the inputs take the place of a block's length-1 input axis
+    input_axes = coefficients.shape[:-1] or points[-1:]
+    if not input_axes and fault[0, 0]:
+        raise fault_error(int(fault[0, 0]), f"norm {norm[0, 0]}")
+    return y, fault, points[:-1], input_axes
+
+
+def _state(y: np.ndarray, fault: np.ndarray, points: tuple, inputs: tuple) -> JointState:
+    """The outputs of :func:`_run` as a state over (p1, p2, spin), batched over
+    ``points + inputs``: its amplitudes are a view of ``y``."""
+    k, i = len(points), len(inputs)
+    amps = y.reshape((2,) + inputs + (2, 2) + points).transpose(
+        *range(i + 3, i + 3 + k), *range(1, i + 1), i + 1, i + 2, 0)
+    fault = fault.reshape(inputs + points).transpose(*range(i, i + k), *range(i))
+    return JointState((P1, P2, SPIN), amps, fault=fault)
+
+
+def output_columns(state: JointState) -> np.ndarray:
+    """A circuit's output over a line of inputs as (spin, input, photon pair, point).
+
+    That is the layout the circuit computes it in, so this is a view of the
+    array it filled; the point axes are flattened.
+    """
+    q = len(state.batch_shape) - 1
+    amps = state.amps.transpose(q + 3, q, q + 1, q + 2, *range(q))
+    return amps.reshape(2, state.batch_shape[-1], 4, -1)
 
 
 def baseline_cnot(
@@ -273,13 +315,7 @@ def baseline_cnot(
     output.  A config's fields are scalars, or hold a block's grid points
     on arrays whose last axis is the length-1 input axis.
     """
-    shape = config_shape(cavity, err)
-    if shape[-1:] not in ((), (1,)):
-        raise ValueError(f"a batched config must end in the length-1 input axis, "
-                         f"got shape {shape}")
-    basis, coefficients = inputs.state  # every basis input holds the spin ket amps[0, 0, 0]
-    return _checked(_expand(JointState(basis.factors, _basis_outputs(
-        _coeffs(cavity), err, basis.amps[0, 0, 0])), coefficients))
+    return _state(*_run(inputs, cavity, err))
 
 
 def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
@@ -320,13 +356,16 @@ def optimized_cnot(
     cavity: CavityParams | CavityCoeffs,
     err: DeviceErrorConfig = DeviceErrorConfig(),
 ) -> JointState:
-    """Cloner-assisted CNOT: baseline core, switch routing, conditional sign fix."""
-    s = baseline_cnot(inputs, cavity, err)
-    s = with_weight(s, s.weight * cnot_prefactor(err))
-    # diagonal over (control, spin): only the (L, up) amplitude is flipped
-    flip = sign_fix_amplitude(err)
-    sign_fix = matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, flip, 0], [0, 0, 0, 1]])
-    return apply_mode_map(s, (P1, SPIN), sign_fix)
+    """Cloner-assisted CNOT: baseline core, switch routing, conditional sign fix.
+
+    The output checks run on the core output; the sign fix then scales the
+    spin-up, control-L amplitudes at each point, and the prefactor is the
+    state's weight.
+    """
+    y, fault, points, inputs = _run(inputs, cavity, err, err.cpbs2, err.cpbs3, err.cpbs4)
+    flip = np.broadcast_to(sign_fix_amplitude(err), points + (1,))  # the points end in the input axis
+    y[0, :, 2:] *= flip.reshape(-1)  # spin up, control L
+    return with_weight(_state(y, fault, points, inputs), cnot_prefactor(err))
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,20 @@ as success probability), while ``f_up_folded``/``f_down_folded`` keep the
 branch weight inside the number.  The combined ``f_both`` always folds all
 weight in.
 
-An ensemble runs as one batch, against target states built once per
-ensemble.  The circuit runs the four photon-basis inputs and expands
-their outputs to every input of the ensemble (see
+An ensemble runs as one batch.  The circuit runs the four photon-basis
+inputs and combines their outputs into every input's output, laid out
+(spin, input, photon pair, point) with the points last (see
 ``circuits.baseline_cnot``), so the inputs of an ensemble share one
-``spin_init``.  Given a block of grid points (configuration fields holding
-an ``(m, 1, 1)`` array of axis1 values or a ``(1, n, 1)`` array of axis2
-values wherever the grid moves them), :func:`average_fidelity` runs the
-whole block against the whole ensemble at once and reports one value and
-one status per point.
+``spin_init``.  :func:`average_fidelity` reads that array directly: each
+overlap is the input's conjugated truth-table output
+(:attr:`InputEnsemble.targets`, built once per ensemble) against its
+output, each branch weight a sum of squares, and the means over the
+inputs then take each point's squared weight.  Given a block of grid
+points (configuration fields holding an ``(m, 1, 1)`` array of axis1
+values or a ``(1, n, 1)`` array of axis2 values wherever the grid moves
+them), it runs the whole block against the whole ensemble at once and
+reports one value and one status per point.  :func:`target_state` builds
+one input's target as a labeled state, for single runs.
 """
 
 from __future__ import annotations
@@ -39,20 +44,14 @@ from .circuits import (
     CnotInputs,
     DeviceErrorConfig,
     baseline_cnot,
+    branch_weights,
     config_shape,
     fault_error,
     optimized_cnot,
+    output_columns,
 )
 from .devices import SQRT_HALF
-from .state import (
-    JointState,
-    inner_product,
-    make_state,
-    project_spin,
-    read_only,
-    stack,
-    tensor,
-)
+from .state import JointState, make_state, stack, tensor
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,14 @@ class InputEnsemble:
         return stack(self.states)
 
     @cached_property
-    def targets(self) -> dict[str, JointState]:
-        """Target state of each fidelity mode over :attr:`inputs`."""
-        return {mode: read_only(target_state(self.inputs, mode))
-                for mode in ("branch_up", "branch_down", "both")}
+    def targets(self) -> np.ndarray:
+        """Each input's ideal CNOT output over |RR>, |RL>, |LR>, |LL>, conjugated: (inputs, 4).
+
+        Built once per ensemble from :func:`ideal_cnot_photons`, read-only.
+        """
+        targets = np.conj(ideal_cnot_photons(self.inputs).amps).reshape(-1, 4)
+        targets.flags.writeable = False
+        return targets
 
     @classmethod
     @cache
@@ -174,26 +177,13 @@ class FidelityReport:
         return self.f_down / 2
 
 
-def run_circuit(
-    circuit: str,
-    inputs: CnotInputs,
-    cavity: CavityParams | CavityCoeffs,
-    err: DeviceErrorConfig,
-) -> JointState:
-    if circuit == "baseline":
-        return baseline_cnot(inputs, cavity, err)
-    if circuit == "optimized":
-        return optimized_cnot(inputs, cavity, err)
-    raise ValueError(f"unknown circuit {circuit!r}")
-
-
 def average_fidelity(
     circuit: str,
     cavity: CavityParams | CavityCoeffs,
     err: DeviceErrorConfig,
     ensemble: InputEnsemble,
 ) -> FidelityReport:
-    """Arithmetic mean of the per-input fidelities, in a fixed order.
+    """Arithmetic mean of the per-input fidelities, in ensemble order.
 
     ``cavity`` and ``err`` are one configuration, or a block of grid
     points: the fields the grid moves hold arrays over its points that end
@@ -204,22 +194,29 @@ def average_fidelity(
     """
     if not ensemble.states:
         raise ValueError("empty input ensemble")
-    out = run_circuit(circuit, ensemble.inputs, cavity, err)
-    targets = ensemble.targets
-    n = len(ensemble.states)
+    if circuit not in ("baseline", "optimized"):
+        raise ValueError(f"unknown circuit {circuit!r}")
+    run = baseline_cnot if circuit == "baseline" else optimized_cnot
+    out = run(ensemble.inputs, cavity, err)
+    y = output_columns(out)  # (spin, input, photon pair, point), weight not applied
+    n = y.shape[1]
+    points = out.batch_shape[:-1]
+    w2 = np.square(out.weight)  # the optimized circuit's prefactor, per point
+    w2 = w2[..., 0] if np.ndim(w2) else w2
 
-    def mean(values):  # a running sum in ensemble order, then one division
-        return np.cumsum(values, axis=-1)[..., -1] / n
+    def mean(per_input):  # over the inputs in ensemble order, times each point's weight
+        return w2 * (np.add.reduce(per_input, axis=0) / n).reshape(points)
 
-    def overlap(mode):  # |<target|out>|^2, weight folded in, per input
-        return np.abs(inner_product(targets[mode], out)) ** 2
-
+    # <CNOT c_i|out_i> per spin branch, input and point: a (1, 4) @ (4, points) each
+    overlap = np.matmul(ensemble.targets[:, None, :], y)[:, :, 0]
+    up, down = _ideal_output_spin(ensemble.inputs.shared_spin_init)
+    weights = branch_weights(y)  # (spin, input, point)
     values = [
-        mean(2 * overlap("branch_up")),
-        mean(2 * overlap("branch_down")),
-        mean(overlap("both")),
-        mean(project_spin(out, "up")[1]),
-        mean(project_spin(out, "down")[1]),
+        mean(2 * np.abs(overlap[0]) ** 2),
+        mean(2 * np.abs(overlap[1]) ** 2),
+        mean(np.abs(np.conj(up) * overlap[0] + np.conj(down) * overlap[1]) ** 2),
+        mean(weights[0]),
+        mean(weights[1]),
     ]
     # per point, the first input (in ensemble order) that failed a check; a
     # field the circuit ignores (switches on the baseline) or that only moves
@@ -235,5 +232,6 @@ def average_fidelity(
         status = "ok"
     else:
         values = [np.where(first == 0, v, math.nan) for v in values]
-        status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
+        status = (tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
+                  if first.any() else ("ok",) * first.size)
     return FidelityReport(*values, ensemble=ensemble.kind, circuit=circuit, status=status)

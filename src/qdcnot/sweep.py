@@ -273,9 +273,9 @@ def resolve_ensemble(name: str) -> InputEnsemble:
 
 
 # A grid block spans at most CHUNK_POINTS points of the circuit's amplitude
-# stages and at most CHUNK_POINTS // 3 values of each axis: every point of a
-# block, including those of an axis that sets only WEIGHT_ONLY components
-# (no amplitude moves), holds an overlap per input.  Sized by tracemalloc.
+# stages and at most CHUNK_POINTS // 3 values of each axis: an axis that sets
+# only WEIGHT_ONLY components adds no amplitude point, but every point of a
+# block holds its own values and status.  Sized by tracemalloc.
 CHUNK_POINTS = 384
 
 
@@ -381,22 +381,64 @@ def sweep_err_psw(cfg: SimConfig) -> list[list]:
     return [header] + [[r[0], r[1], r[4], r[5]] for r in rows]
 
 
+def _cell_text(cell) -> str:
+    return format(cell, ".10g") if isinstance(cell, float) else str(cell)
+
+
+def _signed_zeros(column: tuple) -> bool:
+    """Does ``column`` hold -0.0?  It is one dict key with 0.0 but prints apart."""
+    zeros = itertools.compress(column, map((0.0).__eq__, column))
+    return any(math.copysign(1.0, z) < 0 for z in zeros)
+
+
+def _column_format(column: tuple):
+    """How to write the cells of one column: None for text, else a function of a cell.
+
+    A float column that repeats its values (a grid axis: at most half as
+    many distinct values as cells, in its first chunk and in all) formats
+    each distinct value once.
+    """
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        return None
+    if kinds != {float}:
+        return _cell_text
+    head = column[:CSV_CHUNK_ROWS]
+    if 2 * len(set(head)) > len(head):
+        return "%.10g".__mod__  # the bytes of format(v, ".10g")
+    distinct = dict.fromkeys(column)
+    if 2 * len(distinct) > len(column) or 0.0 in distinct and _signed_zeros(column):
+        return "%.10g".__mod__
+    for value in distinct:
+        distinct[value] = format(value, ".10g")
+    return distinct.__getitem__
+
+
+# rows written per chunk, so the text of a large table is never held whole
+CSV_CHUNK_ROWS = 512
+
+
 def write_csv(table: list[list], path: str) -> None:
     """UTF-8, comma-separated, 10 significant digits, LF endings.
 
-    Every row whose cells have the types of the first data row's is
-    written with one format string (``%.10g`` gives the bytes of
-    ``format(v, ".10g")``); any other row cell by cell.
+    Every float cell is written as ``format(v, ".10g")``, any other as
+    ``str``.  When the rows after the first have one length they are
+    formatted column by column, in chunks of rows, else row by row.
     """
     if not table:
         raise ValueError("refusing to write an empty table")
-    kinds = [*map(type, table[min(1, len(table) - 1)])]
-    template = ",".join("%.10g" if issubclass(k, float) else "%s" for k in kinds)
-    lines = [template % tuple(row) if [*map(type, row)] == kinds else
-             ",".join([format(c, ".10g") if isinstance(c, float) else str(c) for c in row])
-             for row in table]
+    head, rows = table[0], table[1:]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(map(_cell_text, head)) + "\n")
+        if len(set(map(len, rows))) != 1:
+            fh.writelines(",".join(map(_cell_text, row)) + "\n" for row in rows)
+            return
+        columns = list(zip(*rows))
+        formats = [_column_format(column) for column in columns]
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = [column[start:start + CSV_CHUNK_ROWS] for column in columns]
+            texts = [cells if f is None else [*map(f, cells)] for f, cells in zip(formats, chunk)]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from qdcnot.cavity import (
 )
 from qdcnot.state import PRUNE_TOL, apply_mode_map, make_state
 
-# (pol, dir, spin) labels in the column order of interaction_map: the bits
-# pol (R, L), dir (down, up), spin (up, down), pol most significant
+# (pol, dir, spin) labels: the bits pol (R, L), dir (down, up), spin (up, down)
 LABELS = [(p, d, s) for p in "RL" for d in ("down", "up") for s in ("up", "down")]
+SPINS = ("up", "down")
+# (pol, dir) labels in the row and column order of one spin block of interaction_map
+PD = [(p, d) for p in "RL" for d in ("down", "up")]
 STRONG = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
 WEAK = CavityParams(g=0.45, kappa_s=1.0, gamma=0.1)
 
@@ -87,9 +89,11 @@ def test_strong_coupling_boundary_is_strict():
 
 
 def images(c, src):
-    """Nonzero images of one (pol, dir, spin) label: its column of the interaction map."""
-    column = interaction_map(c)[:, LABELS.index(src)]
-    return {lbl: amp for lbl, amp in zip(LABELS, column.tolist()) if abs(amp) > PRUNE_TOL}
+    """Nonzero images of one (pol, dir, spin) label: its column of its spin's block."""
+    pol, d, spin = src
+    column = interaction_map(c)[SPINS.index(spin), :, PD.index((pol, d))]
+    return {(p, dd, spin): amp for (p, dd), amp in zip(PD, column.tolist())
+            if abs(amp) > PRUNE_TOL}
 
 
 def test_interact_ideal_limit():
@@ -104,13 +108,14 @@ def test_interact_strong_coupling_rule():
 
 
 def test_interact_requires_direction():
-    # the map is 8x8 over (pol, direction, spin): applied to a state without
-    # a direction, it is rejected as a shape mismatch
+    # each spin block is 4x4 over (pol, direction): applied to the
+    # polarization of a state without a direction, it is rejected as a shape
+    # mismatch
     m = interaction_map(CavityCoeffs.ideal())
-    assert m.shape == (8, 8)
+    assert m.shape == (2, 4, 4)
     s = make_state(("pol", "spin"), [(("R", "up"), 1.0)])
-    with pytest.raises(ValueError, match=r"\('pol', 'spin'\) must be 4x4, got \(8, 8\)"):
-        apply_mode_map(s, ("pol", "spin"), m)
+    with pytest.raises(ValueError, match=r"\('pol',\) must be 2x2, got \(4, 4\)"):
+        apply_mode_map(s, "pol", m[0])
 
 
 def _hand_encoded_matrix(c):
@@ -159,9 +164,9 @@ def test_interaction_preserves_spin_and_links_pol_to_dir():
 
 def test_interact_linear_over_spin_superposition():
     c = cavity_coeffs(STRONG)
-    sup = np.zeros(8)
-    sup[[LABELS.index(("R", "down", "up")), LABELS.index(("R", "down", "down"))]] = math.sqrt(0.5)
-    out = interaction_map(c) @ sup
+    sup = np.zeros((2, 4))  # (spin, pol-dir)
+    sup[:, PD.index(("R", "down"))] = math.sqrt(0.5)
+    out = (interaction_map(c) @ sup[..., None])[..., 0]
     for src in (("R", "down", "up"), ("R", "down", "down")):
-        for lbl, amp in images(c, src).items():
-            assert out[LABELS.index(lbl)] == pytest.approx(amp * math.sqrt(0.5))
+        for (pol, d, spin), amp in images(c, src).items():
+            assert out[SPINS.index(spin), PD.index((pol, d))] == pytest.approx(amp * math.sqrt(0.5))

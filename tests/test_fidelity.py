@@ -301,11 +301,14 @@ def test_ensemble_caches_are_built_once_and_locked():
     # the fixed ensembles are built once per process
     assert ensemble is InputEnsemble.superposition4()
     assert InputEnsemble.basis4() is InputEnsemble.basis4()
+    # the per-ensemble target matrix: each input's conjugated ideal CNOT output
     assert ensemble.targets is ensemble.targets
     assert ensemble.inputs.state is ensemble.inputs.state
     basis, coefficients = ensemble.inputs.state
+    assert ensemble.targets.shape == (4, 4)
+    assert np.array_equal(ensemble.targets, np.conj(coefficients[:, [0, 1, 3, 2]]))
     with pytest.raises(ValueError, match="read-only"):
-        ensemble.targets["both"].amps[...] = 0
+        ensemble.targets[...] = 0
     with pytest.raises(ValueError, match="read-only"):
         basis.amps[...] = 0
     with pytest.raises(ValueError, match="read-only"):
@@ -330,17 +333,22 @@ def test_mixed_spin_init_rejected():
 
 
 def test_average_fidelity_runs_the_circuit_once(monkeypatch):
+    import qdcnot.circuits as circuits
+
     calls = []
     for name in ("baseline_cnot", "optimized_cnot"):
         real = getattr(fidelity_module, name)
         monkeypatch.setattr(fidelity_module, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    stages = circuits._basis_outputs
+    monkeypatch.setattr(circuits, "_basis_outputs",
+                        lambda *args: calls.append("stages") or stages(*args))
     err = DeviceErrorConfig.uniform(1e-2, cloner=ClonerConfig(F_UC))
     for circuit in ("baseline", "optimized"):
         for ensemble in (InputEnsemble.basis4(), InputEnsemble.haar_product()):
             calls.clear()
             average_fidelity(circuit, STRONG, err, ensemble)
-            assert calls == [f"{circuit}_cnot"]
+            assert calls == [f"{circuit}_cnot", "stages"]
         calls.clear()
         average_fidelity(circuit, STRONG, switch_line(err), InputEnsemble.superposition4())
-        assert calls == [f"{circuit}_cnot"]
+        assert calls == [f"{circuit}_cnot", "stages"]

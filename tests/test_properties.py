@@ -1,10 +1,12 @@
 """Property tests over random configurations inside the declared config domain.
 
 The batched engine is checked against the independent dense-matrix oracle,
-the closed form, linearity in the input, single runs, and the unit
-interval of the reported fidelities.  The engine runs every input through
-the photon basis and expands it afterwards; the oracle runs each input
-whole.
+the closed form, linearity in the input, single runs, and the bounds the
+reported fidelities obey.  The engine runs every input through the photon
+basis, combines the basis outputs per input, and averages the fidelities
+from that points-last array against each input's truth-table target; the
+oracle runs each input whole, and the ensemble averages are checked
+against plain means of per-input values built from its output vectors.
 """
 
 import math
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from qdcnot.cavity import CavityParams, cavity_coeffs
 from qdcnot.circuits import (
+    NORM_TOL,
     CnotInputs,
     DeviceErrorConfig,
     OutputNormError,
@@ -193,13 +196,85 @@ def test_batch_of_points_and_inputs_equals_single_runs(cavs, errs, inps, circuit
 @PROPERTY
 @given(st.lists(inputs, min_size=1, max_size=4), cavities, errors,
        st.sampled_from(["baseline", "optimized"]))
-def test_fidelities_lie_in_unit_interval(inps, cavity, err, circuit):
+# a non-unitary HWP2 puts more than half of |L L>'s weight into the spin-up
+# branch, so f_up, which divides by the ideal herald weight 1/2, exceeds 1
+@example([CnotInputs.basis("L", "L")], CavityParams(g=4.0, kappa_s=1.0, gamma=1.0),
+         DeviceErrorConfig(xi2=HwpError(1.0)), "baseline")
+def test_fidelities_obey_their_cauchy_schwarz_bounds(inps, cavity, err, circuit):
+    # |<target|out>|^2 <= |out|^2 per branch and input: a branch fidelity is
+    # at most twice its branch weight, a folded one at most the weight, and
+    # no weight exceeds the norm bound the output check enforces
     try:
         report = average_fidelity(circuit, cavity, err, InputEnsemble("drawn", tuple(inps)))
     except AssertionError:  # some output norm exceeds 1
         reject()
-    for value in (report.f_up, report.f_down, report.f_both):
-        assert 0 <= value <= 1 + 1e-12
+    for f, folded, success in ((report.f_up, report.f_up_folded, report.success_up),
+                               (report.f_down, report.f_down_folded, report.success_down)):
+        assert 0 <= f <= 2 * success + 1e-12
+        assert folded <= success + 1e-12
+        assert success <= 1 + NORM_TOL + 1e-12
+    assert report.success_up + report.success_down <= 1 + NORM_TOL + 1e-12
+    assert 0 <= report.f_both <= 1 + 1e-12
+
+
+def test_branch_fidelity_can_exceed_one():
+    # the @example above: the output norm stays below 1 while f_up > 1
+    inp = CnotInputs.basis("L", "L")
+    cavity, err = CavityParams(g=4.0, kappa_s=1.0, gamma=1.0), DeviceErrorConfig(xi2=HwpError(1.0))
+    report = average_fidelity("baseline", cavity, err, InputEnsemble("drawn", (inp,)))
+    assert report.f_up == pytest.approx(1.0338, abs=1e-4)
+    assert report.success_up + report.success_down == pytest.approx(
+        np.sum(np.abs(oracle_output(inp, cavity, err)) ** 2), abs=1e-12)
+    assert report.success_up + report.success_down < 1
+    assert report.f_up_folded <= report.success_up
+
+
+def oracle_ideal_spin():
+    """The spin ket the error-free optimized circuit ends in, from the oracle on |R R>."""
+    v = baseline_dense(1, 0, 1, 0, (0.0, 1.0, 1.0, 0.0))
+    v[[4, 6]] *= -1  # the sign fix; nothing reaches these |L ...> terms from |R R>
+    spin = v[:2]  # |R R up>, |R R down>
+    return spin / np.linalg.norm(spin)
+
+
+ENSEMBLES = st.one_of(
+    st.lists(inputs, min_size=1, max_size=5).map(lambda s: InputEnsemble("drawn", tuple(s))),
+    st.sampled_from([InputEnsemble.basis4(), InputEnsemble.superposition4(),
+                     InputEnsemble.haar_product()]),
+)
+
+
+@PROPERTY
+@given(ENSEMBLES, cavities, errors, st.sampled_from(["baseline", "optimized"]))
+# inputs 2 and 3 exceed norm 1, inputs 0 and 1 do not
+@example(InputEnsemble.superposition4(), CavityParams(g=3.0, kappa_s=0.0, gamma=0.1),
+         DeviceErrorConfig(xi1=HwpError(0.1)), "optimized")
+def test_average_fidelity_is_the_mean_of_oracle_values(ensemble, cavity, err, circuit):
+    # each input's five values from its oracle output against the CNOT truth
+    # table, then the plain mean; a config with an output above norm 1
+    # raises, naming the first such input in ensemble order
+    spins = {"up": np.array([1, 0]), "down": np.array([0, 1]), "both": oracle_ideal_spin()}
+    values, norms = [], []
+    for inp in ensemble.states:
+        out, norm = oracle_circuit_output(circuit, inp, cavity, err)
+        a, b, d, g = inp.alpha, inp.beta, inp.delta, inp.gamma_amp
+        photons = np.array([a * d, a * g, b * g, b * d])  # RR, RL, LR, LL after the CNOT
+        out = out.reshape(4, 2)  # (photon pair, spin)
+        overlap = {k: np.vdot(np.kron(photons, s), out.ravel()) for k, s in spins.items()}
+        values.append([2 * abs(overlap["up"]) ** 2, 2 * abs(overlap["down"]) ** 2,
+                       abs(overlap["both"]) ** 2, *np.sum(np.abs(out) ** 2, axis=0)])
+        norms.append(norm)
+    over = [norm > 1 + NORM_TOL for norm in norms]
+    if any(abs(norm - 1 - NORM_TOL) < 1e-12 for norm in norms):
+        reject()  # too close to the check's bound to say which side the engine lands on
+    if any(over):
+        with pytest.raises(OutputNormError, match=f"{circuit} circuit, input {over.index(True)}$"):
+            average_fidelity(circuit, cavity, err, ensemble)
+        return
+    report = average_fidelity(circuit, cavity, err, ensemble)
+    expected = np.mean(values, axis=0)
+    got = [report.f_up, report.f_down, report.f_both, report.success_up, report.success_down]
+    assert np.max(np.abs(np.array(got) - expected)) < 1e-12
 
 
 @st.composite

@@ -314,27 +314,64 @@ def test_fig4b_runs_its_stages_on_the_err_points_only(monkeypatch):
     # p_sw only scales the optimized circuit's weight, so the canonical
     # 31 x 41 grid runs the amplitude stages on its 31 err values, once
     import qdcnot.circuits as circuits
+    import qdcnot.fidelity as fidelity
 
     stage_points, outputs = [], []
-    loop_pass, baseline = circuits.loop_pass, circuits.baseline_cnot
+    loop_pass, optimized = circuits.loop_pass, fidelity.optimized_cnot
 
     def spy_loop(*args):
         out = loop_pass(*args)
         stage_points.append(out.shape[-1])
         return out
 
-    def spy_baseline(*args):
-        out = baseline(*args)
+    def spy_optimized(*args):
+        out = optimized(*args)
         outputs.append(out.amps.shape)
         return out
 
     monkeypatch.setattr(circuits, "loop_pass", spy_loop)
-    monkeypatch.setattr(circuits, "baseline_cnot", spy_baseline)
+    monkeypatch.setattr(fidelity, "optimized_cnot", spy_optimized)
     table = sweep_err_psw(_config_with(**sweep_mod._TARGET_OVERRIDES["fig4b"]))
     assert len(table) == 1 + 31 * 41
     assert max(stage_points) == 31 and set(stage_points) <= {1, 31}
     # one run; its output spans the 31 err rows, a length-1 p_sw axis and the inputs
     assert outputs == [(31, 1, 4, 2, 2, 2)]
+
+
+# grids whose fault rows the engine must keep: (sweep, overrides of a
+# reproduce target, sha256 of the status column joined by newlines, status
+# counts), recorded with the per-input state engine that preceded the
+# basis-level fidelity arithmetic
+FAULT_GRIDS = (
+    # superposition inputs through a non-unitary HWP1: some outputs exceed norm 1
+    (sweep_coupling, dict(sweep_mod._TARGET_OVERRIDES["fig3a"], ensemble="superposition4",
+                          xi1=0.1),
+     "e9ba04ff62841787f81d980175cfc68e8d215507f4a84a96394f697f339040c6",
+     {"ok": 2317, "error:AssertionError": 184}),
+    # negative coupling rates g on the first 9 columns
+    (sweep_coupling, dict(sweep_mod._TARGET_OVERRIDES["fig3a"], axis2_lo=-0.5),
+     "408e54224b26a3cfcf4456b6d52da2dec1b8181c745ac938d4fa0fb4ea9e43a8",
+     {"ok": 2132, "error:ValueError": 369}),
+    # errors and switch probabilities beyond [0, 1], and norms above 1 inside it
+    (sweep_err_psw, dict(sweep_mod._TARGET_OVERRIDES["fig4b"], axis1_scale="linear",
+                         axis1_lo=0.0, axis1_hi=2.0, axis2_lo=-0.2, axis2_hi=1.2),
+     "7fd210e57c85655969a36881594a57266ad11eda4e76894e425aefdf405a8192",
+     {"ok": 435, "error:ValueError": 807, "error:AssertionError": 29}),
+)
+
+
+@pytest.mark.parametrize("sweep, overrides, digest, counts", FAULT_GRIDS,
+                         ids=["superposition4-xi1", "negative-g", "err-psw-out-of-range"])
+def test_fault_rows_keep_their_statuses(sweep, overrides, digest, counts):
+    import hashlib
+    from collections import Counter
+
+    table = sweep(_config_with(**overrides))
+    status = [row[-1] for row in table[1:]]
+    assert Counter(status) == counts
+    assert hashlib.sha256("\n".join(status).encode()).hexdigest() == digest
+    for row in table[1:]:  # a failed point reports no value
+        assert (row[-1] == "ok") == all(math.isfinite(x) for x in row[2:-1])
 
 
 def test_grid_blocks_keep_their_memory_bound():
@@ -413,18 +450,27 @@ def test_write_csv_format(tmp_path):
 
 
 def test_write_csv_rows_of_other_kinds_keep_per_cell_bytes(tmp_path):
-    # rows of the first data row's kinds share one format string; the rest
-    # (a header, an int, a bool or a string where a float was, a short row)
-    # are written cell by cell, every float as format(v, ".10g")
+    # every float is written as format(v, ".10g") and every other cell as
+    # str, whatever else its row or column holds (a header, an int, a bool or
+    # a string where a float was); the same rows with a short row go row by
+    # row, without it column by column, with a repeating (axis) column
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
               0.1 + 0.2, -123456.78901234, 1e16, 2.5e-7]
-    table = ([["x", "y", "status"]] + [[x, -x, "ok"] for x in values]
-             + [[1, 2.0, "ok"], [True, 0.5, "ok"], [0.5, "ok", 3.0], [0.25]])
-    path = tmp_path / "t.csv"
-    write_csv(table, str(path))
-    expected = [",".join(format(c, ".10g") if isinstance(c, float) else str(c) for c in row)
-                for row in table]
-    assert path.read_text().split("\n") == expected + [""]
+    rows = ([[x, -x, "ok"] for x in values] + [[0.1 + 0.2, x, "ok"] for x in values]
+            + [[1, 2.0, "ok"], [True, 0.5, "ok"], [0.5, "ok", 3.0]])
+    for table in ([["x", "y", "status"]] + rows + [[0.25]], [["x", "y", "status"]] + rows):
+        path = tmp_path / "t.csv"
+        write_csv(table, str(path))
+        expected = [",".join(format(c, ".10g") if isinstance(c, float) else str(c)
+                             for c in row) for row in table]
+        assert path.read_text().split("\n") == expected + [""]
+    # repeating float columns: a zero of either sign, or both
+    for zeros in ((0.0,), (-0.0,), (0.0, -0.0), (-0.0, 0.0)):
+        column = [*zeros, math.nan, 1.5, 1e-300] * 3
+        table = [["axis", "v"]] + [[x, float(k)] for k, x in enumerate(column)]
+        write_csv(table, str(path))
+        assert path.read_text().split("\n")[1:-1] == [
+            f"{format(x, '.10g')},{k}" for k, x in enumerate(column)]
 
 
 def test_write_csv_ten_significant_digits(tmp_path):
