@@ -100,7 +100,7 @@ _STAYS, _FLIPS = np.array([(0, 2) if hot else (1, 3) for hot in _HOT]).T
 
 
 def interaction_map(c: CavityCoeffs) -> np.ndarray:
-    """One pass through the cavity: its two spin blocks, (..., spin, 4, 4).
+    """One pass through the cavity: its two spin blocks, (spin, 4, 4, points...).
 
     The spin branch is never flipped, so the map on (polarization,
     direction, spin) is block-diagonal in the spin; block ``s`` maps
@@ -108,11 +108,12 @@ def interaction_map(c: CavityCoeffs) -> np.ndarray:
     Polarization flips exactly when the propagation direction flips.  A
     transition is hot (coupled) when an odd number of (polarization L,
     direction up, spin down) hold: it stays with t1 and flips with r1; a
-    cold one stays with -t0 and flips with -r0.
+    cold one stays with -t0 and flips with -r0.  The point axes of batched
+    coefficients come last, as the circuit's stages lay them out.
     """
     t1, t0, r1, r0 = np.broadcast_arrays(c.t1, c.t0, c.r1, c.r0)
-    values = np.stack([t1, -t0, r1, -r0], axis=-1)
-    m = np.zeros(t1.shape + (2, 4, 4))
-    m[..., _SPIN, _PD, _PD] = values[..., _STAYS]
-    m[..., _SPIN, _FLIPPED, _PD] = values[..., _FLIPS]
+    values = np.stack([t1, -t0, r1, -r0])
+    m = np.zeros((2, 4, 4) + t1.shape)
+    m[_SPIN, _PD, _PD] = values[_STAYS]
+    m[_SPIN, _FLIPPED, _PD] = values[_FLIPS]
     return m

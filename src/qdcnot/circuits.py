@@ -171,14 +171,12 @@ def config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) ->
     return _shape(cavity, *vars(err).values())
 
 
-def _flat(m: np.ndarray, batch: tuple, k: int = 2) -> np.ndarray:
-    """A (batch..., entries) map with ``k`` entry axes as a contiguous (entries..., points):
-    one point or all of ``batch``."""
-    entries = m.shape[m.ndim - k:]
+def _flat(m: np.ndarray, batch: tuple) -> np.ndarray:
+    """A (batch..., i, j) map as a contiguous (i, j, points): one point or all of ``batch``."""
+    entries = m.shape[-2:]
     if m.size == math.prod(entries):
         return m.reshape(entries + (1,))
-    return np.broadcast_to(m, batch + entries).reshape((-1,) + entries).transpose(
-        *range(1, k + 1), 0).copy()
+    return np.broadcast_to(m, batch + entries).reshape((-1,) + entries).transpose(1, 2, 0).copy()
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,7 +192,10 @@ def loop_pass(cpbs1: CpbsError, coeffs: CavityCoeffs, batch: tuple) -> np.ndarra
     (photon, spin) is block-diagonal: block ``s`` is ``merge · interaction[s] · split``.
     """
     split, merge = (_flat(m, batch) for m in cpbs_loop_maps(cpbs1))
-    return _dot(merge, _dot(_flat(interaction_map(coeffs), batch, 3), split))
+    cavity = interaction_map(coeffs)  # (spin, 4, 4, points...): one point or all of batch
+    cavity = cavity.reshape(2, 4, 4, 1) if cavity.size == 32 else np.broadcast_to(
+        cavity, (2, 4, 4) + batch).reshape(2, 4, 4, -1)
+    return _dot(merge, _dot(cavity, split))
 
 
 def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, spin: np.ndarray,

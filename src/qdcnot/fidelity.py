@@ -26,8 +26,7 @@ inputs then take each point's squared weight.  Given a block of grid
 points (configuration fields holding an ``(m, 1, 1)`` array of axis1
 values or a ``(1, n, 1)`` array of axis2 values wherever the grid moves
 them), it runs the whole block against the whole ensemble at once and
-reports one value and one status per point.  :func:`target_state` builds
-one input's target as a labeled state, for single runs.
+reports one value and one status per point.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .circuits import (
     output_columns,
 )
 from .devices import SQRT_HALF
-from .state import JointState, make_state, stack, tensor
+from .state import JointState, make_state, stack
 
 
 @dataclass(frozen=True)
@@ -132,20 +131,6 @@ def _ideal_output_spin(spin_init: tuple[complex, complex]) -> tuple[complex, com
     if abs(norm - 1) > 1e-9:
         raise AssertionError("ideal pipeline did not produce a product output")
     return (up / norm, down / norm)
-
-
-def target_state(inputs: CnotInputs, mode: str) -> JointState:
-    photons = ideal_cnot_photons(inputs)
-    if mode == "branch_up":
-        spin = make_state("spin", [("up", 1.0)])
-    elif mode == "branch_down":
-        spin = make_state("spin", [("down", 1.0)])
-    elif mode == "both":
-        up, down = _ideal_output_spin(inputs.shared_spin_init)
-        spin = make_state("spin", [("up", up), ("down", down)])
-    else:
-        raise ValueError(f"unknown fidelity mode {mode!r}")
-    return tensor(photons, spin)
 
 
 @dataclass(frozen=True)

@@ -171,21 +171,25 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def stack(items: Sequence, shape: tuple[int, ...] = (-1,)):
+def stack(items: Sequence, shape: tuple[int, ...] = (-1,), shared: bool = False):
     """One value whose leaves hold arrays over ``items``, reshaped to ``shape``.
 
     Dataclasses are stacked field by field and tuples entry by entry, so a
     list of inputs becomes one batched input.  Each item was validated when
-    it was built, so the stacked copy is not validated again.
+    it was built, so the stacked copy is not validated again.  With
+    ``shared`` (items of scalar leaves), a part equal in every item stays
+    the first item's own.
     """
     first = items[0]
+    if shared and all(item == first for item in items):
+        return first
     if dataclasses.is_dataclass(first):
         return replace_unchecked(first, **{
-            f.name: stack([getattr(item, f.name) for item in items], shape)
+            f.name: stack([getattr(item, f.name) for item in items], shape, shared)
             for f in dataclasses.fields(first)
         })
     if isinstance(first, tuple):
-        return tuple(stack(list(column), shape) for column in zip(*items))
+        return tuple(stack(list(column), shape, shared) for column in zip(*items))
     return np.array(items).reshape(shape)
 
 

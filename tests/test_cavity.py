@@ -152,6 +152,19 @@ def test_interaction_table_matches_matrix_oracle():
         assert np.allclose(vec, m[:, idx[src]], atol=1e-15)
 
 
+def test_interaction_map_puts_the_points_last():
+    # batched coefficients keep their point axes after the (spin, 4, 4)
+    # entries; each point's blocks are those of its own coefficients
+    g = np.array([[0.0], [0.45], [2.5]])
+    c = cavity_coeffs(CavityParams(g=g, kappa_s=0.05, gamma=0.1))
+    m = interaction_map(c)
+    assert m.shape == (2, 4, 4, 3, 1)
+    for k, gk in enumerate(g[:, 0]):
+        one = interaction_map(cavity_coeffs(CavityParams(g=gk, kappa_s=0.05, gamma=0.1)))
+        assert one.shape == (2, 4, 4)
+        assert np.array_equal(m[..., k, 0], one)
+
+
 def test_interaction_preserves_spin_and_links_pol_to_dir():
     c = cavity_coeffs(STRONG)
     for pol, d, spin in LABELS:

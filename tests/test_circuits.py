@@ -290,11 +290,12 @@ def test_loop_pass_is_the_spin_blocks_of_the_folded_pass():
         with_spin = [(m[..., :, None, :, None] * eye[:, None, :]).reshape(
             m.shape[:-2] + (2 * m.shape[-2], 2 * m.shape[-1])) for m in (split, merge)]
         # the interaction's spin blocks placed on (pol-dir, spin), spin least significant
-        spin_blocks = interaction_map(coeffs)
-        interaction = np.zeros(spin_blocks.shape[:-3] + (4, 2, 4, 2))
+        spin_blocks = interaction_map(coeffs)  # (spin, 4, 4, points...)
+        points = spin_blocks.shape[3:]
+        interaction = np.zeros(points + (4, 2, 4, 2))
         for s in (0, 1):
-            interaction[..., :, s, :, s] = spin_blocks[..., s, :, :]
-        fold = with_spin[1] @ interaction.reshape(spin_blocks.shape[:-3] + (8, 8)) @ with_spin[0]
+            interaction[..., :, s, :, s] = np.moveaxis(spin_blocks[s], (0, 1), (-2, -1))
+        fold = with_spin[1] @ interaction.reshape(points + (8, 8)) @ with_spin[0]
         batch = fold.shape[:-2]
         blocks = fold.reshape(batch + (2, 2, 2, 2))  # (photon out, spin out, photon in, spin in)
         assert not np.any(blocks[..., :, 0, :, 1]) and not np.any(blocks[..., :, 1, :, 0])

@@ -13,7 +13,6 @@ from qdcnot.fidelity import (
     InputEnsemble,
     average_fidelity,
     ideal_cnot_photons,
-    target_state,
 )
 from qdcnot.state import (
     inner_product,
@@ -30,6 +29,20 @@ IDEAL = CavityCoeffs.ideal()
 STRONG = cavity_coeffs(CavityParams(g=2.5, kappa_s=0.05, gamma=0.1))
 WEAK = cavity_coeffs(CavityParams(g=0.45, kappa_s=1.0, gamma=0.1))
 NO_ERR = DeviceErrorConfig()
+
+
+def target_state(inputs, mode):
+    """One input's ideal CNOT output tensored with the target spin of ``mode``."""
+    if mode == "branch_up":
+        spin = make_state("spin", [("up", 1.0)])
+    elif mode == "branch_down":
+        spin = make_state("spin", [("down", 1.0)])
+    elif mode == "both":
+        up, down = fidelity_module._ideal_output_spin(inputs.shared_spin_init)
+        spin = make_state("spin", [("up", up), ("down", down)])
+    else:
+        raise ValueError(f"unknown fidelity mode {mode!r}")
+    return tensor(ideal_cnot_photons(inputs), spin)
 
 
 def fidelity_single(out, inputs, mode):

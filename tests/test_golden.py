@@ -1,6 +1,7 @@
 """Every cell of three ``reproduce`` outputs against the recorded references.
 
-The ``table_anchors`` summary text is pinned byte for byte as well.
+The summary text of every ``reproduce`` target is pinned byte for byte as
+well.
 
 ``bench/reference/`` holds ``fig3a.csv``, ``fig4b.csv`` and
 ``table_anchors.csv`` as recorded from a known-good tree.  Numbers must
@@ -74,3 +75,25 @@ def test_anchor_summary_text(tmp_path):
     out = reproduce("table_anchors", str(tmp_path))
     assert out["summary"] == ANCHOR_SUMMARY
     assert Path(out["summary_path"]).read_text(encoding="utf-8") == ANCHOR_SUMMARY
+
+
+# The summary of each grid target, as a known-good tree prints it: the lines
+# of the anchors that target checks
+IDEAL_SUMMARY = (
+    "baseline_strong_ideal: expected 0.9374 +/- 0.0100, got 0.937089 (basis4) -> PASS\n"
+    "baseline_weak_ideal: expected 0.3234 +/- 0.0100, got 0.323419 (basis4) -> PASS\n"
+)
+GRID_SUMMARIES = {
+    "fig3a": IDEAL_SUMMARY,
+    "fig3b": IDEAL_SUMMARY,
+    "fig4a": "optimized_measured_switches: expected 0.2627 +/- 0.0150, got 0.264931 (basis4)"
+             " -> PASS\n",
+    "fig4b": "optimized_best_case: expected 0.7800 +/- 0.0100, got 0.780210 (basis4) -> PASS\n",
+}
+
+
+@pytest.mark.parametrize("target", sorted(GRID_SUMMARIES))
+def test_grid_summary_text(target, tmp_path):
+    out = reproduce(target, str(tmp_path))
+    assert out["summary"] == GRID_SUMMARIES[target]
+    assert Path(out["summary_path"]).read_text(encoding="utf-8") == GRID_SUMMARIES[target]

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import qdcnot.sweep as sweep_mod
-from qdcnot.fidelity import InputEnsemble
+from qdcnot.cavity import CavityParams
+from qdcnot.circuits import DeviceErrorConfig, OutputNormError, config_shape
+from qdcnot.devices import HwpError
+from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.sweep import (
     ANCHORS,
     ConfigError,
@@ -305,7 +308,8 @@ def test_grid_without_a_valid_column_runs_nothing(monkeypatch):
     for invalid in (dict(axis2_lo=1.5, axis2_hi=2.0),
                     dict(axis2="g_over_kappa", axis2_lo=-2.0, axis2_hi=-1.0),
                     dict(axis1_lo=1.5, axis1_hi=2.0)):
-        table = sweep_mod._run_grid(err_psw_cfg(**invalid), InputEnsemble.basis4())
+        columns = sweep_mod._run_grid(err_psw_cfg(**invalid), InputEnsemble.basis4())
+        table = list(zip(*columns))  # rows
         assert len(table) == 9
         assert all(r[5] == "error:ValueError" and all(map(math.isnan, r[2:5])) for r in table)
 
@@ -524,20 +528,65 @@ def test_check_anchors_flags_calibration_mismatch():
     assert results[0].best_ensemble == "basis4"
 
 
-def test_check_anchors_evaluates_each_anchor_ensemble_pair_once(monkeypatch):
+def spy_engine(monkeypatch):
+    """Record (circuit, ensemble, points) of every engine call made through the sweep module."""
     seen = []
     real = sweep_mod.average_fidelity
 
     def counted(circuit, cavity, err, ensemble):
-        seen.append((circuit, cavity, err, ensemble.kind))
+        seen.append((circuit, ensemble.kind, math.prod(config_shape(cavity, err))))
         return real(circuit, cavity, err, ensemble)
 
     monkeypatch.setattr(sweep_mod, "average_fidelity", counted)
+    return seen
+
+
+def test_check_anchors_evaluates_each_anchor_ensemble_pair_once(monkeypatch):
+    seen = spy_engine(monkeypatch)
     results = check_anchors(calibrate_ensemble())
     assert [r.status for r in results].count("DOCUMENTED") == 1
-    # 6 anchors on the check ensemble, plus the documented residual's two
-    # other candidate ensembles; the qualitative claims reuse the first six
-    assert len(seen) == len(set(seen)) == 8
+    # the 6 anchors on the check ensemble as one block per circuit, then the
+    # documented residual alone on the two other candidate ensembles; the
+    # qualitative claims reuse the first blocks' values
+    assert seen == [("baseline", "basis4", 4), ("optimized", "basis4", 2),
+                    ("baseline", "superposition4", 1), ("baseline", "haar_product", 1)]
+    assert len({call[:2] for call in seen}) == len(seen)
+
+
+def test_calibration_runs_one_block_per_ensemble(monkeypatch):
+    seen = spy_engine(monkeypatch)
+    assert calibrate_ensemble.__wrapped__().kind == "basis4"
+    assert seen == [("baseline", kind, 2) for kind in ("basis4", "superposition4", "haar_product")]
+
+
+@pytest.mark.parametrize("kind", ["basis4", "superposition4", "haar_product"])
+def test_anchor_blocks_equal_single_configs(kind):
+    # one block per circuit gives each anchor the value its own config gives:
+    # bit for bit on basis4, within rounding of the summation on the others
+    ensemble = sweep_mod.ENSEMBLES[kind]()
+    batched = sweep_mod._anchor_values(ANCHORS, ensemble)
+    for anchor, value in zip(ANCHORS, batched):
+        report = average_fidelity(anchor.circuit, anchor.cavity, anchor.errors, ensemble)
+        single = (max(report.f_up, report.f_down) if anchor.metric == "best_branch"
+                  else report.f_both)
+        if kind == "basis4":
+            assert value == single, anchor.name
+        else:
+            assert abs(value - single) <= 1e-15, anchor.name
+
+
+def test_a_faulting_anchor_in_a_block_raises_by_name():
+    # kappa_s = 0, g = 0.7 with xi1 = 0.1 is a fault row of the superposition4
+    # coupling grid (test_fault_rows_keep_their_statuses): its output norm exceeds 1
+    ensemble = InputEnsemble.superposition4()
+    bad = replace(ANCHORS[0], name="norm_fault",
+                  cavity=CavityParams(g=0.7, kappa_s=0.0, gamma=0.1),
+                  errors=DeviceErrorConfig(xi1=HwpError(0.1)))
+    with pytest.raises(Exception) as single:
+        average_fidelity(bad.circuit, bad.cavity, bad.errors, ensemble)
+    assert type(single.value) is OutputNormError
+    with pytest.raises(OutputNormError, match="output norm exceeds 1: anchor norm_fault"):
+        check_anchors(ensemble, (ANCHORS[1], bad, ANCHORS[3]))
 
 
 def test_reproduce_fig3a_surface(tmp_path):
