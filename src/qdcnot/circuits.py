@@ -31,13 +31,17 @@ element.  The circuit is linear in its input, so the stages
 (:func:`_basis_outputs`, their one definition) run only on the
 photon-basis inputs, all with the batch's one spin; no stage flips the
 spin, so each photon's stages are 2x2 maps per spin branch and point
-(:func:`loop_pass`).  Each input's output is then the combination of the
-four basis outputs its own coefficients give, computed with the points
-on the last axis, (spin, input, photon pair, point); the output checks
-run on it, the optimized circuit's sign fix scales it per point, and the
-returned state's amplitudes are a view of it (:func:`output_columns`
-reads it back).  A field that only scales the global weight
-(:data:`WEIGHT_ONLY`) adds no point to the stages.
+(:func:`loop_pass`).  The stage maps come points-last from ``devices``
+and ``cavity``, (entries..., points...), and run in that layout.  Each
+input's output is then the combination of the four basis outputs its own
+coefficients give, computed with the points on the last axis, (spin,
+input, photon pair, point); the output checks run on it, the optimized
+circuit's sign fix scales it per point, and the returned
+:class:`CircuitOutput` keeps it as ``columns``, with its amplitudes a view
+of it and each spin branch's squared norm alongside.  A field that only
+scales the global weight (:data:`WEIGHT_ONLY`) adds no point to the
+stages; the config's shape and the stages' point shape are read in one
+walk over its fields (:func:`config_shapes`).
 """
 
 from __future__ import annotations
@@ -161,22 +165,26 @@ def _coeffs(cavity: CavityParams | CavityCoeffs) -> CavityCoeffs:
     return cavity if isinstance(cavity, CavityCoeffs) else cavity_coeffs(cavity)
 
 
-def _shape(*parts) -> tuple:
-    """Broadcast shape of every field of ``parts``: () for scalars, else that of their arrays."""
-    return np.broadcast_shapes(*{getattr(v, "shape", ()) for p in parts for v in vars(p).values()})
+def config_shapes(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
+                  reads: tuple[str, ...]) -> tuple[tuple, tuple]:
+    """Broadcast shapes of every config field and of the fields of the parts
+    named in ``reads`` ("cavity" or a :class:`DeviceErrorConfig` field), from
+    one walk over the fields: () for one config, (m, n, 1) for a grid block."""
+    shapes = {(name, getattr(v, "shape", ()))
+              for name, part in (("cavity", cavity), *vars(err).items())
+              for v in vars(part).values()}
+    return (np.broadcast_shapes(*{shape for _, shape in shapes}),
+            np.broadcast_shapes(*{shape for name, shape in shapes if name in reads}))
 
 
-def config_shape(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig) -> tuple:
-    """Broadcast shape of every config field: () for one config, (m, n, 1) for a grid block."""
-    return _shape(cavity, *vars(err).values())
-
-
-def _flat(m: np.ndarray, batch: tuple) -> np.ndarray:
-    """A (batch..., i, j) map as a contiguous (i, j, points): one point or all of ``batch``."""
-    entries = m.shape[-2:]
-    if m.size == math.prod(entries):
-        return m.reshape(entries + (1,))
-    return np.broadcast_to(m, batch + entries).reshape((-1,) + entries).transpose(1, 2, 0).copy()
+def _flat(m: np.ndarray, batch: tuple, k: int = 2) -> np.ndarray:
+    """A map with ``k`` entry axes, then the point axes of its fields, as
+    (entries..., points): one point, or all of ``batch``."""
+    if m.ndim == k:
+        return m.reshape(m.shape + (1,))
+    if m.shape[k:] != batch:  # its fields leave out an axis of the block
+        m = np.broadcast_to(m, m.shape[:k] + batch)
+    return m.reshape(m.shape[:k] + (-1,))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,10 +200,7 @@ def loop_pass(cpbs1: CpbsError, coeffs: CavityCoeffs, batch: tuple) -> np.ndarra
     (photon, spin) is block-diagonal: block ``s`` is ``merge · interaction[s] · split``.
     """
     split, merge = (_flat(m, batch) for m in cpbs_loop_maps(cpbs1))
-    cavity = interaction_map(coeffs)  # (spin, 4, 4, points...): one point or all of batch
-    cavity = cavity.reshape(2, 4, 4, 1) if cavity.size == 32 else np.broadcast_to(
-        cavity, (2, 4, 4) + batch).reshape(2, 4, 4, -1)
-    return _dot(merge, _dot(cavity, split))
+    return _dot(merge, _dot(_flat(interaction_map(coeffs), batch, 3), split))
 
 
 def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, spin: np.ndarray,
@@ -252,73 +257,6 @@ def fault_error(code: int, detail: str) -> Exception:
     return kind(f"{what}: {detail}")
 
 
-def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
-         *point_fields) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
-    """Each input's core output, checked: (outputs, faults, point axes, input axes).
-
-    The stages run on the photon basis of ``inputs`` (see
-    :attr:`CnotInputs.state`) at the points of the fields they read and of
-    ``point_fields``; each input's output is its coefficients' combination
-    of the four basis outputs, one ``(inputs, 4) @ (4, 4·points)`` matmul per
-    spin, laid out (spin, input, photon pair, point).  The output checks
-    flag each input and point whose output is non-finite (code 1) or has
-    norm > 1 (code 2) in an (input, point) array; a single run raises.
-    """
-    shape = config_shape(cavity, err)
-    if shape[-1:] not in ((), (1,)):
-        raise ValueError(f"a batched config must end in the length-1 input axis, "
-                         f"got shape {shape}")
-    coeffs = _coeffs(cavity)
-    points = _shape(coeffs, err.cpbs1, err.xi1, err.xi2, *point_fields)
-    basis, coefficients = inputs.state  # every basis input holds the spin ket amps[0, 0, 0]
-    x = _basis_outputs(coeffs, err, basis.amps[0, 0, 0], points).reshape(2, 4, -1)
-    y = np.matmul(coefficients.reshape(-1, 4), x).reshape(2, -1, 4, x.shape[-1] // 4)
-    del x  # the checks below need only y
-    norm = branch_weights(y).sum(axis=0)  # non-finite if an amplitude is
-    fault = np.where(np.isfinite(norm), np.where(norm > 1 + NORM_TOL, 2, 0), 1)
-    # the inputs take the place of a block's length-1 input axis
-    input_axes = coefficients.shape[:-1] or points[-1:]
-    if not input_axes and fault[0, 0]:
-        raise fault_error(int(fault[0, 0]), f"norm {norm[0, 0]}")
-    return y, fault, points[:-1], input_axes
-
-
-def _state(y: np.ndarray, fault: np.ndarray, points: tuple, inputs: tuple) -> JointState:
-    """The outputs of :func:`_run` as a state over (p1, p2, spin), batched over
-    ``points + inputs``: its amplitudes are a view of ``y``."""
-    k, i = len(points), len(inputs)
-    amps = y.reshape((2,) + inputs + (2, 2) + points).transpose(
-        *range(i + 3, i + 3 + k), *range(1, i + 1), i + 1, i + 2, 0)
-    fault = fault.reshape(inputs + points).transpose(*range(i, i + k), *range(i))
-    return JointState((P1, P2, SPIN), amps, fault=fault)
-
-
-def output_columns(state: JointState) -> np.ndarray:
-    """A circuit's output over a line of inputs as (spin, input, photon pair, point).
-
-    That is the layout the circuit computes it in, so this is a view of the
-    array it filled; the point axes are flattened.
-    """
-    q = len(state.batch_shape) - 1
-    amps = state.amps.transpose(q + 3, q, q + 1, q + 2, *range(q))
-    return amps.reshape(2, state.batch_shape[-1], 4, -1)
-
-
-def baseline_cnot(
-    inputs: CnotInputs,
-    cavity: CavityParams | CavityCoeffs,
-    err: DeviceErrorConfig = DeviceErrorConfig(),
-) -> JointState:
-    """Spin-cavity CNOT without the sign fix; uses xi1, xi2 and CPBS1 only.
-
-    The stages run on the photon basis of ``inputs`` (see
-    :attr:`CnotInputs.state`), and the output checks on each input's
-    output.  A config's fields are scalars, or hold a block's grid points
-    on arrays whose last axis is the length-1 input axis.
-    """
-    return _state(*_run(inputs, cavity, err))
-
-
 def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
     """Amplitude of the conditional sign flip on the spin-up control-L terms.
 
@@ -329,6 +267,82 @@ def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
     return -np.sqrt(
         (1 - err.cpbs2.tau_l) * (1 - err.cpbs3.tau_l) * (1 - err.cpbs4.tau_r)
     )
+
+
+@dataclass(frozen=True)
+class CircuitOutput(JointState):
+    """A circuit's output: a state over (p1, p2, spin), batched over the
+    config's points and the inputs, whose amplitudes are a view of ``columns``.
+
+    ``columns`` is the array the circuit computed the outputs in, (spin,
+    input, photon pair, point) with the point axes flattened and the global
+    weight not applied, and ``spin_weights`` is :func:`branch_weights` of it.
+    ``fault`` has every point axis of the config, then the inputs.
+    """
+
+    columns: np.ndarray | None = None
+    spin_weights: np.ndarray | None = None
+
+
+# the config parts the stages read, then those the sign fix reads as well
+_CORE_READS = ("cavity", "xi1", "xi2", "cpbs1")
+_SIGN_FIX_READS = _CORE_READS + ("cpbs2", "cpbs3", "cpbs4")
+
+
+def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
+         sign_fix: bool) -> CircuitOutput:
+    """Each input's output, checked, then with the sign fix if ``sign_fix``.
+
+    The stages run on the photon basis of ``inputs`` (see
+    :attr:`CnotInputs.state`) at the points of the fields they read (and,
+    with ``sign_fix``, of those the sign fix reads); each input's output is
+    its coefficients' combination of the four basis outputs, one ``(inputs,
+    4) @ (4, 4·points)`` matmul per spin, laid out (spin, input, photon
+    pair, point).  The output checks flag each input and point whose output
+    is non-finite (code 1) or has norm > 1 (code 2); a single run raises.
+    The sign fix then scales the spin-up, control-L amplitudes per point.
+    """
+    shape, points = config_shapes(cavity, err, _SIGN_FIX_READS if sign_fix else _CORE_READS)
+    if shape[-1:] not in ((), (1,)):
+        raise ValueError(f"a batched config must end in the length-1 input axis, "
+                         f"got shape {shape}")
+    coeffs = _coeffs(cavity)
+    basis, coefficients = inputs.state  # every basis input holds the spin ket amps[0, 0, 0]
+    x = _basis_outputs(coeffs, err, basis.amps[0, 0, 0], points).reshape(2, 4, -1)
+    y = np.matmul(coefficients.reshape(-1, 4), x).reshape(2, -1, 4, x.shape[-1] // 4)
+    del x  # the checks below need only y
+    weights = branch_weights(y)
+    norm = weights.sum(axis=0)  # non-finite if an amplitude is
+    fault = np.where(np.isfinite(norm), np.where(norm > 1 + NORM_TOL, 2, 0), 1)
+    # the inputs take the place of a block's length-1 input axis
+    inputs = coefficients.shape[:-1] or points[-1:]
+    if not inputs and fault[0, 0]:
+        raise fault_error(int(fault[0, 0]), f"norm {norm[0, 0]}")
+    if sign_fix:  # spin up, control L
+        y[0, :, 2:] *= np.broadcast_to(sign_fix_amplitude(err), points).reshape(-1)
+        weights = branch_weights(y)
+    points = points[:-1]
+    k, i = len(points), len(inputs)
+    amps = y.reshape((2,) + inputs + (2, 2) + points).transpose(
+        *range(i + 3, i + 3 + k), *range(1, i + 1), i + 1, i + 2, 0)
+    fault = fault.reshape(inputs + points).transpose(*range(i, i + k), *range(i))
+    return CircuitOutput((P1, P2, SPIN), amps, fault=np.broadcast_to(fault, shape[:-1] + inputs),
+                         columns=y, spin_weights=weights)
+
+
+def baseline_cnot(
+    inputs: CnotInputs,
+    cavity: CavityParams | CavityCoeffs,
+    err: DeviceErrorConfig = DeviceErrorConfig(),
+) -> CircuitOutput:
+    """Spin-cavity CNOT without the sign fix; uses xi1, xi2 and CPBS1 only.
+
+    The stages run on the photon basis of ``inputs`` (see
+    :attr:`CnotInputs.state`), and the output checks on each input's
+    output.  A config's fields are scalars, or hold a block's grid points
+    on arrays whose last axis is the length-1 input axis.
+    """
+    return _run(inputs, cavity, err, sign_fix=False)
 
 
 # the DeviceErrorConfig fields that only scale the optimized circuit's
@@ -356,17 +370,14 @@ def optimized_cnot(
     inputs: CnotInputs,
     cavity: CavityParams | CavityCoeffs,
     err: DeviceErrorConfig = DeviceErrorConfig(),
-) -> JointState:
+) -> CircuitOutput:
     """Cloner-assisted CNOT: baseline core, switch routing, conditional sign fix.
 
     The output checks run on the core output; the sign fix then scales the
     spin-up, control-L amplitudes at each point, and the prefactor is the
     state's weight.
     """
-    y, fault, points, inputs = _run(inputs, cavity, err, err.cpbs2, err.cpbs3, err.cpbs4)
-    flip = np.broadcast_to(sign_fix_amplitude(err), points + (1,))  # the points end in the input axis
-    y[0, :, 2:] *= flip.reshape(-1)  # spin up, control L
-    return with_weight(_state(y, fault, points, inputs), cnot_prefactor(err))
+    return with_weight(_run(inputs, cavity, err, sign_fix=True), cnot_prefactor(err))
 
 
 @dataclass(frozen=True)

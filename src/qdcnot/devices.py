@@ -12,9 +12,11 @@ as the factor sqrt(T or R) each routed leg contributes
 
 In a block of grid points the swept fields hold an array (one entry per
 row or column of the block, built with ``state.replace_unchecked``); each
-map function then returns a batched matrix.  Each field's domain is
-declared once, in its class's ``DOMAIN``, as a test that holds per value
-of a scalar or array.
+map function then returns a batched matrix with the entries first and the
+field's point axes last, ``(i, j, *shape)``, the layout the circuit's
+stages run in; a map of scalar fields is a plain ``(i, j)`` matrix.  Each
+field's domain is declared once, in its class's ``DOMAIN``, as a test that
+holds per value of a scalar or array.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import check_domain, matrix
+from .state import check_domain
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -85,7 +87,7 @@ def hwp_map(err: HwpError) -> np.ndarray:
     """
     c = np.sqrt((1 - err.xi) / 2)
     s = np.sqrt((1 + err.xi) / 2)
-    return matrix([[c, c], [s, -s]])
+    return np.array([[c, c], [s, -s]])
 
 
 def cpbs_loop_maps(err: CpbsError) -> tuple[np.ndarray, np.ndarray]:
@@ -99,13 +101,14 @@ def cpbs_loop_maps(err: CpbsError) -> tuple[np.ndarray, np.ndarray]:
     """
     sr, sl = np.sqrt(err.tau_r), np.sqrt(err.tau_l)
     cr, cl = np.sqrt(1 - err.tau_r), np.sqrt(1 - err.tau_l)
-    split = matrix([[cr, 0], [sr, 0], [0, sl], [0, cl]])
-    return split, np.swapaxes(split, -1, -2)
+    split = np.zeros((4, 2) + np.broadcast(sr, sl).shape)
+    split[0, 0], split[1, 0], split[2, 1], split[3, 1] = cr, sr, sl, cl
+    return split, np.swapaxes(split, 0, 1)
 
 
 def spin_hadamard() -> np.ndarray:
     """pi/2 rotation of the electron spin (applied by microwave pulse)."""
-    return matrix([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
+    return np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
 
 
 _PATH_COEFF = {"I1->O2": "t12", "I2->O1": "t21", "I1->O1": "r11", "I2->O2": "r22"}

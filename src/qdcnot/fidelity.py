@@ -18,15 +18,16 @@ An ensemble runs as one batch.  The circuit runs the four photon-basis
 inputs and combines their outputs into every input's output, laid out
 (spin, input, photon pair, point) with the points last (see
 ``circuits.baseline_cnot``), so the inputs of an ensemble share one
-``spin_init``.  :func:`average_fidelity` reads that array directly: each
-overlap is the input's conjugated truth-table output
-(:attr:`InputEnsemble.targets`, built once per ensemble) against its
-output, each branch weight a sum of squares, and the means over the
-inputs then take each point's squared weight.  Given a block of grid
-points (configuration fields holding an ``(m, 1, 1)`` array of axis1
-values or a ``(1, n, 1)`` array of axis2 values wherever the grid moves
-them), it runs the whole block against the whole ensemble at once and
-reports one value and one status per point.
+``spin_init``.  :func:`average_fidelity` reads that array directly
+(``CircuitOutput.columns``): each overlap is the input's conjugated
+truth-table output (:attr:`InputEnsemble.targets`, built once per
+ensemble) against its output, each branch weight is the one the circuit
+computed (``CircuitOutput.spin_weights``), and the five means over the
+inputs, taken in one reduction, then take each point's squared weight.
+Given a block of grid points (configuration fields holding an ``(m, 1,
+1)`` array of axis1 values or a ``(1, n, 1)`` array of axis2 values
+wherever the grid moves them), it runs the whole block against the whole
+ensemble at once and reports one value and one status per point.
 """
 
 from __future__ import annotations
@@ -43,11 +44,8 @@ from .circuits import (
     CnotInputs,
     DeviceErrorConfig,
     baseline_cnot,
-    branch_weights,
-    config_shape,
     fault_error,
     optimized_cnot,
-    output_columns,
 )
 from .devices import SQRT_HALF
 from .state import JointState, make_state, stack
@@ -183,40 +181,37 @@ def average_fidelity(
         raise ValueError(f"unknown circuit {circuit!r}")
     run = baseline_cnot if circuit == "baseline" else optimized_cnot
     out = run(ensemble.inputs, cavity, err)
-    y = output_columns(out)  # (spin, input, photon pair, point), weight not applied
+    y = out.columns  # (spin, input, photon pair, point), weight not applied
     n = y.shape[1]
-    points = out.batch_shape[:-1]
     w2 = np.square(out.weight)  # the optimized circuit's prefactor, per point
     w2 = w2[..., 0] if np.ndim(w2) else w2
-
-    def mean(per_input):  # over the inputs in ensemble order, times each point's weight
-        return w2 * (np.add.reduce(per_input, axis=0) / n).reshape(points)
 
     # <CNOT c_i|out_i> per spin branch, input and point: a (1, 4) @ (4, points) each
     overlap = np.matmul(ensemble.targets[:, None, :], y)[:, :, 0]
     up, down = _ideal_output_spin(ensemble.inputs.shared_spin_init)
-    weights = branch_weights(y)  # (spin, input, point)
-    values = [
-        mean(2 * np.abs(overlap[0]) ** 2),
-        mean(2 * np.abs(overlap[1]) ** 2),
-        mean(np.abs(np.conj(up) * overlap[0] + np.conj(down) * overlap[1]) ** 2),
-        mean(weights[0]),
-        mean(weights[1]),
-    ]
-    # per point, the first input (in ensemble order) that failed a check; a
-    # field the circuit ignores (switches on the baseline) or that only moves
-    # the weight (switches on the optimized circuit) leaves the amplitudes
-    # without a point axis, so the points come from the config's shape
-    fault = np.broadcast_to(out.fault, np.broadcast_shapes(config_shape(cavity, err),
-                                                           out.batch_shape))
-    first = np.take_along_axis(fault, np.argmax(fault != 0, axis=-1)[..., None], -1)[..., 0]
-    if first.ndim == 0:
-        if first:
-            raise fault_error(int(first), f"{circuit} circuit, input {int(np.argmax(fault))}")
-        values = [float(v) for v in values]
-        status = "ok"
+    per_input = np.concatenate([
+        2 * np.abs(overlap) ** 2,
+        (np.abs(np.conj(up) * overlap[0] + np.conj(down) * overlap[1]) ** 2)[None],
+        out.spin_weights,
+    ])  # f_up, f_down, f_both, success_up, success_down: (5, input, point)
+    # the fault has every point axis of the config; a field the circuit
+    # ignores (switches on the baseline) or that only moves the weight
+    # (switches on the optimized circuit) gives the amplitudes no point axis
+    fault = out.fault
+    points = fault.shape[:-1]
+    amp_points = out.batch_shape[:-1]
+    # the means over the inputs in ensemble order, times each point's weight;
+    # the amplitudes' point axes line up with the config's last ones
+    means = w2 * (np.add.reduce(per_input, axis=1) / n).reshape(
+        (5,) + (1,) * (len(points) - len(amp_points)) + amp_points)
+    if not fault.any():
+        values = means.tolist() if not points else np.broadcast_to(means, (5,) + points)
+        status = "ok" if not points else ("ok",) * math.prod(points)
     else:
-        values = [np.where(first == 0, v, math.nan) for v in values]
-        status = (tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
-                  if first.any() else ("ok",) * first.size)
+        # per point, the first input (in ensemble order) that failed a check
+        first = np.take_along_axis(fault, np.argmax(fault != 0, axis=-1)[..., None], -1)[..., 0]
+        if not points:
+            raise fault_error(int(first), f"{circuit} circuit, input {int(np.argmax(fault))}")
+        values = np.where(first == 0, means, math.nan)
+        status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
     return FidelityReport(*values, ensemble=ensemble.kind, circuit=circuit, status=status)

@@ -126,20 +126,6 @@ def _sorted(factors: Sequence[str], amps: np.ndarray, **fields) -> JointState:
     return JointState(tuple(factors[i] for i in order), amps, **fields)
 
 
-def matrix(rows: Sequence[Sequence]) -> np.ndarray:
-    """Collect rows of scalar or array entries into one (batch..., n, m) map."""
-    entries = [x for row in rows for x in row]
-    dtype = np.result_type(float, *entries)
-    shapes = [x.shape for x in entries if getattr(x, "ndim", 0)]
-    if not shapes:
-        return np.array(rows, dtype=dtype)
-    out = np.empty(np.broadcast_shapes(*shapes) + (len(rows), len(rows[0])), dtype=dtype)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[..., i, j] = x
-    return out
-
-
 def replace_unchecked(item, **changes):
     """Copy of a frozen dataclass with ``changes`` applied, without its checks.
 
@@ -240,7 +226,8 @@ def apply_mode_map(state: JointState, mode: ModeSelector, rules: np.ndarray) -> 
     """Apply a linear map to one (possibly composite) tensor factor.
 
     ``rules`` is a square (batch..., 2**len(mode), 2**len(mode)) matrix
-    whose batch axes broadcast against the state's.  Non-unitary maps are
+    whose batch axes broadcast against the state's (a batched ``devices``
+    map has its point axes last: move them first).  Non-unitary maps are
     applied as given; callers own any norm bounds.
     """
     names = _as_names(mode)

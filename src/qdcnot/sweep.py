@@ -26,9 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Sequence
+import stat
+from collections.abc import Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -281,12 +284,16 @@ def resolve_ensemble(name: str) -> InputEnsemble:
 CHUNK_POINTS = 384
 
 
-def _axis_fields(axis: str) -> dict[str, list[str]]:
-    """Component name -> the names of the fields one value of ``axis`` sets."""
+@cache
+def _axis_fields(axis: str) -> Mapping[str, tuple[str, ...]]:
+    """Component name -> the names of the fields one value of ``axis`` sets.
+
+    Built once per axis, and read-only: every caller gets the same mapping.
+    """
     keys = AXIS_KEYS[axis]
-    return {name: [f.name for f, key in zip(fields(cls), component_keys) if key in keys]
-            for name, (cls, component_keys) in COMPONENTS.items()
-            if set(component_keys) & set(keys)}
+    return MappingProxyType({
+        name: tuple(f.name for f, key in zip(fields(cls), component_keys) if key in keys)
+        for name, (cls, component_keys) in COMPONENTS.items() if set(component_keys) & set(keys)})
 
 
 def _in_domain(axis: str, values: np.ndarray) -> np.ndarray:
@@ -421,17 +428,46 @@ def _column_format(column: tuple):
 CSV_CHUNK_ROWS = 512
 
 
+@contextmanager
+def _overwrite(path: str):
+    """A UTF-8 text file with LF endings written over ``path`` in place.
+
+    Unlike ``open(path, "w")`` this does not truncate the file on opening
+    it: it writes from the start, then cuts a regular file at the written
+    length.  On ext4 (``auto_da_alloc``), closing a file truncated to zero
+    starts its writeback, and the next truncate of that file waits for the
+    I/O.  The cut runs even when writing fails, so no tail of the old file
+    is left; a pipe or a device, which has no length, is not cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        fh = open(fd, "w", encoding="utf-8", newline="\n")
+    except BaseException:
+        os.close(fd)
+        raise
+    with fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def write_csv(table: list[list], path: str) -> None:
     """UTF-8, comma-separated, 10 significant digits, LF endings.
 
     Every float cell is written as ``format(v, ".10g")``, any other as
     ``str``.  When the rows after the first have one length they are
-    formatted column by column, in chunks of rows, else row by row.
+    formatted column by column, in chunks of rows, else row by row.  An
+    existing file at ``path`` is overwritten in place (see :func:`_overwrite`).
     """
     if not table:
         raise ValueError("refusing to write an empty table")
     head, rows = table[0], table[1:]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _overwrite(path) as fh:
         fh.write(",".join(map(_cell_text, head)) + "\n")
         if len(set(map(len, rows))) != 1:
             fh.writelines(",".join(map(_cell_text, row)) + "\n" for row in rows)
@@ -701,7 +737,7 @@ def reproduce(target: str, out_dir: str) -> dict:
 
     summary = anchor_summary(results)
     summary_path = os.path.join(out_dir, f"{target}_summary.txt")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _overwrite(summary_path) as fh:
         fh.write(summary)
     ok = all(r.status in ("PASS", "DOCUMENTED") for r in results)
     return {"csv": csv_path, "summary": summary, "summary_path": summary_path,

@@ -6,6 +6,7 @@ criterion.  Every tolerance is pinned here, not configured elsewhere.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,8 +236,7 @@ def test_criterion_8_determinism_and_performance(tmp_path):
     first = reproduce("fig4b", str(tmp_path / "run1"))
     first_time = time.perf_counter() - start
     second = reproduce("fig4b", str(tmp_path / "run2"))
-    b1 = open(first["csv"], "rb").read()
-    b2 = open(second["csv"], "rb").read()
+    b1, b2 = (Path(out["csv"]).read_bytes() for out in (first, second))
     rows = b1.count(b"\n") - 1
     report(
         "criterion 8: err/p_sw surface reproduction is fast and byte-deterministic",

@@ -285,7 +285,8 @@ def test_loop_pass_is_the_spin_blocks_of_the_folded_pass():
     eye = np.eye(2)
     for cavity, cpbs in cases:
         coeffs = cavity_coeffs(cavity)
-        split, merge = cpbs_loop_maps(cpbs)
+        # the maps' point axes come last: move them in front of (i, j)
+        split, merge = (np.moveaxis(m, (0, 1), (-2, -1)) for m in cpbs_loop_maps(cpbs))
         # m ⊗ I with the spin as the last, least significant bit
         with_spin = [(m[..., :, None, :, None] * eye[:, None, :]).reshape(
             m.shape[:-2] + (2 * m.shape[-2], 2 * m.shape[-1])) for m in (split, merge)]

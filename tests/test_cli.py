@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_sweep_writes_csv(tmp_path, capsys):
     ))
     out_csv = str(tmp_path / "out.csv")
     assert main(["sweep", "--config", cfg, "--out", out_csv]) == 0
-    lines = open(out_csv, encoding="utf-8").read().splitlines()
+    lines = Path(out_csv).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "kappa_s_over_kappa,g_over_kappa,f_up,f_down,status"
     assert len(lines) == 5
 
@@ -92,7 +93,7 @@ def test_sweep_err_psw_dispatch(tmp_path):
     ))
     out_csv = str(tmp_path / "out.csv")
     assert main(["sweep", "--config", cfg, "--out", out_csv]) == 0
-    header = open(out_csv, encoding="utf-8").readline().strip()
+    header = Path(out_csv).read_text(encoding="utf-8").splitlines()[0]
     assert header == "err,p_sw,f_both,status"
 
 
@@ -165,3 +166,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "t1 = 0.007934933545" in proc.stdout
+
+
+def test_sweep_out_to_a_pipe(tmp_path):
+    import subprocess
+    import sys
+
+    import qdcnot
+
+    cfg = write_cfg(tmp_path, "circuit = baseline\nensemble = basis4\naxis1_points = 2\naxis2_points = 2\n")
+    out_csv = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out_csv)]) == 0
+    src = os.path.dirname(os.path.dirname(qdcnot.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # /dev/stdout is the pipe: nothing to cut, and the CSV lands before the report line
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdcnot", "sweep", "--config", cfg, "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out_csv.read_bytes() + b"wrote 4 rows to /dev/stdout\n"

@@ -15,7 +15,7 @@ from qdcnot.devices import (
     spin_hadamard,
     switch_amplitude,
 )
-from qdcnot.state import PRUNE_TOL, apply_mode_map, inner_product, make_state
+from qdcnot.state import PRUNE_TOL, apply_mode_map, inner_product, make_state, replace_unchecked
 
 SQH = math.sqrt(0.5)
 
@@ -150,6 +150,39 @@ def test_spin_hadamard_on_prepared_spin():
 def test_spin_hadamard_unitary():
     s = make_state("spin", [("up", 0.28), ("down", 0.96j)])
     assert apply_mode_map(s, "spin", spin_hadamard()).norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+# --- map layout
+
+def entry_by_entry(rows):
+    """A (points..., i, j) map filled one entry at a time: the reference layout."""
+    entries = [np.asarray(x, dtype=float) for row in rows for x in row]
+    out = np.empty(np.broadcast_shapes(*(x.shape for x in entries)) + (len(rows), len(rows[0])))
+    for k, x in enumerate(entries):
+        out[..., k // len(rows[0]), k % len(rows[0])] = x
+    return out
+
+
+def test_maps_put_the_points_last():
+    # a map of scalar fields is (i, j); a batched one (i, j, *shape), and
+    # moving its entry axes last gives the entry-by-entry map bit for bit
+    rng = np.random.default_rng(21)
+    rows, columns = rng.uniform(0, 0.5, (3, 1, 1)), rng.uniform(0, 0.5, (1, 4, 1))
+    for xi in (0.3, -1.0, rows, -columns):
+        m = hwp_map(replace_unchecked(HwpError(), xi=xi))
+        c, s = np.sqrt((1 - xi) / 2), np.sqrt((1 + xi) / 2)
+        assert m.shape == (2, 2) + np.shape(xi)
+        expected = entry_by_entry([[c, c], [s, -s]])
+        assert np.moveaxis(m, (0, 1), (-2, -1)).tobytes() == expected.tobytes()
+    for tau_r, tau_l in ((0.01, 0.04), (rows, 0.02), (0.0, columns), (rows, columns)):
+        split, merge = cpbs_loop_maps(replace_unchecked(CpbsError(), tau_r=tau_r, tau_l=tau_l))
+        sr, sl, cr, cl = np.sqrt(tau_r), np.sqrt(tau_l), np.sqrt(1 - tau_r), np.sqrt(1 - tau_l)
+        shape = np.broadcast_shapes(np.shape(tau_r), np.shape(tau_l))
+        assert split.shape == (4, 2) + shape and merge.shape == (2, 4) + shape
+        expected = entry_by_entry([[cr, 0], [sr, 0], [0, sl], [0, cl]])
+        assert np.moveaxis(split, (0, 1), (-2, -1)).tobytes() == expected.tobytes()
+        assert np.array_equal(merge, np.swapaxes(split, 0, 1))
+    assert spin_hadamard().shape == (2, 2)
 
 
 # --- single-photon switch amplitudes

@@ -10,6 +10,7 @@ against plain means of per-input values built from its output vectors.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,39 @@ def test_branch_fidelity_can_exceed_one():
         np.sum(np.abs(oracle_output(inp, cavity, err)) ** 2), abs=1e-12)
     assert report.success_up + report.success_down < 1
     assert report.f_up_folded <= report.success_up
+
+
+def wave_plate_bound(err):
+    """(1 + |xi1|)(1 + |xi2|): every stage but the two HWPs is a contraction,
+    and an HWP's squared singular values are 1 +- xi, so no output norm^2
+    exceeds it."""
+    return (1 + abs(err.xi1.xi)) * (1 + abs(err.xi2.xi))
+
+
+@PROPERTY
+@given(st.lists(inputs, min_size=1, max_size=6), st.lists(cavities, min_size=1, max_size=3),
+       st.lists(errors, min_size=3, max_size=3), st.sampled_from(["baseline", "optimized"]))
+def test_output_norm_stays_within_the_wave_plate_bound(inps, cavs, errs, circuit):
+    n = len(cavs)
+    errs = errs[:n]
+    run = baseline_cnot if circuit == "baseline" else optimized_cnot
+    out = run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1)))  # flags, never raises
+    bound = np.array([wave_plate_bound(err) for err in errs])[:, None]
+    assert np.all(out.norm_sq() <= bound * (1 + 1e-12))
+
+
+@PROPERTY
+@given(st.lists(inputs, min_size=1, max_size=6), st.lists(cavities, min_size=1, max_size=3),
+       st.lists(errors.map(lambda err: replace(err, xi1=HwpError(0.0), xi2=HwpError(0.0))),
+                min_size=3, max_size=3),
+       st.sampled_from(["baseline", "optimized"]))
+def test_unitary_wave_plates_never_fault(inps, cavs, errs, circuit):
+    # with xi1 = xi2 = 0 the wave-plate bound is 1: no output check can fail
+    n = len(cavs)
+    errs = errs[:n]
+    run = baseline_cnot if circuit == "baseline" else optimized_cnot
+    out = run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1)))
+    assert not np.any(out.fault)
 
 
 def oracle_ideal_spin():

@@ -1,13 +1,14 @@
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdcnot.sweep as sweep_mod
 from qdcnot.cavity import CavityParams
-from qdcnot.circuits import DeviceErrorConfig, OutputNormError, config_shape
+from qdcnot.circuits import DeviceErrorConfig, OutputNormError, config_shapes
 from qdcnot.devices import HwpError
 from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.sweep import (
@@ -408,6 +409,16 @@ def test_err_psw_rejects_a_cloner_it_would_override():
     assert pinned == sweep_err_psw(err_psw_cfg())
 
 
+def test_axis_fields_are_built_once_and_read_only():
+    err = sweep_mod._axis_fields("err")
+    assert sweep_mod._axis_fields("err") is err
+    assert dict(err) == {"xi1": ("xi",), "xi2": ("xi",),
+                         **{f"cpbs{k}": ("tau_r", "tau_l") for k in range(1, 5)}}
+    assert dict(sweep_mod._axis_fields("p_sw")) == {"sw1": ("t12", "r22"), "sw2": ("t12", "r11")}
+    with pytest.raises(TypeError):
+        err["cavity"] = ("g",)
+
+
 def test_domain_mask_matches_point_builds():
     # just past each bound (g, kappa_s < 0; |xi| > 1; tau, p_sw outside
     # [0, 1]) is invalid, exactly at it valid
@@ -488,6 +499,44 @@ def test_write_csv_rejects_empty_table(tmp_path):
         write_csv([], str(tmp_path / "t.csv"))
 
 
+TABLE = [["a", "b"], [1.5, "x"], [2.0, "y"]]
+TABLE_BYTES = b"a,b\n1.5,x\n2,y\n"
+
+
+def test_write_csv_overwrites_a_longer_file_in_place(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old contents\n" * 1000)
+    inode = path.stat().st_ino
+    write_csv(TABLE, str(path))
+    assert path.read_bytes() == TABLE_BYTES
+    assert path.stat().st_ino == inode
+
+
+def test_write_csv_creates_a_fresh_path(tmp_path):
+    path = tmp_path / "new.csv"
+    write_csv(TABLE, str(path))
+    assert path.read_bytes() == TABLE_BYTES
+
+
+def test_write_csv_to_a_device_leaves_it_uncut():
+    write_csv(TABLE, os.devnull)  # a character device has no length to cut
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be printed")
+
+
+def test_a_cell_that_raises_mid_write_leaves_no_old_tail(tmp_path):
+    # a short row sends the table down the row-by-row path, which writes the
+    # rows before the failing one; the file is cut after them all the same
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old contents\n" * 1000)
+    with pytest.raises(RuntimeError, match="cannot be printed"):
+        write_csv([["a", "b"], [1.5, "x"], [Unprintable(), "y"], [0.5]], str(path))
+    assert path.read_bytes() == b"a,b\n1.5,x\n"
+
+
 def test_same_config_twice_identical_bytes(tmp_path):
     cfg = small_cfg()
     p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
@@ -534,7 +583,7 @@ def spy_engine(monkeypatch):
     real = sweep_mod.average_fidelity
 
     def counted(circuit, cavity, err, ensemble):
-        seen.append((circuit, ensemble.kind, math.prod(config_shape(cavity, err))))
+        seen.append((circuit, ensemble.kind, math.prod(config_shapes(cavity, err, ())[0])))
         return real(circuit, cavity, err, ensemble)
 
     monkeypatch.setattr(sweep_mod, "average_fidelity", counted)
@@ -592,7 +641,7 @@ def test_a_faulting_anchor_in_a_block_raises_by_name():
 def test_reproduce_fig3a_surface(tmp_path):
     out = reproduce("fig3a", str(tmp_path))
     assert out["ok"]
-    lines = open(out["csv"], "r", encoding="utf-8").read().splitlines()
+    lines = Path(out["csv"]).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "kappa_s_over_kappa,g_over_kappa,f_up,status"
     assert len(lines) == 1 + 41 * 61
     names = {r.anchor.name for r in out["results"]}
