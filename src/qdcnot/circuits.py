@@ -24,31 +24,32 @@ control-L coefficients).
 
 Every circuit function also runs a batch: inputs whose amplitudes are
 arrays (a stacked ensemble) and configurations whose fields are arrays
-ending in a length-1 input axis (a block of grid points: the axis1 values
-on an (m, 1, 1) array, the axis2 values on a (1, n, 1) one) broadcast
-against each other, and the output state carries one run per batch
+ending in a length-1 input axis (a block of grid points: the axis1
+values on an (m, 1, 1) array, the axis2 values on a (1, n, 1) one)
+broadcast against each other, and the output carries one run per batch
 element.  The circuit is linear in its input, so the stages
 (:func:`_basis_outputs`, their one definition) run only on the
-photon-basis inputs, all with the batch's one spin; no stage flips the
-spin, so each photon's stages are 2x2 maps per spin branch and point
-(:func:`loop_pass`).  The stage maps come points-last from ``devices``
-and ``cavity``, (entries..., points...), and run in that layout.  Each
-input's output is then the combination of the four basis outputs its own
-coefficients give, computed with the points on the last axis, (spin,
-input, photon pair, point); the output checks run on it, the optimized
-circuit's sign fix scales it per point, and the returned
-:class:`CircuitOutput` keeps it as ``columns``, with its amplitudes a view
-of it and each spin branch's squared norm alongside.  A field that only
-scales the global weight (:data:`WEIGHT_ONLY`) adds no point to the
-stages; the config's shape and the stages' point shape are read in one
-walk over its fields (:func:`config_shapes`).
+photon-basis inputs |RR>, |RL>, |LR>, |LL>, all with the batch's one
+spin; no stage flips the spin, so each photon's stages are 2x2 maps per
+spin branch and point (:func:`loop_pass`).  The stage maps come
+points-last from ``devices`` and ``cavity``, (entries..., points...),
+and run in that layout.  Each input's output is then the combination of
+the four basis outputs its own coefficients give, computed with the
+points on the last axis, (spin, input, photon pair, point); the output
+checks run on it, the optimized circuit's sign fix scales it per point,
+and the returned :class:`CircuitOutput` is that array (``columns``),
+with each spin branch's squared norm and the global weight alongside: no
+labeled state is built.  A field that only scales the global weight
+(:data:`WEIGHT_ONLY`) adds no point to the stages; the config's shape
+and the stages' point shape are read in one walk over its fields
+(:func:`config_shapes`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +65,8 @@ from .devices import (
     spin_hadamard,
     switch_amplitude,
 )
-from .state import JointState, make_state, read_only, tensor, with_weight
-from .state import apply_mode_map  # noqa: F401  (traced under this module by bench/spans.py)
-
-P1, P2 = "p1", "p2"
-SPIN = "spin"
+# not used here: the benchmark's span table traces these names under this module
+from .state import apply_mode_map, make_state, tensor, with_weight  # noqa: F401
 
 # electron spin prepared as (|up> - |down>)/sqrt(2)
 DEFAULT_SPIN_INIT = (SQRT_HALF, -SQRT_HALF)
@@ -91,7 +89,7 @@ class CnotInputs:
             ("spin_init", self.spin_init),
         ):
             n = abs(x) ** 2 + abs(y) ** 2
-            if abs(n - 1) > 1e-9:
+            if not abs(n - 1) <= 1e-9:  # a nan fails it too
                 raise ValueError(f"{name} amplitudes not normalized: |.|^2 = {n}")
 
     @cached_property
@@ -104,18 +102,14 @@ class CnotInputs:
         return (up.flat[0].item(), down.flat[0].item())
 
     @cached_property
-    def state(self) -> tuple[JointState, np.ndarray]:
-        """The input in the photon basis, (basis state, coefficients), built once per object.
-
-        The basis state holds |RR>, |RL>, |LR>, |LL> over (p1, p2) on one
-        batch axis, each tensored with the shared spin; the coefficients
-        (alpha delta, alpha gamma, beta delta, beta gamma) of each input sit
-        on a last axis of length 4.  Both are read-only.
-        """
+    def coefficients(self) -> np.ndarray:
+        """(alpha delta, alpha gamma, beta delta, beta gamma), the input over
+        |RR>, |RL>, |LR>, |LL>, on a last axis of length 4; read-only, built
+        once per object."""
         a, b, d, g = (np.asarray(x) for x in (self.alpha, self.beta, self.delta, self.gamma_amp))
         coefficients = np.stack([a * d, a * g, b * d, b * g], axis=-1)
         coefficients.flags.writeable = False
-        return _photon_basis(self.shared_spin_init), coefficients
+        return coefficients
 
     @classmethod
     def basis(cls, control: str, target: str, spin_init=DEFAULT_SPIN_INIT) -> "CnotInputs":
@@ -123,15 +117,6 @@ class CnotInputs:
         a, b = amp[control]
         d, g = amp[target]
         return cls(a, b, d, g, spin_init)
-
-
-@lru_cache(maxsize=8)
-def _photon_basis(spin_init: tuple[complex, complex]) -> JointState:
-    """|RR>, |RL>, |LR>, |LL> on one batch axis, each tensored with the spin."""
-    p1 = make_state(P1, [("R", [1.0, 1.0, 0.0, 0.0]), ("L", [0.0, 0.0, 1.0, 1.0])])
-    p2 = make_state(P2, [("R", [1.0, 0.0, 1.0, 0.0]), ("L", [0.0, 1.0, 0.0, 1.0])])
-    spin = make_state(SPIN, [("up", spin_init[0]), ("down", spin_init[1])])
-    return read_only(tensor(tensor(p1, p2), spin))
 
 
 @dataclass(frozen=True)
@@ -270,18 +255,25 @@ def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
 
 
 @dataclass(frozen=True)
-class CircuitOutput(JointState):
-    """A circuit's output: a state over (p1, p2, spin), batched over the
-    config's points and the inputs, whose amplitudes are a view of ``columns``.
+class CircuitOutput:
+    """A circuit's output, in the layout the circuit computed it in.
 
-    ``columns`` is the array the circuit computed the outputs in, (spin,
-    input, photon pair, point) with the point axes flattened and the global
-    weight not applied, and ``spin_weights`` is :func:`branch_weights` of it.
-    ``fault`` has every point axis of the config, then the inputs.
+    ``columns`` is (spin, input, photon pair, point): the photon pairs run
+    |RR>, |RL>, |LR>, |LL>, the inputs and the points are flattened, and
+    the global ``weight`` (per point of the config) is not applied.
+    ``spin_weights`` is :func:`branch_weights` of it.  ``points`` and
+    ``inputs`` are the shapes flattened there: the stages' point axes
+    without the config's input axis, and the input axes (a single input
+    against a block keeps the block's length-1 input axis).  ``fault`` has
+    every point axis of the config, then the inputs.
     """
 
-    columns: np.ndarray | None = None
-    spin_weights: np.ndarray | None = None
+    columns: np.ndarray
+    spin_weights: np.ndarray
+    fault: np.ndarray
+    weight: float | np.ndarray
+    points: tuple[int, ...]
+    inputs: tuple[int, ...]
 
 
 # the config parts the stages read, then those the sign fix reads as well
@@ -291,24 +283,28 @@ _SIGN_FIX_READS = _CORE_READS + ("cpbs2", "cpbs3", "cpbs4")
 
 def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
          sign_fix: bool) -> CircuitOutput:
-    """Each input's output, checked, then with the sign fix if ``sign_fix``.
+    """Each input's output, checked, then with the sign fix and the
+    optimized circuit's prefactor as its weight if ``sign_fix``.
 
-    The stages run on the photon basis of ``inputs`` (see
-    :attr:`CnotInputs.state`) at the points of the fields they read (and,
-    with ``sign_fix``, of those the sign fix reads); each input's output is
-    its coefficients' combination of the four basis outputs, one ``(inputs,
-    4) @ (4, 4·points)`` matmul per spin, laid out (spin, input, photon
-    pair, point).  The output checks flag each input and point whose output
-    is non-finite (code 1) or has norm > 1 (code 2); a single run raises.
-    The sign fix then scales the spin-up, control-L amplitudes per point.
+    The stages run on the photon basis |RR>, |RL>, |LR>, |LL> with the
+    inputs' shared spin at the points of the fields they read (and, with
+    ``sign_fix``, of those the sign fix reads); each input's output is its
+    :attr:`CnotInputs.coefficients`' combination of the four basis outputs,
+    one ``(inputs, 4) @ (4, 4·points)`` matmul per spin, laid out (spin,
+    input, photon pair, point).  The output checks flag each input and point
+    whose output is non-finite (code 1) or has norm > 1 (code 2); a single
+    run raises.  The sign fix then scales the spin-up, control-L amplitudes
+    per point.
     """
     shape, points = config_shapes(cavity, err, _SIGN_FIX_READS if sign_fix else _CORE_READS)
     if shape[-1:] not in ((), (1,)):
         raise ValueError(f"a batched config must end in the length-1 input axis, "
                          f"got shape {shape}")
     coeffs = _coeffs(cavity)
-    basis, coefficients = inputs.state  # every basis input holds the spin ket amps[0, 0, 0]
-    x = _basis_outputs(coeffs, err, basis.amps[0, 0, 0], points).reshape(2, 4, -1)
+    coefficients = inputs.coefficients
+    # complex: a real ket (DEFAULT_SPIN_INIT is one) would start the stages in float64
+    spin = np.array(inputs.shared_spin_init, dtype=complex)
+    x = _basis_outputs(coeffs, err, spin, points).reshape(2, 4, -1)
     y = np.matmul(coefficients.reshape(-1, 4), x).reshape(2, -1, 4, x.shape[-1] // 4)
     del x  # the checks below need only y
     weights = branch_weights(y)
@@ -323,11 +319,9 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
         weights = branch_weights(y)
     points = points[:-1]
     k, i = len(points), len(inputs)
-    amps = y.reshape((2,) + inputs + (2, 2) + points).transpose(
-        *range(i + 3, i + 3 + k), *range(1, i + 1), i + 1, i + 2, 0)
     fault = fault.reshape(inputs + points).transpose(*range(i, i + k), *range(i))
-    return CircuitOutput((P1, P2, SPIN), amps, fault=np.broadcast_to(fault, shape[:-1] + inputs),
-                         columns=y, spin_weights=weights)
+    return CircuitOutput(y, weights, np.broadcast_to(fault, shape[:-1] + inputs),
+                         cnot_prefactor(err) if sign_fix else 1.0, points, inputs)
 
 
 def baseline_cnot(
@@ -337,10 +331,9 @@ def baseline_cnot(
 ) -> CircuitOutput:
     """Spin-cavity CNOT without the sign fix; uses xi1, xi2 and CPBS1 only.
 
-    The stages run on the photon basis of ``inputs`` (see
-    :attr:`CnotInputs.state`), and the output checks on each input's
-    output.  A config's fields are scalars, or hold a block's grid points
-    on arrays whose last axis is the length-1 input axis.
+    The stages run on the photon basis, and the output checks on each
+    input's output.  A config's fields are scalars, or hold a block's grid
+    points on arrays whose last axis is the length-1 input axis.
     """
     return _run(inputs, cavity, err, sign_fix=False)
 
@@ -375,9 +368,9 @@ def optimized_cnot(
 
     The output checks run on the core output; the sign fix then scales the
     spin-up, control-L amplitudes at each point, and the prefactor is the
-    state's weight.
+    output's weight.
     """
-    return with_weight(_run(inputs, cavity, err, sign_fix=True), cnot_prefactor(err))
+    return _run(inputs, cavity, err, sign_fix=True)
 
 
 @dataclass(frozen=True)
@@ -400,14 +393,21 @@ class CnotAmplitudes:
     rr_up_reference: complex
 
 
-_TERM_ORDER = (("R", "R"), ("R", "L"), ("L", "L"), ("L", "R"))
+# RR, RL, LL, LR among the photon pairs of CircuitOutput.columns
+_TERM_ORDER = (0, 1, 3, 2)
 
 
-def extract_branch_amplitudes(state: JointState):
-    """((RR, RL, LL, LR) on spin-up, same on spin-down), weight folded in."""
-    up = tuple(state.weight * state.amplitude((c, t, "up")) for c, t in _TERM_ORDER)
-    down = tuple(state.weight * state.amplitude((c, t, "down")) for c, t in _TERM_ORDER)
-    return up, down
+def _branch_terms(out: CircuitOutput):
+    """((RR, RL, LL, LR) on spin-up, same on spin-down) of a single run, no weight."""
+    if out.points or out.inputs:
+        raise ValueError(f"branch amplitudes of one run, got points {out.points} "
+                         f"and inputs {out.inputs}")
+    return tuple(tuple(complex(out.columns[s, 0, k, 0]) for k in _TERM_ORDER) for s in (0, 1))
+
+
+def extract_branch_amplitudes(out: CircuitOutput):
+    """((RR, RL, LL, LR) on spin-up, same on spin-down) of a single run, weight folded in."""
+    return tuple(tuple(out.weight * amp for amp in branch) for branch in _branch_terms(out))
 
 
 def rr_up_closed_form(
@@ -483,13 +483,7 @@ def output_amplitudes(
 ) -> CnotAmplitudes:
     """Compositional output coefficients plus the closed-form cross-check."""
     coeffs = _coeffs(cavity)
-    # run with ideal switches/cloner so the coefficients carry no prefactor
-    core_err = DeviceErrorConfig(
-        xi1=err.xi1, xi2=err.xi2, cpbs1=err.cpbs1, cpbs2=err.cpbs2,
-        cpbs3=err.cpbs3, cpbs4=err.cpbs4,
-    )
-    out = optimized_cnot(inputs, coeffs, core_err)
-    up, down = extract_branch_amplitudes(out)
+    up, down = _branch_terms(optimized_cnot(inputs, coeffs, err))
     return CnotAmplitudes(
         up=up,
         down=down,

@@ -1,11 +1,11 @@
 """Gate-fidelity evaluation against the ideal CNOT, averaged over ensembles.
 
 Fidelity of one run is the squared overlap of the unnormalized circuit
-output (global weight included) with the ideal target ``CNOT(photons)``
-tensored with a target spin ket, so lost success amplitude depresses the
-number.  Three target spins are supported: the bare up or down branch ket,
-or (mode ``both``) the spin the error-free optimized circuit itself ends
-in, computed by running it rather than assumed.
+output (global weight included) with the ideal target, ``CNOT(photons)``
+times a target spin ket, so lost success amplitude depresses the number.
+Three target spins are supported: the bare up or down branch ket, or
+(mode ``both``) the spin the error-free optimized circuit itself ends in,
+computed by running it rather than assumed.
 
 Two per-branch conventions are reported side by side: ``f_up``/``f_down``
 divide the branch overlap by the ideal herald probability 1/2 of that
@@ -18,12 +18,14 @@ An ensemble runs as one batch.  The circuit runs the four photon-basis
 inputs and combines their outputs into every input's output, laid out
 (spin, input, photon pair, point) with the points last (see
 ``circuits.baseline_cnot``), so the inputs of an ensemble share one
-``spin_init``.  :func:`average_fidelity` reads that array directly
-(``CircuitOutput.columns``): each overlap is the input's conjugated
-truth-table output (:attr:`InputEnsemble.targets`, built once per
-ensemble) against its output, each branch weight is the one the circuit
-computed (``CircuitOutput.spin_weights``), and the five means over the
-inputs, taken in one reduction, then take each point's squared weight.
+``spin_init``.  :func:`average_fidelity` reads that array, the one output
+the circuit returns (``CircuitOutput.columns``), at fixed indices: each
+overlap is the input's conjugated truth-table output
+(:attr:`InputEnsemble.targets`, a permutation of the input's own
+coefficients, built once per ensemble) against its output, each branch
+weight is the one the circuit computed (``CircuitOutput.spin_weights``),
+and the five means over the inputs, taken in one reduction, then take each
+point's squared weight.
 Given a block of grid points (configuration fields holding an ``(m, 1,
 1)`` array of axis1 values or a ``(1, n, 1)`` array of axis2 values
 wherever the grid moves them), it runs the whole block against the whole
@@ -48,7 +50,7 @@ from .circuits import (
     optimized_cnot,
 )
 from .devices import SQRT_HALF
-from .state import JointState, make_state, stack
+from .state import stack
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,10 @@ class InputEnsemble:
     def targets(self) -> np.ndarray:
         """Each input's ideal CNOT output over |RR>, |RL>, |LR>, |LL>, conjugated: (inputs, 4).
 
-        Built once per ensemble from :func:`ideal_cnot_photons`, read-only.
+        CNOT swaps the control-L terms of the input's own coefficients.
+        Built once per ensemble, read-only.
         """
-        targets = np.conj(ideal_cnot_photons(self.inputs).amps).reshape(-1, 4)
+        targets = np.conj(self.inputs.coefficients[:, [0, 1, 3, 2]], dtype=complex)
         targets.flags.writeable = False
         return targets
 
@@ -107,24 +110,13 @@ class InputEnsemble:
         ))
 
 
-def ideal_cnot_photons(inputs: CnotInputs) -> JointState:
-    """CNOT truth table: control L flips the target polarization."""
-    a, b = inputs.alpha, inputs.beta
-    d, g = inputs.delta, inputs.gamma_amp
-    return make_state(
-        ("p1", "p2"),
-        [(("R", "R"), a * d), (("R", "L"), a * g), (("L", "R"), b * g), (("L", "L"), b * d)],
-    )
-
-
 @lru_cache(maxsize=8)
 def _ideal_output_spin(spin_init: tuple[complex, complex]) -> tuple[complex, complex]:
     """Spin ket the error-free optimized circuit ends in, computed by running it."""
     out = optimized_cnot(
         CnotInputs.basis("R", "R", spin_init), CavityCoeffs.ideal(), DeviceErrorConfig()
     )
-    up = out.amplitude(("R", "R", "up"))
-    down = out.amplitude(("R", "R", "down"))
+    up, down = (complex(out.columns[s, 0, 0, 0]) for s in (0, 1))  # |RR> per spin branch
     norm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
     if abs(norm - 1) > 1e-9:
         raise AssertionError("ideal pipeline did not produce a product output")
@@ -199,11 +191,10 @@ def average_fidelity(
     # (switches on the optimized circuit) gives the amplitudes no point axis
     fault = out.fault
     points = fault.shape[:-1]
-    amp_points = out.batch_shape[:-1]
     # the means over the inputs in ensemble order, times each point's weight;
     # the amplitudes' point axes line up with the config's last ones
     means = w2 * (np.add.reduce(per_input, axis=1) / n).reshape(
-        (5,) + (1,) * (len(points) - len(amp_points)) + amp_points)
+        (5,) + (1,) * (len(points) - len(out.points)) + out.points)
     if not fault.any():
         values = means.tolist() if not points else np.broadcast_to(means, (5,) + points)
         status = "ok" if not points else ("ok",) * math.prod(points)

@@ -6,8 +6,12 @@ ensemble, an axis no amplitude moves along kept at length 1; none for a
 single run), then one size-2 axis per named tensor factor, with the
 factor names kept sorted.  A scalar or batched ``weight``
 accumulates the success-amplitude prefactors picked up along a circuit
-(switch transmittances, cloner fidelity).  A circuit's states hold the two
-photons and the spin.
+(switch transmittances, cloner fidelity).
+
+The circuits build no such state: they run the photon basis on plain
+arrays (see ``circuits.CircuitOutput``).  The labeled kit serves the tests
+and the benchmark's span table; the package itself reads only the config
+helpers :func:`check_domain`, :func:`replace_unchecked` and :func:`stack`.
 
 Every factor is a qubit whose basis values follow from its name:
 ``spin`` is (up, down), any other is a polarization (R, L).  Stage maps
@@ -277,9 +281,3 @@ def inner_product(a: JointState, b: JointState):
 
 def with_weight(state: JointState, weight) -> JointState:
     return dataclasses.replace(state, weight=weight)
-
-
-def read_only(state: JointState) -> JointState:
-    """``state`` with its amplitudes locked, for a cache that hands it to every caller."""
-    state.amps.flags.writeable = False
-    return state

@@ -27,6 +27,8 @@ from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.sweep import calibrate_ensemble, check_anchors, reproduce
 
+from labeled import labeled
+
 SQH = math.sqrt(0.5)
 
 
@@ -82,7 +84,7 @@ def test_criterion_3_ideal_limit_exactness():
         inputs = random_inputs(rng)
         a, b = inputs.alpha, inputs.beta
         d, g = inputs.delta, inputs.gamma_amp
-        out = baseline_cnot(inputs, ideal)
+        out = labeled(baseline_cnot(inputs, ideal))
         target = {
             ("R", "R", "up"): a * d * SQH, ("R", "L", "up"): a * g * SQH,
             ("L", "L", "up"): -b * d * SQH, ("L", "R", "up"): -b * g * SQH,
@@ -91,7 +93,7 @@ def test_criterion_3_ideal_limit_exactness():
         }
         for lbl in set(out.entries) | set(target):
             worst = max(worst, abs(out.amplitude(lbl) - target.get(lbl, 0)))
-        opt = optimized_cnot(inputs, ideal)
+        opt = labeled(optimized_cnot(inputs, ideal))
         gate = {
             ("R", "R"): a * d, ("R", "L"): a * g, ("L", "L"): b * d, ("L", "R"): b * g,
         }
@@ -199,7 +201,7 @@ def test_criterion_7_truth_table_and_sign_fix():
     }
     ok = True
     for (c_in, t_in), (c_out, t_out) in table.items():
-        out = optimized_cnot(CnotInputs.basis(c_in, t_in), CavityCoeffs.ideal())
+        out = labeled(optimized_cnot(CnotInputs.basis(c_in, t_in), CavityCoeffs.ideal()))
         for spin in ("up", "down"):
             amp = out.amplitude((c_out, t_out, spin))
             ok = ok and abs(amp - SQH) <= 1e-12  # exact, positive amplitude

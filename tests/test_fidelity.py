@@ -9,11 +9,7 @@ from qdcnot.cavity import CavityCoeffs, CavityParams, cavity_coeffs
 from qdcnot.circuits import CnotInputs, DeviceErrorConfig, baseline_cnot, optimized_cnot
 from qdcnot.devices import F_UC, ClonerConfig, HwpError, SwitchCoeffs
 import qdcnot.fidelity as fidelity_module
-from qdcnot.fidelity import (
-    InputEnsemble,
-    average_fidelity,
-    ideal_cnot_photons,
-)
+from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.state import (
     inner_product,
     make_state,
@@ -24,11 +20,24 @@ from qdcnot.state import (
     with_weight,
 )
 
+from labeled import labeled
+
 SQH = math.sqrt(0.5)
 IDEAL = CavityCoeffs.ideal()
 STRONG = cavity_coeffs(CavityParams(g=2.5, kappa_s=0.05, gamma=0.1))
 WEAK = cavity_coeffs(CavityParams(g=0.45, kappa_s=1.0, gamma=0.1))
 NO_ERR = DeviceErrorConfig()
+
+
+def ideal_cnot_photons(inputs):
+    """CNOT truth table: control L flips the target polarization.  The
+    labeled reference for ``InputEnsemble.targets`` and :func:`target_state`."""
+    a, b = inputs.alpha, inputs.beta
+    d, g = inputs.delta, inputs.gamma_amp
+    return make_state(
+        ("p1", "p2"),
+        [(("R", "R"), a * d), (("R", "L"), a * g), (("L", "R"), b * g), (("L", "L"), b * d)],
+    )
 
 
 def target_state(inputs, mode):
@@ -65,7 +74,7 @@ def test_perfect_gate_has_unit_fidelity():
         na = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
         nt = math.sqrt(abs(v[2]) ** 2 + abs(v[3]) ** 2)
         inputs = CnotInputs(v[0] / na, v[1] / na, v[2] / nt, v[3] / nt)
-        out = optimized_cnot(inputs, IDEAL, NO_ERR)
+        out = labeled(optimized_cnot(inputs, IDEAL, NO_ERR))
         assert fidelity_single(out, inputs, "both") == pytest.approx(1.0, abs=1e-12)
 
 
@@ -73,7 +82,7 @@ def test_sign_defect_quarters_combined_fidelity():
     # ideal baseline on |+> x |R>: the up branch is orthogonal to the target,
     # so the overlap halves and the fidelity drops to 1/4
     inputs = CnotInputs(SQH, SQH, 1, 0)
-    out = baseline_cnot(inputs, IDEAL, NO_ERR)
+    out = labeled(baseline_cnot(inputs, IDEAL, NO_ERR))
     assert fidelity_single(out, inputs, "both") == pytest.approx(0.25, abs=1e-12)
     # hand oracle: target (RR+LL)/sqrt(2) x (up+down)/sqrt(2) against the
     # four output terms (RR +- LL)/2 per branch
@@ -83,7 +92,7 @@ def test_sign_defect_quarters_combined_fidelity():
 
 def test_branch_modes_on_ideal_baseline():
     inputs = CnotInputs(SQH, SQH, 1, 0)
-    out = baseline_cnot(inputs, IDEAL, NO_ERR)
+    out = labeled(baseline_cnot(inputs, IDEAL, NO_ERR))
     # up branch is Z-flipped: orthogonal to the plain gate target
     assert fidelity_single(out, inputs, "branch_up") == pytest.approx(0.0, abs=1e-12)
     # down branch is the correct gate at half weight
@@ -92,7 +101,7 @@ def test_branch_modes_on_ideal_baseline():
 
 def test_fidelity_scales_with_squared_weight():
     inputs = CnotInputs.basis("R", "R")
-    out = optimized_cnot(inputs, IDEAL, NO_ERR)
+    out = labeled(optimized_cnot(inputs, IDEAL, NO_ERR))
     scaled = with_weight(out, 0.7)
     f = fidelity_single(out, inputs, "both")
     assert fidelity_single(scaled, inputs, "both") == pytest.approx(0.49 * f, abs=1e-12)
@@ -101,7 +110,7 @@ def test_fidelity_scales_with_squared_weight():
 def test_fidelity_invariant_under_global_phase():
     rng = np.random.default_rng(1)
     inputs = CnotInputs(0.6, 0.8, 0.28, 0.96)
-    out = baseline_cnot(inputs, STRONG, NO_ERR)
+    out = labeled(baseline_cnot(inputs, STRONG, NO_ERR))
     f = fidelity_single(out, inputs, "both")
     for _ in range(5):
         phase = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -132,14 +141,14 @@ def test_target_state_modes():
 # --- success probability
 
 def test_success_probability_ideal_baseline_branches():
-    out = baseline_cnot(CnotInputs(0.6, 0.8, 0.28, 0.96), IDEAL, NO_ERR)
+    out = labeled(baseline_cnot(CnotInputs(0.6, 0.8, 0.28, 0.96), IDEAL, NO_ERR))
     assert project_spin(out, "down")[1] == pytest.approx(0.5, abs=1e-12)
     assert project_spin(out, "up")[1] == pytest.approx(0.5, abs=1e-12)
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_success_probability_ideal_optimized_is_one():
-    out = optimized_cnot(CnotInputs(0.6, 0.8, 0.28, 0.96), IDEAL, NO_ERR)
+    out = labeled(optimized_cnot(CnotInputs(0.6, 0.8, 0.28, 0.96), IDEAL, NO_ERR))
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -149,12 +158,12 @@ def test_success_probability_measured_switches():
         sw2=SwitchCoeffs(t12=0.956, r11=0.648),
         cloner=ClonerConfig(0.82),
     )
-    out = optimized_cnot(CnotInputs.basis("R", "R"), IDEAL, err)
+    out = labeled(optimized_cnot(CnotInputs.basis("R", "R"), IDEAL, err))
     assert out.norm_sq() == pytest.approx(0.29684, abs=1e-5)
 
 
 def test_success_probability_unknown_branch():
-    out = baseline_cnot(CnotInputs.basis("R", "R"), IDEAL, NO_ERR)
+    out = labeled(baseline_cnot(CnotInputs.basis("R", "R"), IDEAL, NO_ERR))
     with pytest.raises(ValueError, match="'left'"):
         project_spin(out, "left")
 
@@ -284,7 +293,7 @@ def test_switch_line_reports_one_value_and_status_per_point():
     base = DeviceErrorConfig.uniform(1e-2, cloner=ClonerConfig(F_UC))
     ensemble = InputEnsemble.basis4()
     # only the weight moves along a switch line; the amplitudes have no point axis
-    assert optimized_cnot(ensemble.inputs, strong, switch_line(base)).batch_shape == (4,)
+    assert labeled(optimized_cnot(ensemble.inputs, strong, switch_line(base))).batch_shape == (4,)
     for circuit in ("optimized", "baseline"):
         report = average_fidelity(circuit, strong, switch_line(base), ensemble)
         assert report.f_both.shape == report.f_up.shape == (3,)
@@ -316,22 +325,29 @@ def test_ensemble_caches_are_built_once_and_locked():
     assert InputEnsemble.basis4() is InputEnsemble.basis4()
     # the per-ensemble target matrix: each input's conjugated ideal CNOT output
     assert ensemble.targets is ensemble.targets
-    assert ensemble.inputs.state is ensemble.inputs.state
-    basis, coefficients = ensemble.inputs.state
+    assert ensemble.inputs.coefficients is ensemble.inputs.coefficients
+    coefficients = ensemble.inputs.coefficients
     assert ensemble.targets.shape == (4, 4)
     assert np.array_equal(ensemble.targets, np.conj(coefficients[:, [0, 1, 3, 2]]))
     with pytest.raises(ValueError, match="read-only"):
         ensemble.targets[...] = 0
     with pytest.raises(ValueError, match="read-only"):
-        basis.amps[...] = 0
-    with pytest.raises(ValueError, match="read-only"):
         coefficients[...] = 0
-    # a batched copy never inherits the cached state of the item it copies
+    # a batched copy never inherits the cached coefficients of the item it copies
     first = CnotInputs.basis("R", "L")
-    assert first.state[1].shape == (4,)
+    assert first.coefficients.shape == (4,)
     stacked = stack([first, CnotInputs.basis("L", "R")])
-    assert stacked.state[1].shape == (2, 4)
-    assert stacked.state[1][:, 2].tolist() == [0, 1]   # the coefficient of |LR>
+    assert stacked.coefficients.shape == (2, 4)
+    assert stacked.coefficients[:, 2].tolist() == [0, 1]   # the coefficient of |LR>
+
+
+def test_targets_are_the_conjugated_truth_table():
+    # the labeled reference, conjugated, bit for bit (complex, -0.0 imaginary parts included)
+    for ensemble in (InputEnsemble.basis4(), InputEnsemble.superposition4(),
+                     InputEnsemble.haar_product()):
+        expected = np.conj(ideal_cnot_photons(ensemble.inputs).amps).reshape(-1, 4)
+        assert ensemble.targets.dtype == expected.dtype
+        assert ensemble.targets.tobytes() == expected.tobytes()
 
 
 def test_mixed_spin_init_rejected():
@@ -342,7 +358,8 @@ def test_mixed_spin_init_rejected():
         average_fidelity("optimized", STRONG, NO_ERR, InputEnsemble("mixed", mixed))
     # one shared spin, whatever it is, runs
     shared = stack([CnotInputs.basis(c, "R", spin_init=(1.0, 0.0)) for c in "RL"])
-    assert baseline_cnot(shared, IDEAL, NO_ERR).batch_shape == (2,)
+    out = baseline_cnot(shared, IDEAL, NO_ERR)
+    assert (out.points, out.inputs) == ((), (2,))
 
 
 def test_average_fidelity_runs_the_circuit_once(monkeypatch):

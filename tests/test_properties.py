@@ -33,6 +33,7 @@ from qdcnot.state import stack
 import qdcnot.sweep as sweep_mod
 from qdcnot.sweep import AXIS_KEYS, AXIS_NAMES, SimConfig, _config_with, _run_grid
 
+from labeled import labeled
 from oracle import baseline_dense, dense_vector
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -77,7 +78,7 @@ def test_engine_matches_dense_oracle(inp, cavity, err):
     expected = oracle_output(inp, cavity, err)
     norm = float(np.sum(np.abs(expected) ** 2))
     try:
-        out = baseline_cnot(inp, cavity, err)
+        out = labeled(baseline_cnot(inp, cavity, err))
     except AssertionError:  # the output norm check, which the oracle must confirm
         assert norm > 1 + 1e-9 - 1e-12
         return
@@ -111,11 +112,11 @@ def test_basis_expansion_matches_oracle_on_each_input(inps, cavs, errs, circuit)
     errs = errs[:n]
     run = baseline_cnot if circuit == "baseline" else optimized_cnot
     cavity, err = stack(cavs, (-1, 1)), stack(errs, (-1, 1))
-    out = run(stack(inps), cavity, err)
+    out = labeled(run(stack(inps), cavity, err))
     amps = (out.amps * np.asarray(out.weight)[..., None, None, None]).reshape(n, len(inps), 8)
     fault = np.broadcast_to(out.fault, (n, len(inps)))
     # one input against the line keeps the line's length-1 input axis
-    single = run(inps[0], cavity, err)
+    single = labeled(run(inps[0], cavity, err))
     assert single.amps.shape == (n, 1, 2, 2, 2)
     assert np.max(np.abs(single.amps[:, 0] - out.amps[:, 0])) < 1e-12
     report = average_fidelity(circuit, cavity, err, InputEnsemble("drawn", tuple(inps)))
@@ -153,7 +154,7 @@ def test_output_is_linear_in_the_input(c1, c2, target, a, cavity, err):
     n = math.sqrt(abs(mix[0]) ** 2 + abs(mix[1]) ** 2)
     assume(n > 1e-3)
     batch = stack([CnotInputs(*u, *t), CnotInputs(*v, *t), CnotInputs(*(mix / n), *t)])
-    out = optimized_cnot(batch, cavity, err)
+    out = labeled(optimized_cnot(batch, cavity, err))
     amps = out.amps * out.weight
     assert np.max(np.abs(amps[2] - (a * amps[0] + amps[1]) / n)) < 1e-12
 
@@ -165,14 +166,14 @@ def test_batch_of_points_and_inputs_equals_single_runs(cavs, errs, inps, circuit
     n = len(cavs)
     errs = errs[:n]
     run = baseline_cnot if circuit == "baseline" else optimized_cnot
-    out = run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1)))
+    out = labeled(run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1))))
     assert out.amps.shape == (n, len(inps), 2, 2, 2)
     weight = np.broadcast_to(out.weight, (n, len(inps)))
     fault = np.broadcast_to(out.fault, (n, len(inps)))
     for p in range(n):
         for m, inp in enumerate(inps):
             try:
-                single = run(inp, cavs[p], errs[p])
+                single = labeled(run(inp, cavs[p], errs[p]))
             except AssertionError:
                 assert fault[p, m] == 2
                 continue
@@ -244,7 +245,8 @@ def test_output_norm_stays_within_the_wave_plate_bound(inps, cavs, errs, circuit
     n = len(cavs)
     errs = errs[:n]
     run = baseline_cnot if circuit == "baseline" else optimized_cnot
-    out = run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1)))  # flags, never raises
+    # flags, never raises
+    out = labeled(run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1))))
     bound = np.array([wave_plate_bound(err) for err in errs])[:, None]
     assert np.all(out.norm_sq() <= bound * (1 + 1e-12))
 

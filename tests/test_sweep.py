@@ -331,7 +331,7 @@ def test_fig4b_runs_its_stages_on_the_err_points_only(monkeypatch):
 
     def spy_optimized(*args):
         out = optimized(*args)
-        outputs.append(out.amps.shape)
+        outputs.append((out.points, out.inputs))
         return out
 
     monkeypatch.setattr(circuits, "loop_pass", spy_loop)
@@ -340,7 +340,7 @@ def test_fig4b_runs_its_stages_on_the_err_points_only(monkeypatch):
     assert len(table) == 1 + 31 * 41
     assert max(stage_points) == 31 and set(stage_points) <= {1, 31}
     # one run; its output spans the 31 err rows, a length-1 p_sw axis and the inputs
-    assert outputs == [(31, 1, 4, 2, 2, 2)]
+    assert outputs == [((31, 1), (4,))]
 
 
 # grids whose fault rows the engine must keep: (sweep, overrides of a
