@@ -88,15 +88,21 @@ def is_strong_coupling(params: CavityParams) -> bool:
     return params.g > (params.kappa_s + params.kappa) / 4
 
 
-# the 8 inputs (spin, polarization-direction) of interaction_map's blocks; for
-# each, where it goes when polarization and direction flip, and which of
-# (t1, -t0, r1, -r0) it stays and flips with (hot ones: t1 and r1).  Built with
-# Python ints: integer ufuncs here would page in ~0.25 MB of numpy at import.
-_INPUTS = [(spin, pd) for spin in (0, 1) for pd in range(4)]
-_HOT = [(pd >> 1) ^ (pd & 1) ^ spin for spin, pd in _INPUTS]
-_SPIN, _PD = (np.array(v) for v in zip(*_INPUTS))
-_FLIPPED = np.array([pd ^ 0b11 for _, pd in _INPUTS])
-_STAYS, _FLIPS = np.array([(0, 2) if hot else (1, 3) for hot in _HOT]).T
+# the entry of (t1, -t0, r1, -r0, 0) at each (spin, out, in) of interaction_map's
+# blocks: each input (spin, polarization-direction) stays with t1 when hot, -t0
+# when cold, and goes where polarization and direction flip with r1 when hot,
+# -r0 when cold.  Built with Python ints: integer ufuncs here would page in
+# ~0.25 MB of numpy at import.
+def _entry_table() -> np.ndarray:
+    entry = [[[4] * 4 for _ in range(4)] for _ in range(2)]
+    for spin in (0, 1):
+        for pd in range(4):
+            hot = (pd >> 1) ^ (pd & 1) ^ spin
+            entry[spin][pd][pd], entry[spin][pd ^ 0b11][pd] = (0, 2) if hot else (1, 3)
+    return np.array(entry)
+
+
+_ENTRY = _entry_table()
 
 
 def interaction_map(c: CavityCoeffs) -> np.ndarray:
@@ -109,11 +115,9 @@ def interaction_map(c: CavityCoeffs) -> np.ndarray:
     transition is hot (coupled) when an odd number of (polarization L,
     direction up, spin down) hold: it stays with t1 and flips with r1; a
     cold one stays with -t0 and flips with -r0.  The point axes of batched
-    coefficients come last, as the circuit's stages lay them out.
+    coefficients come last, as the circuit's stages lay them out: the five
+    entries are written into one array and each block entry is gathered from it.
     """
-    t1, t0, r1, r0 = np.broadcast_arrays(c.t1, c.t0, c.r1, c.r0)
-    values = np.stack([t1, -t0, r1, -r0])
-    m = np.zeros((2, 4, 4) + t1.shape)
-    m[_SPIN, _PD, _PD] = values[_STAYS]
-    m[_SPIN, _FLIPPED, _PD] = values[_FLIPS]
-    return m
+    values = np.empty((5,) + np.broadcast(c.t1, c.t0, c.r1, c.r0).shape)
+    values[0], values[1], values[2], values[3], values[4] = c.t1, -c.t0, c.r1, -c.r0, 0.0
+    return values[_ENTRY]

@@ -155,11 +155,15 @@ def config_shapes(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
     """Broadcast shapes of every config field and of the fields of the parts
     named in ``reads`` ("cavity" or a :class:`DeviceErrorConfig` field), from
     one walk over the fields: () for one config, (m, n, 1) for a grid block."""
-    shapes = {(name, getattr(v, "shape", ()))
-              for name, part in (("cavity", cavity), *vars(err).items())
-              for v in vars(part).values()}
-    return (np.broadcast_shapes(*{shape for _, shape in shapes}),
-            np.broadcast_shapes(*{shape for name, shape in shapes if name in reads}))
+    shapes: set[tuple] = set()  # of every field that is an array
+    read: set[tuple] = set()  # of the array fields of the parts in reads
+    for name, part in (("cavity", cavity), *vars(err).items()):
+        for v in vars(part).values():
+            if shape := getattr(v, "shape", ()):
+                shapes.add(shape)
+                if name in reads:
+                    read.add(shape)
+    return np.broadcast_shapes(*shapes), np.broadcast_shapes(*read)
 
 
 def _flat(m: np.ndarray, batch: tuple, k: int = 2) -> np.ndarray:

@@ -1,13 +1,15 @@
-"""Configuration loading, parameter-grid sweeps, CSV emission, reproduction targets.
+"""Configuration loading, parameter-grid sweeps, reproduction targets.
 
 Configs are flat ``key = value`` text files (``#`` comments allowed); the
 full schema with defaults and constraints lives in :data:`CONFIG_SCHEMA`.
 Sweeps evaluate a two-axis grid in axis1-outer order, one row per point,
-and CSV output is byte-deterministic: same config, same bytes.  The grid
-runs in bounded blocks of valid rows by valid columns, each one batch
-against the whole input ensemble with the axis1 values on one array axis
-and the axis2 values on another; a point that fails keeps its row and
-status.
+and return it as a :class:`~qdcnot.table.GridTable`: its columns, read as
+the list of rows.  The grid runs in bounded blocks of valid rows by valid
+columns, each one batch against the whole input ensemble with the axis1
+values on one array axis and the axis2 values on another; a point that
+fails keeps its row and status.  ``write_csv`` (from :mod:`qdcnot.table`)
+writes a table, and CSV output is byte-deterministic: same config, same
+bytes.
 
 ``reproduce`` runs canonical configurations and compares a set of named
 reference fidelity anchors for this architecture against the computed
@@ -26,9 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import stat
 from collections.abc import Mapping, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache
 from types import MappingProxyType
@@ -40,6 +40,7 @@ from .circuits import FAULTS, WEIGHT_ONLY, DeviceErrorConfig, fault_error
 from .devices import F_UC, ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from .fidelity import InputEnsemble, average_fidelity
 from .state import replace_unchecked, stack
+from .table import GridTable, _overwrite, write_csv
 
 
 class ConfigError(ValueError):
@@ -154,6 +155,9 @@ COMPONENTS = {
     "sw2": (SwitchCoeffs, ("sw2_t12", "sw2_t21", "sw2_r11", "sw2_r22")),
     "cloner": (ClonerConfig, ("cloner_fidelity",)),
 }
+# DeviceErrorConfig's fields, read once: fields() builds a tuple from a
+# generator on every call (see _anchor_values)
+_ERROR_PARTS = [f.name for f in fields(DeviceErrorConfig)]
 
 
 @dataclass(frozen=True)
@@ -170,14 +174,13 @@ class SimConfig:
     def _component(self, name: str):
         """One validated component (see :data:`COMPONENTS`)."""
         cls, keys = COMPONENTS[name]
-        return cls(*(self.values[k] for k in keys))
+        return cls(*[self.values[k] for k in keys])  # sized up front, see _anchor_values
 
     def cavity(self) -> CavityParams:
         return self._component("cavity")
 
     def device_errors(self) -> DeviceErrorConfig:
-        return DeviceErrorConfig(**{f.name: self._component(f.name)
-                                    for f in fields(DeviceErrorConfig)})
+        return DeviceErrorConfig(**{name: self._component(name) for name in _ERROR_PARTS})
 
     def input_ensemble(self) -> InputEnsemble:
         return resolve_ensemble(self.values["ensemble"])
@@ -310,9 +313,10 @@ def _block_steps(axes: tuple[str, str], lengths: tuple[int, int]) -> tuple[int, 
     return min(lengths[0], share, CHUNK_POINTS // columns if all(moves) else share), columns
 
 
-def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> tuple[list, ...]:
-    """Columns of the grid in axis1-outer order, evaluated in blocks of points:
-    axis1, axis2, f_up, f_down, f_both, status, one entry per point.
+def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> GridTable:
+    """The grid's table, evaluated in blocks of points: header axis1, axis2,
+    f_up, f_down, f_both, status; each axis's values once, one value and
+    status per point in axis1-outer order.
 
     A point outside a component's domain keeps its own error row.  Validity
     is per axis value, so the valid points are the valid rows by the valid
@@ -323,7 +327,8 @@ def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> tuple[list, ...]:
     """
     grid, v = cfg.grid(), cfg.values
     axes = (v["axis1"], v["axis2"])
-    values = (np.array(grid.axis_values(1)), np.array(grid.axis_values(2)))
+    grid_values = (grid.axis_values(1), grid.axis_values(2))
+    values = [np.array(x) for x in grid_values]
     valid = [np.flatnonzero(_in_domain(axis, x)) for axis, x in zip(axes, values)]
     moved: dict[str, dict[str, int]] = {}  # component -> field -> index of the axis setting it
     for a, axis in enumerate(axes):
@@ -334,8 +339,9 @@ def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> tuple[list, ...]:
     status = np.array(["error:ValueError"] * f[0].size, dtype=object).reshape(f.shape[1:])
     if all(len(ix) for ix in valid):  # else no point is valid and nothing runs
         steps = _block_steps(axes, (len(valid[0]), len(valid[1])))
-        for block in itertools.product(*([ix[k:k + step] for k in range(0, len(ix), step)]
-                                         for ix, step in zip(valid, steps))):
+        # the blocks' list is unpacked, not a generator (see _anchor_values)
+        for block in itertools.product(*[[ix[k:k + step] for k in range(0, len(ix), step)]
+                                         for ix, step in zip(valid, steps)]):
             axis_values = (values[0][block[0]].reshape(-1, 1, 1),
                            values[1][block[1]].reshape(1, -1, 1))
             run = {**parts, **{name: replace_unchecked(parts[name], **{
@@ -347,29 +353,28 @@ def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> tuple[list, ...]:
             f[:, rows, columns] = report.f_up, report.f_down, report.f_both
             status[rows, columns] = np.reshape(np.array(report.status, dtype=object),
                                                (len(block[0]), -1))
-    points = (np.repeat(values[0], len(values[1])), np.tile(values[1], len(values[0])))
-    return (*(p.tolist() for p in points), *(x.ravel().tolist() for x in f),
-            status.ravel().tolist())
+    return GridTable((*axes, "f_up", "f_down", "f_both", "status"), grid_values,
+                     tuple(f.reshape(3, -1).tolist()), status.ravel().tolist())
 
 
-def sweep_coupling(cfg: SimConfig) -> list[list]:
-    """Fidelity surface over the two normalized cavity-coupling axes."""
+def sweep_coupling(cfg: SimConfig) -> GridTable:
+    """Fidelity surface over the two normalized cavity-coupling axes.
+
+    The baseline circuit's table holds f_up and f_down, the optimized one's f_both.
+    """
     axes = {cfg.values["axis1"], cfg.values["axis2"]}
     if axes != {"kappa_s_over_kappa", "g_over_kappa"}:
         raise ConfigError(
             f"coupling sweep needs axes kappa_s_over_kappa and g_over_kappa, got {sorted(axes)}"
         )
-    ensemble = cfg.input_ensemble()
-    x1, x2, f_up, f_down, f_both, status = _run_grid(cfg, ensemble)
+    table = _run_grid(cfg, cfg.input_ensemble())
     if cfg.values["circuit"] == "baseline":
-        header = [cfg.values["axis1"], cfg.values["axis2"], "f_up", "f_down", "status"]
-        return [header, *map(list, zip(x1, x2, f_up, f_down, status))]
-    header = [cfg.values["axis1"], cfg.values["axis2"], "f_both", "status"]
-    return [header, *map(list, zip(x1, x2, f_both, status))]
+        return table.without("f_both")
+    return table.without("f_up", "f_down")
 
 
-def sweep_err_psw(cfg: SimConfig) -> list[list]:
-    """Optimized-circuit fidelity over (uniform error, switch probability).
+def sweep_err_psw(cfg: SimConfig) -> GridTable:
+    """Optimized-circuit fidelity over (uniform error, switch probability): f_both.
 
     The error axis sets every wave-plate and CPBS error to the axis value;
     the switch axis sets the four routed-leg coefficients; the cloner is
@@ -385,99 +390,7 @@ def sweep_err_psw(cfg: SimConfig) -> list[list]:
     if (cloner := cfg.values["cloner_fidelity"]) not in (CONFIG_SCHEMA["cloner_fidelity"][1], F_UC):
         raise ConfigError(f"err/p_sw sweep pins cloner_fidelity to 5/6, got {cloner!r}")
     pinned = SimConfig({**cfg.values, "cloner_fidelity": F_UC})
-    ensemble = pinned.input_ensemble()
-    x1, x2, _, _, f_both, status = _run_grid(pinned, ensemble)
-    header = [cfg.values["axis1"], cfg.values["axis2"], "f_both", "status"]
-    return [header, *map(list, zip(x1, x2, f_both, status))]
-
-
-def _cell_text(cell) -> str:
-    return format(cell, ".10g") if isinstance(cell, float) else str(cell)
-
-
-def _signed_zeros(column: tuple) -> bool:
-    """Does ``column`` hold -0.0?  It is one dict key with 0.0 but prints apart."""
-    zeros = itertools.compress(column, map((0.0).__eq__, column))
-    return any(math.copysign(1.0, z) < 0 for z in zeros)
-
-
-def _column_format(column: tuple):
-    """How to write the cells of one column: None for text, else a function of a cell.
-
-    A float column that repeats its values (a grid axis: at most half as
-    many distinct values as cells, in its first chunk and in all) formats
-    each distinct value once.
-    """
-    kinds = set(map(type, column))
-    if kinds == {str}:
-        return None
-    if kinds != {float}:
-        return _cell_text
-    head = column[:CSV_CHUNK_ROWS]
-    if 2 * len(set(head)) > len(head):
-        return "%.10g".__mod__  # the bytes of format(v, ".10g")
-    distinct = dict.fromkeys(column)
-    if 2 * len(distinct) > len(column) or 0.0 in distinct and _signed_zeros(column):
-        return "%.10g".__mod__
-    for value in distinct:
-        distinct[value] = format(value, ".10g")
-    return distinct.__getitem__
-
-
-# rows written per chunk, so the text of a large table is never held whole
-CSV_CHUNK_ROWS = 512
-
-
-@contextmanager
-def _overwrite(path: str):
-    """A UTF-8 text file with LF endings written over ``path`` in place.
-
-    Unlike ``open(path, "w")`` this does not truncate the file on opening
-    it: it writes from the start, then cuts a regular file at the written
-    length.  On ext4 (``auto_da_alloc``), closing a file truncated to zero
-    starts its writeback, and the next truncate of that file waits for the
-    I/O.  The cut runs even when writing fails, so no tail of the old file
-    is left; a pipe or a device, which has no length, is not cut.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        fh = open(fd, "w", encoding="utf-8", newline="\n")
-    except BaseException:
-        os.close(fd)
-        raise
-    with fh:
-        try:
-            yield fh
-        finally:
-            try:
-                fh.flush()
-            finally:
-                if stat.S_ISREG(os.fstat(fd).st_mode):
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-
-
-def write_csv(table: list[list], path: str) -> None:
-    """UTF-8, comma-separated, 10 significant digits, LF endings.
-
-    Every float cell is written as ``format(v, ".10g")``, any other as
-    ``str``.  When the rows after the first have one length they are
-    formatted column by column, in chunks of rows, else row by row.  An
-    existing file at ``path`` is overwritten in place (see :func:`_overwrite`).
-    """
-    if not table:
-        raise ValueError("refusing to write an empty table")
-    head, rows = table[0], table[1:]
-    with _overwrite(path) as fh:
-        fh.write(",".join(map(_cell_text, head)) + "\n")
-        if len(set(map(len, rows))) != 1:
-            fh.writelines(",".join(map(_cell_text, row)) + "\n" for row in rows)
-            return
-        columns = list(zip(*rows))
-        formats = [_column_format(column) for column in columns]
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = [column[start:start + CSV_CHUNK_ROWS] for column in columns]
-            texts = [cells if f is None else [*map(f, cells)] for f, cells in zip(formats, chunk)]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+    return _run_grid(pinned, pinned.input_ensemble()).without("f_up", "f_down")
 
 
 # ---------------------------------------------------------------------------
@@ -701,28 +614,23 @@ def reproduce(target: str, out_dir: str) -> dict:
     csv_path = None
 
     if target in ("fig3a", "fig3b"):
-        table = sweep_coupling(cfg)
-        keep = "f_up" if target == "fig3a" else "f_down"
-        drop = 3 if target == "fig3a" else 2
-        for row in table:  # the rows are this call's own lists: drop in place
-            del row[drop]
-        assert table[0][2] == keep
+        table = sweep_coupling(cfg).without("f_down" if target == "fig3a" else "f_up")
         csv_path = os.path.join(out_dir, f"{target}.csv")
         write_csv(table, csv_path)
-        results = check_anchors(ensemble, tuple(a for a in ANCHORS if a.name.endswith("_ideal")))
+        results = check_anchors(ensemble, tuple([a for a in ANCHORS if a.name.endswith("_ideal")]))
     elif target == "fig4a":
         table = sweep_coupling(cfg)
         csv_path = os.path.join(out_dir, "fig4a.csv")
         write_csv(table, csv_path)
         results = check_anchors(
-            ensemble, tuple(a for a in ANCHORS if a.name == "optimized_measured_switches")
+            ensemble, tuple([a for a in ANCHORS if a.name == "optimized_measured_switches"])
         )
     elif target == "fig4b":
         table = sweep_err_psw(cfg)
         csv_path = os.path.join(out_dir, "fig4b.csv")
         write_csv(table, csv_path)
         results = check_anchors(
-            ensemble, tuple(a for a in ANCHORS if a.name == "optimized_best_case")
+            ensemble, tuple([a for a in ANCHORS if a.name == "optimized_best_case"])
         )
     else:
         results = check_anchors(ensemble)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -163,6 +164,16 @@ def test_interaction_map_puts_the_points_last():
         one = interaction_map(cavity_coeffs(CavityParams(g=gk, kappa_s=0.05, gamma=0.1)))
         assert one.shape == (2, 4, 4)
         assert np.array_equal(m[..., k, 0], one)
+    # scalar coefficients against batched ones moved by two grid axes (t0 and
+    # r0 along kappa_s only), bit for bit: the signs of zero entries included
+    ks = np.array([0.0, 0.05, 1.0]).reshape(1, 3, 1)
+    m = interaction_map(cavity_coeffs(CavityParams(g=g[:, :, None], kappa_s=ks, gamma=0.1)))
+    assert m.shape == (2, 4, 4, 3, 3, 1)
+    for (i, gi), (j, kj) in itertools.product(enumerate(g[:, 0]), enumerate(ks.ravel())):
+        one = interaction_map(cavity_coeffs(CavityParams(g=gi, kappa_s=kj, gamma=0.1)))
+        assert m[..., i, j, 0].tobytes() == one.tobytes()
+        # without kappa_s, r0 is 0 and its entries -0.0
+        assert (np.signbit(one) & (one == 0)).any() == (kj == 0)
 
 
 def test_interaction_preserves_spin_and_links_pol_to_dir():

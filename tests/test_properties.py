@@ -378,7 +378,7 @@ def assert_rows_match_point_builds(cfg, rows):
 ))
 def test_grid_lines_equal_per_point_builds(cfg):
     v = cfg.values
-    rows = list(zip(*_run_grid(cfg, cfg.input_ensemble())))
+    rows = _run_grid(cfg, cfg.input_ensemble())[1:]  # the point rows, header dropped
     assert len(rows) == v["axis1_points"] * v["axis2_points"]
     assert_rows_match_point_builds(cfg, rows)
 
@@ -423,7 +423,7 @@ def test_chunk_boundaries_keep_every_point_row(monkeypatch):
         for n, axis_range in ((1, range1), (2, range2)):
             overrides.update({f"axis{n}_{k}": x for k, x in axis_range.items()})
         cfg = _config_with(**overrides)
-        rows = list(zip(*_run_grid(cfg, cfg.input_ensemble())))
+        rows = _run_grid(cfg, cfg.input_ensemble())[1:]  # the point rows, header dropped
         assert len(rows) == range1["points"] * range2["points"]
         # the block's axis1 values on an (m, 1, 1) array, its axis2 values on (1, n, 1)
         assert [(np.shape(a)[0], np.shape(b)[1]) for a, b in calls] == blocks

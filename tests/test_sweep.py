@@ -309,8 +309,7 @@ def test_grid_without_a_valid_column_runs_nothing(monkeypatch):
     for invalid in (dict(axis2_lo=1.5, axis2_hi=2.0),
                     dict(axis2="g_over_kappa", axis2_lo=-2.0, axis2_hi=-1.0),
                     dict(axis1_lo=1.5, axis1_hi=2.0)):
-        columns = sweep_mod._run_grid(err_psw_cfg(**invalid), InputEnsemble.basis4())
-        table = list(zip(*columns))  # rows
+        table = sweep_mod._run_grid(err_psw_cfg(**invalid), InputEnsemble.basis4())[1:]  # rows
         assert len(table) == 9
         assert all(r[5] == "error:ValueError" and all(map(math.isnan, r[2:5])) for r in table)
 
@@ -397,6 +396,32 @@ def test_grid_blocks_keep_their_memory_bound():
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6, (sweep.__name__, peak)
+
+
+def test_repeated_grid_jobs_leave_no_memory_behind(tmp_path):
+    # a job that builds a tuple from a generator (``tuple(gen)``, ``f(*gen)``)
+    # sizes it by a guess and shrinks it, and each one parks a tuple in
+    # CPython's free lists until they fill (2000 per size); with no row lists
+    # left to trigger full collections, which empty those lists, that was
+    # ~0.8 kB per small err/p_sw job here (245 kB over 300), and +0.5 MB of
+    # peak RSS on a fig4b run.  Bound: 4x the 8 kB the 300 fig4b jobs of a
+    # row-list sweep grew by; a clean job grows by ~5 kB in all.
+    import tracemalloc
+
+    cfg, path = err_psw_cfg(), str(tmp_path / "grid.csv")
+    for _ in range(20):
+        write_csv(sweep_err_psw(cfg), path)
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            write_csv(sweep_err_psw(cfg), path)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            write_csv(sweep_err_psw(cfg), path)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 32_000, growth
 
 
 def test_err_psw_rejects_a_cloner_it_would_override():
