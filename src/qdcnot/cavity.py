@@ -36,7 +36,8 @@ class CavityParams:
     DOMAIN = {
         "kappa": (lambda v: np.isfinite(v) & (v > 0), "kappa must be positive and finite"),
         **{name: (lambda v: np.isfinite(v) & (v >= 0), f"{name} must be nonnegative and finite")
-           for name in ("g", "kappa_s", "gamma")},
+           for name in ("g", "kappa_s")},
+        "gamma": (lambda v: np.isfinite(v) & (v > 0), "gamma must be positive and finite"),
     }
     __post_init__ = check_domain
 
@@ -66,13 +67,13 @@ class CavityCoeffs:
 
 
 def cavity_coeffs(params: CavityParams) -> CavityCoeffs:
-    """Evaluate the resonant response for the given rates."""
+    """Evaluate the resonant response for the given rates.
+
+    ``CavityParams.DOMAIN`` keeps gamma and kappa positive, so the cold
+    denominator gamma*(2*kappa + kappa_s) is too.
+    """
     p = params
     denom0 = p.gamma * (2 * p.kappa + p.kappa_s)
-    if np.any(denom0 <= 0):
-        raise ValueError(
-            "degenerate cavity parameters: gamma*(2*kappa+kappa_s) must be positive"
-        )
     t = -2 * p.gamma * p.kappa / (denom0 + 4 * p.g * p.g)
     r = 1 + t
     t0 = -2 * p.gamma * p.kappa / denom0

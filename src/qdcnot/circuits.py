@@ -42,7 +42,10 @@ with each spin branch's squared norm and the global weight alongside: no
 labeled state is built.  A field that only scales the global weight
 (:data:`WEIGHT_ONLY`) adds no point to the stages; the config's shape
 and the stages' point shape are read in one walk over its fields
-(:func:`config_shapes`).
+(:func:`config_shapes`).  One block may hold points of both circuits:
+``optimized_cnot`` takes the sign fix as a per-point mask, and where it is
+off the sign-fix factor and the weight are exactly 1.0, so those points
+keep the bits :func:`baseline_cnot` gives them.
 """
 
 from __future__ import annotations
@@ -286,13 +289,18 @@ _SIGN_FIX_READS = _CORE_READS + ("cpbs2", "cpbs3", "cpbs4")
 
 
 def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
-         sign_fix: bool) -> CircuitOutput:
+         sign_fix: bool | np.ndarray) -> CircuitOutput:
     """Each input's output, checked, then with the sign fix and the
-    optimized circuit's prefactor as its weight if ``sign_fix``.
+    optimized circuit's prefactor as its weight where ``sign_fix`` holds.
 
-    The stages run on the photon basis |RR>, |RL>, |LR>, |LL> with the
-    inputs' shared spin at the points of the fields they read (and, with
-    ``sign_fix``, of those the sign fix reads); each input's output is its
+    ``sign_fix`` is one flag, or a per-point mask of a block (an array that
+    broadcasts against its fields, ``(k, 1)`` for k anchors), which makes
+    the block hold both circuits: where the mask is off, the sign-fix
+    factor and the weight are exactly 1.0, so those points keep the bits
+    :func:`baseline_cnot` gives them.  The stages run on the photon basis
+    |RR>, |RL>, |LR>, |LL> with the inputs' shared spin at the points of
+    the fields they read (and, with a sign fix, of those the sign fix reads,
+    and of the mask); each input's output is its
     :attr:`CnotInputs.coefficients`' combination of the four basis outputs,
     one ``(inputs, 4) @ (4, 4·points)`` matmul per spin, laid out (spin,
     input, photon pair, point).  The output checks flag each input and point
@@ -300,7 +308,11 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     run raises.  The sign fix then scales the spin-up, control-L amplitudes
     per point.
     """
-    shape, points = config_shapes(cavity, err, _SIGN_FIX_READS if sign_fix else _CORE_READS)
+    mask = np.shape(sign_fix)
+    fixed = sign_fix.any() if mask else sign_fix
+    shape, points = config_shapes(cavity, err, _SIGN_FIX_READS if fixed else _CORE_READS)
+    if mask:
+        shape, points = np.broadcast_shapes(shape, mask), np.broadcast_shapes(points, mask)
     if shape[-1:] not in ((), (1,)):
         raise ValueError(f"a batched config must end in the length-1 input axis, "
                          f"got shape {shape}")
@@ -318,14 +330,18 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     inputs = coefficients.shape[:-1] or points[-1:]
     if not inputs and fault[0, 0]:
         raise fault_error(int(fault[0, 0]), f"norm {norm[0, 0]}")
-    if sign_fix:  # spin up, control L
-        y[0, :, 2:] *= np.broadcast_to(sign_fix_amplitude(err), points).reshape(-1)
+    weight = 1.0
+    if fixed:  # spin up, control L
+        fix, weight = sign_fix_amplitude(err), cnot_prefactor(err)
+        if mask:
+            fix, weight = np.where(sign_fix, fix, 1.0), np.where(sign_fix, weight, 1.0)
+        y[0, :, 2:] *= np.broadcast_to(fix, points).reshape(-1)
         weights = branch_weights(y)
     points = points[:-1]
     k, i = len(points), len(inputs)
     fault = fault.reshape(inputs + points).transpose(*range(i, i + k), *range(i))
-    return CircuitOutput(y, weights, np.broadcast_to(fault, shape[:-1] + inputs),
-                         cnot_prefactor(err) if sign_fix else 1.0, points, inputs)
+    return CircuitOutput(y, weights, np.broadcast_to(fault, shape[:-1] + inputs), weight,
+                         points, inputs)
 
 
 def baseline_cnot(
@@ -367,14 +383,16 @@ def optimized_cnot(
     inputs: CnotInputs,
     cavity: CavityParams | CavityCoeffs,
     err: DeviceErrorConfig = DeviceErrorConfig(),
+    sign_fix: bool | np.ndarray = True,
 ) -> CircuitOutput:
     """Cloner-assisted CNOT: baseline core, switch routing, conditional sign fix.
 
     The output checks run on the core output; the sign fix then scales the
     spin-up, control-L amplitudes at each point, and the prefactor is the
-    output's weight.
+    output's weight.  A per-point ``sign_fix`` mask runs a block of both
+    circuits: the points where it is off get :func:`baseline_cnot`'s output.
     """
-    return _run(inputs, cavity, err, sign_fix=True)
+    return _run(inputs, cavity, err, sign_fix)
 
 
 @dataclass(frozen=True)

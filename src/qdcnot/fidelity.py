@@ -29,7 +29,12 @@ point's squared weight.
 Given a block of grid points (configuration fields holding an ``(m, 1,
 1)`` array of axis1 values or a ``(1, n, 1)`` array of axis2 values
 wherever the grid moves them), it runs the whole block against the whole
-ensemble at once and reports one value and one status per point.
+ensemble at once and reports one value and one status per point.  A
+block may mix both circuits (the circuit's name per point, as the anchor
+checks stack them), and the ensemble may be a union of ensembles
+(:meth:`InputEnsemble.union`): one circuit run covers all its inputs, and
+each part is reduced over its own slice of them, so each part's report is
+the one it gives alone.
 """
 
 from __future__ import annotations
@@ -55,10 +60,38 @@ from .state import stack
 
 @dataclass(frozen=True)
 class InputEnsemble:
-    """Named set of product inputs the fidelity is averaged over."""
+    """Named set of product inputs the fidelity is averaged over.
+
+    A union (see :meth:`union`) also keeps its ``parts``: one circuit run
+    covers all their inputs, and each part is reported on its own.
+    """
 
     kind: str
     states: tuple[CnotInputs, ...]
+    parts: tuple[InputEnsemble, ...] = ()
+
+    def __hash__(self):  # equal ensembles share a kind, which hashes far faster than every state
+        return hash(self.kind)
+
+    @classmethod
+    @lru_cache(maxsize=8)
+    def union(cls, *ensembles: InputEnsemble) -> InputEnsemble:
+        """The ensembles as the parts of one: its kind is their kinds joined
+        with ``+``, its states are theirs in order; built once per process.
+
+        The circuit runs every input with one spin, so the parts must share
+        their ``spin_init``.
+        """
+        if not ensembles or not all(e.states for e in ensembles):
+            raise ValueError(f"a union needs parts that hold inputs, got "
+                             f"{[(e.kind, len(e.states)) for e in ensembles]}")
+        if len({e.inputs.shared_spin_init for e in ensembles}) > 1:
+            raise ValueError("union parts must share one spin_init: the circuit runs "
+                             "all their inputs with a single spin")
+        states: list[CnotInputs] = []
+        for e in ensembles:
+            states += e.states
+        return cls("+".join([e.kind for e in ensembles]), tuple(states), ensembles)
 
     @cached_property
     def inputs(self) -> CnotInputs:
@@ -131,7 +164,8 @@ class FidelityReport:
     their branch; the folded variants and ``f_both`` include all weight.
     For a block of grid points every value is an array over them, and
     ``status`` says per point, in row-major order, "ok" or which output
-    check failed.
+    check failed; ``circuit`` is the circuit's name, or the names per point
+    of a block of both circuits.
     """
 
     f_up: float
@@ -140,7 +174,7 @@ class FidelityReport:
     success_up: float
     success_down: float
     ensemble: str
-    circuit: str
+    circuit: str | np.ndarray
     status: str | tuple[str, ...] = "ok"
 
     @property
@@ -153,28 +187,43 @@ class FidelityReport:
 
 
 def average_fidelity(
-    circuit: str,
+    circuit: str | np.ndarray,
     cavity: CavityParams | CavityCoeffs,
     err: DeviceErrorConfig,
     ensemble: InputEnsemble,
-) -> FidelityReport:
+) -> FidelityReport | tuple[FidelityReport, ...]:
     """Arithmetic mean of the per-input fidelities, in ensemble order.
 
     ``cavity`` and ``err`` are one configuration, or a block of grid
     points: the fields the grid moves hold arrays over its points that end
     in the length-1 input axis, ``(m, 1, 1)`` for axis1 and ``(1, n, 1)``
     for axis2 (each entry inside its domain), every other field a scalar.
-    One configuration whose output fails a check raises; a block reports
-    the failure in that point's status and leaves its values nan.
+    ``circuit`` is "baseline" or "optimized", or, for a block that holds
+    both, an array of those names that broadcasts against its fields (one
+    per point): the block runs through ``optimized_cnot`` with the sign fix
+    masked to its optimized points.  One configuration whose output fails a
+    check raises; a block reports the failure in that point's status and
+    leaves its values nan.
+
+    A union ensemble (see :meth:`InputEnsemble.union`) runs all its inputs
+    in one circuit run and gives one report per part, in order: each part
+    is reduced over its own inputs, so its values and statuses are the ones
+    it gives alone at the same points.
     """
     if not ensemble.states:
         raise ValueError("empty input ensemble")
-    if circuit not in ("baseline", "optimized"):
-        raise ValueError(f"unknown circuit {circuit!r}")
-    run = baseline_cnot if circuit == "baseline" else optimized_cnot
-    out = run(ensemble.inputs, cavity, err)
+    if isinstance(circuit, str):
+        if circuit not in ("baseline", "optimized"):
+            raise ValueError(f"unknown circuit {circuit!r}")
+        run = baseline_cnot if circuit == "baseline" else optimized_cnot
+        out = run(ensemble.inputs, cavity, err)
+    else:
+        circuit = np.asarray(circuit)
+        optimized = circuit == "optimized"
+        if not np.all(optimized | (circuit == "baseline")):
+            raise ValueError(f"unknown circuit in {sorted(set(circuit.ravel().tolist()))}")
+        out = optimized_cnot(ensemble.inputs, cavity, err, sign_fix=optimized)
     y = out.columns  # (spin, input, photon pair, point), weight not applied
-    n = y.shape[1]
     w2 = np.square(out.weight)  # the optimized circuit's prefactor, per point
     w2 = w2[..., 0] if np.ndim(w2) else w2
 
@@ -191,10 +240,23 @@ def average_fidelity(
     # (switches on the optimized circuit) gives the amplitudes no point axis
     fault = out.fault
     points = fault.shape[:-1]
-    # the means over the inputs in ensemble order, times each point's weight;
     # the amplitudes' point axes line up with the config's last ones
-    means = w2 * (np.add.reduce(per_input, axis=1) / n).reshape(
-        (5,) + (1,) * (len(points) - len(out.points)) + out.points)
+    shape = (5,) + (1,) * (len(points) - len(out.points)) + out.points
+    reports, start = [], 0
+    for part in ensemble.parts or (ensemble,):
+        stop = start + len(part.states)
+        # the means over the part's inputs in ensemble order, times each point's weight
+        mean = np.add.reduce(per_input[:, start:stop], axis=1) / (stop - start)
+        means = w2 * mean.reshape(shape)
+        reports.append(_report(means, fault[..., start:stop], circuit, part.kind))
+        start = stop
+    return tuple(reports) if ensemble.parts else reports[0]
+
+
+def _report(means: np.ndarray, fault: np.ndarray, circuit: str | np.ndarray,
+            kind: str) -> FidelityReport:
+    """One ensemble's report from its means and its faults (points..., its inputs)."""
+    points = fault.shape[:-1]
     if not fault.any():
         values = means.tolist() if not points else np.broadcast_to(means, (5,) + points)
         status = "ok" if not points else ("ok",) * math.prod(points)
@@ -205,4 +267,4 @@ def average_fidelity(
             raise fault_error(int(first), f"{circuit} circuit, input {int(np.argmax(fault))}")
         values = np.where(first == 0, means, math.nan)
         status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
-    return FidelityReport(*values, ensemble=ensemble.kind, circuit=circuit, status=status)
+    return FidelityReport(*values, ensemble=kind, circuit=circuit, status=status)

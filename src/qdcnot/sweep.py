@@ -13,9 +13,10 @@ bytes.
 
 ``reproduce`` runs canonical configurations and compares a set of named
 reference fidelity anchors for this architecture against the computed
-values at their quoted tolerances.  Anchors are checked as blocks too: the
-anchors of one circuit run as one config, those outside tolerance again on
-each other candidate ensemble.  One anchor (baseline, strong coupling,
+values at their quoted tolerances.  Anchors are checked as blocks too, in
+at most two engine calls: every anchor, of either circuit, on the check
+ensemble as one block, then those outside tolerance on the union of the
+other candidate ensembles.  One anchor (baseline, strong coupling,
 all errors at 1e-2) is known not to be reachable by any supported input
 ensemble; it is reported with its best-achieving ensemble and residual
 instead of a pass, together with the qualitative checks that must hold
@@ -156,7 +157,11 @@ COMPONENTS = {
     "cloner": (ClonerConfig, ("cloner_fidelity",)),
 }
 # DeviceErrorConfig's fields, read once: fields() builds a tuple from a
-# generator on every call (see _anchor_values)
+# generator on every call.  Tuples here are built from lists, and calls
+# unpack lists: a tuple of a list is sized up front, while tuple() of a
+# generator (and f(*generator)) shrinks an oversized one, and each call would
+# park one more in CPython's tuple free lists until they fill (~0.5 MB of
+# peak RSS)
 _ERROR_PARTS = [f.name for f in fields(DeviceErrorConfig)]
 
 
@@ -174,7 +179,7 @@ class SimConfig:
     def _component(self, name: str):
         """One validated component (see :data:`COMPONENTS`)."""
         cls, keys = COMPONENTS[name]
-        return cls(*[self.values[k] for k in keys])  # sized up front, see _anchor_values
+        return cls(*[self.values[k] for k in keys])  # sized up front, see _ERROR_PARTS
 
     def cavity(self) -> CavityParams:
         return self._component("cavity")
@@ -256,16 +261,14 @@ def calibrate_ensemble() -> InputEnsemble:
     Candidates are the four-basis-state set, the four balanced
     superpositions, and the exact uniform product average; the winner is
     the one minimizing the worst residual against the strong/weak coupling
-    reference values.  Chosen once per process.
+    reference values, the first such candidate on a tie.  One engine call
+    on the candidates' union; chosen once per process.
     """
-    best, best_residual = None, math.inf
     anchors = (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL)
-    for ens in (make() for make in ENSEMBLES.values()):
-        residual = max(abs(value - anchor.expected)
-                       for anchor, value in zip(anchors, _anchor_values(anchors, ens)))
-        if residual < best_residual:
-            best, best_residual = ens, residual
-    return best
+    candidates = [make() for make in ENSEMBLES.values()]
+    values = _anchor_values(anchors, InputEnsemble.union(*candidates))
+    return min(candidates, key=lambda ens: max([
+        abs(_read(values, anchor, ens.kind) - anchor.expected) for anchor in anchors]))
 
 
 def resolve_ensemble(name: str) -> InputEnsemble:
@@ -339,7 +342,7 @@ def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> GridTable:
     status = np.array(["error:ValueError"] * f[0].size, dtype=object).reshape(f.shape[1:])
     if all(len(ix) for ix in valid):  # else no point is valid and nothing runs
         steps = _block_steps(axes, (len(valid[0]), len(valid[1])))
-        # the blocks' list is unpacked, not a generator (see _anchor_values)
+        # the blocks' list is unpacked, not a generator (see _ERROR_PARTS)
         for block in itertools.product(*[[ix[k:k + step] for k in range(0, len(ix), step)]
                                          for ix, step in zip(valid, steps)]):
             axis_values = (values[0][block[0]].reshape(-1, 1, 1),
@@ -448,6 +451,9 @@ ANCHORS: tuple[Anchor, ...] = (
     ANCHOR_MEASURED_SWITCHES,
     ANCHOR_BEST_CASE,
 )
+# the anchors the qualitative claims read, in the order they read them
+_CLAIM_ANCHORS = (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL, ANCHOR_BEST_CASE,
+                  ANCHOR_MEASURED_SWITCHES)
 
 
 # an anchor block's point status -> the code of the output check it failed
@@ -455,38 +461,52 @@ _FAULT_CODES = {f"error:{name}": code for code, (_, name, _) in FAULTS.items()}
 
 
 @lru_cache(maxsize=32)
-def _anchor_block(group: tuple[Anchor, ...]) -> tuple[CavityParams, DeviceErrorConfig]:
-    """One circuit's anchors as one config, built once per process.
+def _anchor_block(group: tuple[Anchor, ...]
+                  ) -> tuple[str | np.ndarray, CavityParams, DeviceErrorConfig]:
+    """The anchors' circuit, cavity and errors as one block, built once per process.
 
-    A field that differs between them holds a (k, 1) array over the anchors
-    (a point axis, then the length-1 input axis); one they share stays a
-    scalar, so a lone anchor is its own config.
+    A field that differs between them, the circuit's name included, holds a
+    (k, 1) array over the anchors (a point axis, then the length-1 input
+    axis); one they share stays a scalar.  So the anchors of one circuit run
+    that circuit alone, and a lone anchor is its own config.
     """
-    return stack([(a.cavity, a.errors) for a in group], (-1, 1), shared=True)
+    return stack([(a.circuit, a.cavity, a.errors) for a in group], (-1, 1), shared=True)
 
 
-def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble) -> list[float]:
-    """Each anchor's metric on ``ensemble``, in order: one engine call per circuit.
+def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble
+                   ) -> dict[tuple[str, str], float | Exception]:
+    """Each anchor's metric on each part of ``ensemble`` (the ensemble itself
+    if it is not a union), keyed by (anchor name, part kind): one engine call
+    for all of them, whatever their circuits.
 
-    A point of a block that fails an output check raises what one config
-    failing it raises, naming the anchor.
+    A point of a block that fails an output check holds the error one config
+    failing it raises, naming the anchor: reading it raises (see
+    :func:`_read`), so a fault raises only where its value is used.  A lone
+    anchor is one config, which raises the engine's own error at once.
     """
-    values = [math.nan] * len(anchors)
-    for circuit in dict.fromkeys(a.circuit for a in anchors):
-        slots = [k for k, a in enumerate(anchors) if a.circuit == circuit]
-        # a tuple of a list is sized up front: tuple() of a generator shrinks an
-        # oversized one, and each call would park one more in CPython's tuple
-        # free lists until they fill (~0.5 MB of peak RSS)
-        group = tuple([anchors[k] for k in slots])
-        report = average_fidelity(circuit, *_anchor_block(group), ensemble)
-        f_up, f_down, f_both = ([v] if len(group) == 1 else v.tolist()
-                                for v in (report.f_up, report.f_down, report.f_both))
-        status = [report.status] if len(group) == 1 else report.status
-        for j, (k, anchor) in enumerate(zip(slots, group)):
-            if status[j] != "ok":
-                raise fault_error(_FAULT_CODES[status[j]], f"anchor {anchor.name}")
-            values[k] = max(f_up[j], f_down[j]) if anchor.metric == "best_branch" else f_both[j]
+    group = tuple(anchors)
+    reports = average_fidelity(*_anchor_block(group), ensemble)
+    values: dict[tuple[str, str], float | Exception] = {}
+    for report in reports if ensemble.parts else (reports,):
+        if isinstance(report.status, str):  # one config: the anchors share every field
+            rows = [(report.f_up, report.f_down, report.f_both, report.status)] * len(group)
+        else:
+            rows = zip(report.f_up.tolist(), report.f_down.tolist(), report.f_both.tolist(),
+                       report.status)
+        for anchor, (up, down, both, status) in zip(group, rows):
+            values[anchor.name, report.ensemble] = (
+                fault_error(_FAULT_CODES[status], f"anchor {anchor.name}") if status != "ok"
+                else max(up, down) if anchor.metric == "best_branch" else both)
     return values
+
+
+def _read(values: dict[tuple[str, str], float | Exception], anchor: Anchor, kind: str) -> float:
+    """``anchor``'s value on the ensemble ``kind`` (see :func:`_anchor_values`);
+    raises the fault its point failed with."""
+    value = values[anchor.name, kind]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 @dataclass(frozen=True)
@@ -505,26 +525,27 @@ def check_anchors(
     """Each anchor's status on ``ensemble``: PASS within tolerance, else FAIL,
     or DOCUMENTED for a documented residual no candidate ensemble meets.
 
-    Every anchor runs on ``ensemble`` first, then only the anchors outside
-    tolerance on each candidate ensemble, each set one block per circuit
-    (see :func:`_anchor_values`); each (anchor, ensemble) pair is evaluated
-    once per call.
+    At most two engine calls, each one block of the anchors' circuits (see
+    :func:`_anchor_values`): every anchor on ``ensemble``, joined by the
+    anchors the qualitative claims read when a documented residual is
+    requested; then only the anchors outside tolerance, on the union of the
+    candidate ensembles other than ``ensemble``.  Each (anchor, ensemble)
+    pair is evaluated once per call, and a fault raises only where its
+    value is read: on ``ensemble``, or for an anchor outside tolerance.
     """
     if anchors is None:
         anchors = ANCHORS
-    values: dict[tuple[str, str], float] = {}
-
-    def metrics(group: Sequence[Anchor], ens: InputEnsemble) -> list[float]:
-        todo = [a for a in group if (a.name, ens.kind) not in values]
-        if todo:
-            values.update(zip(((a.name, ens.kind) for a in todo), _anchor_values(todo, ens)))
-        return [values[a.name, ens.kind] for a in group]
-
-    checked = metrics(anchors, ensemble)
+    block = anchors
+    if any(a.documented_residual for a in anchors):
+        names = {a.name for a in anchors}
+        block = (*anchors, *[a for a in _CLAIM_ANCHORS if a.name not in names])
+    values = _anchor_values(block, ensemble)
+    checked = [_read(values, a, ensemble.kind) for a in anchors]
     outside = [abs(v - a.expected) > a.tolerance for a, v in zip(anchors, checked)]
-    candidates = [make() for make in ENSEMBLES.values()]
-    for alt in candidates:
-        metrics([a for a, miss in zip(anchors, outside) if miss], alt)
+    if any(outside):
+        others = InputEnsemble.union(*[make() for kind, make in ENSEMBLES.items()
+                                       if kind != ensemble.kind])
+        values.update(_anchor_values([a for a, miss in zip(anchors, outside) if miss], others))
 
     results = []
     for anchor, value, miss in zip(anchors, checked, outside):
@@ -534,23 +555,22 @@ def check_anchors(
         # outside tolerance: look for any ensemble choice that meets it
         best_name, best_value = ensemble.kind, value
         met = False
-        for alt in candidates:
-            alt_value = values[anchor.name, alt.kind]
+        for kind in ENSEMBLES:
+            alt_value = _read(values, anchor, kind)
             if abs(alt_value - anchor.expected) < abs(best_value - anchor.expected):
-                best_name, best_value = alt.kind, alt_value
+                best_name, best_value = kind, alt_value
             if abs(alt_value - anchor.expected) <= anchor.tolerance:
                 met = True
         documented = not met and anchor.documented_residual and _qualitative_claims_hold(
-            ensemble, metrics)
+            values, ensemble.kind)
         results.append(AnchorResult(anchor, value, ensemble.kind,
                                     "DOCUMENTED" if documented else "FAIL", best_name, best_value))
     return results
 
 
-def _qualitative_claims_hold(ensemble: InputEnsemble, metrics) -> bool:
+def _qualitative_claims_hold(values: dict[tuple[str, str], float | Exception], kind: str) -> bool:
     """Strong >> weak; best case near the cloner bound; realistic collapse."""
-    strong, weak, best, realistic = metrics((ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL,
-                                             ANCHOR_BEST_CASE, ANCHOR_MEASURED_SWITCHES), ensemble)
+    strong, weak, best, realistic = [_read(values, a, kind) for a in _CLAIM_ANCHORS]
     return strong > weak + 0.30 and abs(best - F_UC) < 0.07 and realistic < best / 2
 
 

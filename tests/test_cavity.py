@@ -66,7 +66,9 @@ def test_transmission_decreases_with_coupling():
 
 
 def test_degenerate_parameters_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
+    # gamma = 0 would zero the cold denominator gamma*(2*kappa + kappa_s):
+    # the domain rejects it when the parameters are built
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got 0.0"):
         cavity_coeffs(CavityParams(g=0.0, kappa_s=0.0, gamma=0.0))
 
 

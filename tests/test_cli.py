@@ -186,3 +186,11 @@ def test_sweep_out_to_a_pipe(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == out_csv.read_bytes() + b"wrote 4 rows to /dev/stdout\n"
+
+
+def test_cavity_subcommand_rejects_zero_gamma(capsys):
+    # gamma = 0 zeroes the cold cavity's denominator: the domain rejects it by name
+    assert main(["cavity", "--g", "1", "--ks", "0", "--gamma", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gamma must be positive and finite, got 0.0\n"

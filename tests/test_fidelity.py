@@ -382,3 +382,88 @@ def test_average_fidelity_runs_the_circuit_once(monkeypatch):
         calls.clear()
         average_fidelity(circuit, STRONG, switch_line(err), InputEnsemble.superposition4())
         assert calls == [f"{circuit}_cnot", "stages"]
+
+
+REPORT_VALUES = ("f_up", "f_down", "f_both", "success_up", "success_down")
+
+
+def test_union_parts_equal_separate_calls():
+    parts = [InputEnsemble.basis4(), InputEnsemble.superposition4(), InputEnsemble.haar_product()]
+    union = InputEnsemble.union(*parts)
+    assert union.kind == "basis4+superposition4+haar_product"
+    assert union.states == parts[0].states + parts[1].states + parts[2].states
+    assert InputEnsemble.union(*parts) is union  # built once per process
+    # a (4, 1) line of g values at kappa_s = 0 with xi1 = 0.1: g = 0.7 faults on
+    # superposition4 and haar_product, not on basis4
+    line = stack([CavityParams(g=g, kappa_s=0.0, gamma=0.1) for g in (0.3, 0.7, 1.5, 3.0)],
+                 (-1, 1))
+    err = DeviceErrorConfig.uniform(1e-2, cloner=ClonerConfig(F_UC))
+    faulty = DeviceErrorConfig(xi1=HwpError(0.1))
+    for circuit in ("baseline", "optimized"):
+        for cavity, errors in ((STRONG, err), (line, faulty), (STRONG, switch_line(err))):
+            reports = average_fidelity(circuit, cavity, errors, union)
+            assert [r.ensemble for r in reports] == [p.kind for p in parts]
+            for part, report in zip(parts, reports):
+                alone = average_fidelity(circuit, cavity, errors, part)
+                assert report.status == alone.status
+                for name in REPORT_VALUES:
+                    got, want = (np.asarray(getattr(r, name)) for r in (report, alone))
+                    if part.kind == "basis4":
+                        assert got.tobytes() == want.tobytes(), (circuit, name)
+                    else:
+                        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        statuses = [r.status for r in average_fidelity(circuit, line, faulty, union)]
+        assert statuses[0] == ("ok",) * 4
+        assert statuses[1][1] == statuses[2][1] == "error:AssertionError"
+    # one config that faults on a part raises, as that part alone does
+    with pytest.raises(AssertionError, match="output norm exceeds 1"):
+        average_fidelity("baseline", CavityParams(g=0.7, kappa_s=0.0, gamma=0.1), faulty, union)
+
+
+def test_union_rejects_empty_parts_and_mixed_spins():
+    basis4 = InputEnsemble.basis4()
+    with pytest.raises(ValueError, match="a union needs parts that hold inputs"):
+        InputEnsemble.union(basis4, InputEnsemble("none", ()))
+    with pytest.raises(ValueError, match="a union needs parts that hold inputs"):
+        InputEnsemble.union()
+    up = InputEnsemble("up", (CnotInputs.basis("R", "R", spin_init=(1.0, 0.0)),))
+    with pytest.raises(ValueError, match="union parts must share one spin_init"):
+        InputEnsemble.union(basis4, up)
+
+
+def test_a_mixed_block_equals_its_per_circuit_blocks():
+    # four points of both circuits in one block, every field differing
+    strong = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
+    weak = CavityParams(g=0.45, kappa_s=1.0, gamma=0.1)
+    points = [
+        ("baseline", strong, DeviceErrorConfig.uniform(1e-2)),
+        ("optimized", strong, DeviceErrorConfig.uniform(
+            1e-2, sw1=SwitchCoeffs(t12=0.899, r22=0.65), sw2=SwitchCoeffs(t12=0.956, r11=0.648),
+            cloner=ClonerConfig(0.82))),
+        ("baseline", weak, NO_ERR),
+        ("optimized", strong, DeviceErrorConfig.uniform(1e-4, cloner=ClonerConfig(F_UC))),
+    ]
+    circuits = np.array([c for c, _, _ in points]).reshape(-1, 1)
+    cavity, err = stack([(cav, e) for _, cav, e in points], (-1, 1))
+    ensemble = InputEnsemble.basis4()
+    mixed = optimized_cnot(ensemble.inputs, cavity, err, sign_fix=circuits == "optimized")
+    weight = np.broadcast_to(mixed.weight, (4, 1))[:, 0]
+    for j, (circuit, cav, e) in enumerate(points):
+        run = baseline_cnot if circuit == "baseline" else optimized_cnot
+        alone = run(ensemble.inputs, cav, e)
+        # a baseline point keeps baseline_cnot's bits, with weight 1.0
+        assert mixed.columns[..., j].tobytes() == alone.columns[..., 0].tobytes(), j
+        assert mixed.spin_weights[..., j].tobytes() == alone.spin_weights[..., 0].tobytes(), j
+        assert weight[j] == alone.weight, j
+    # through the engine: each point's values equal its circuit's own block
+    report = average_fidelity(circuits, cavity, err, ensemble)
+    assert report.status == ("ok",) * 4
+    for circuit in ("baseline", "optimized"):
+        slots = [j for j, (c, _, _) in enumerate(points) if c == circuit]
+        cav_block, err_block = stack([points[j][1:] for j in slots], (-1, 1))
+        block = average_fidelity(circuit, cav_block, err_block, ensemble)
+        for name in REPORT_VALUES:
+            assert (np.asarray(getattr(report, name))[slots].tobytes()
+                    == np.asarray(getattr(block, name)).tobytes()), (circuit, name)
+    with pytest.raises(ValueError, match="unknown circuit in"):
+        average_fidelity(np.array(["baseline", "cloned"]).reshape(-1, 1), cavity, err, ensemble)

@@ -603,43 +603,66 @@ def test_check_anchors_flags_calibration_mismatch():
 
 
 def spy_engine(monkeypatch):
-    """Record (circuit, ensemble, points) of every engine call made through the sweep module."""
-    seen = []
+    """Record every engine call made through the sweep module, as its list of
+    (circuit, ensemble part, points) entries: a block of both circuits gives
+    one entry per circuit, in the order they first appear, and a union ensemble
+    one per part."""
+    calls = []
     real = sweep_mod.average_fidelity
 
     def counted(circuit, cavity, err, ensemble):
-        seen.append((circuit, ensemble.kind, math.prod(config_shapes(cavity, err, ())[0])))
+        names = (np.ravel(circuit).tolist() if not isinstance(circuit, str)
+                 else [circuit] * math.prod(config_shapes(cavity, err, ())[0]))
+        calls.append([(name, part.kind, names.count(name))
+                      for part in ensemble.parts or (ensemble,) for name in dict.fromkeys(names)])
         return real(circuit, cavity, err, ensemble)
 
     monkeypatch.setattr(sweep_mod, "average_fidelity", counted)
-    return seen
+    return calls
 
 
 def test_check_anchors_evaluates_each_anchor_ensemble_pair_once(monkeypatch):
-    seen = spy_engine(monkeypatch)
+    calls = spy_engine(monkeypatch)
     results = check_anchors(calibrate_ensemble())
     assert [r.status for r in results].count("DOCUMENTED") == 1
-    # the 6 anchors on the check ensemble as one block per circuit, then the
-    # documented residual alone on the two other candidate ensembles; the
-    # qualitative claims reuse the first blocks' values
+    # the 6 anchors of both circuits on the check ensemble as one block, then
+    # the documented residual alone on the union of the two other candidate
+    # ensembles; the qualitative claims reuse the first block's values
+    assert len(calls) == 2
+    seen = [entry for call in calls for entry in call]
     assert seen == [("baseline", "basis4", 4), ("optimized", "basis4", 2),
                     ("baseline", "superposition4", 1), ("baseline", "haar_product", 1)]
     assert len({call[:2] for call in seen}) == len(seen)
 
 
 def test_calibration_runs_one_block_per_ensemble(monkeypatch):
-    seen = spy_engine(monkeypatch)
+    calls = spy_engine(monkeypatch)
     assert calibrate_ensemble.__wrapped__().kind == "basis4"
-    assert seen == [("baseline", kind, 2) for kind in ("basis4", "superposition4", "haar_product")]
+    # one engine call on the union of the three candidates
+    assert len(calls) == 1
+    assert calls[0] == [("baseline", kind, 2)
+                        for kind in ("basis4", "superposition4", "haar_product")]
+
+
+@pytest.mark.parametrize("target, calls", [
+    ("fig3a", 8), ("fig3b", 8), ("fig4a", 8), ("fig4b", 2), ("table_anchors", 2)])
+def test_engine_calls_per_target(monkeypatch, tmp_path, target, calls):
+    # fig3a/fig3b/fig4a: 7 grid blocks and the check; fig4b: 1 grid block and
+    # the check; the anchor table: its two check calls
+    calibrate_ensemble()  # once per process, before the spy
+    seen = spy_engine(monkeypatch)
+    assert reproduce(target, str(tmp_path))["ok"]
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("kind", ["basis4", "superposition4", "haar_product"])
 def test_anchor_blocks_equal_single_configs(kind):
-    # one block per circuit gives each anchor the value its own config gives:
-    # bit for bit on basis4, within rounding of the summation on the others
+    # one block of both circuits gives each anchor the value its own config
+    # gives: bit for bit on basis4, within rounding of the summation on the others
     ensemble = sweep_mod.ENSEMBLES[kind]()
     batched = sweep_mod._anchor_values(ANCHORS, ensemble)
-    for anchor, value in zip(ANCHORS, batched):
+    for anchor in ANCHORS:
+        value = sweep_mod._read(batched, anchor, kind)
         report = average_fidelity(anchor.circuit, anchor.cavity, anchor.errors, ensemble)
         single = (max(report.f_up, report.f_down) if anchor.metric == "best_branch"
                   else report.f_both)
@@ -647,6 +670,20 @@ def test_anchor_blocks_equal_single_configs(kind):
             assert value == single, anchor.name
         else:
             assert abs(value - single) <= 1e-15, anchor.name
+
+
+def test_anchor_values_on_a_union_equal_each_part_alone():
+    parts = [make() for make in sweep_mod.ENSEMBLES.values()]
+    union = sweep_mod._anchor_values(ANCHORS, InputEnsemble.union(*parts))
+    assert len(union) == len(ANCHORS) * len(parts)
+    for part in parts:
+        alone = sweep_mod._anchor_values(ANCHORS, part)
+        for anchor in ANCHORS:
+            value = sweep_mod._read(union, anchor, part.kind)
+            if part.kind == "basis4":
+                assert value == alone[anchor.name, "basis4"], anchor.name
+            else:
+                assert abs(value - alone[anchor.name, part.kind]) <= 1e-15, anchor.name
 
 
 def test_a_faulting_anchor_in_a_block_raises_by_name():
@@ -677,3 +714,18 @@ def test_reproduce_fig3b_emits_down_branch(tmp_path):
     # small sanity on the column selection without rerunning the full grid
     table = sweep_coupling(small_cfg())
     assert table[0][2] == "f_up" and table[0][3] == "f_down"
+
+
+def test_a_candidate_fault_raises_by_name_from_the_union_call(monkeypatch):
+    # the norm_fault config runs on basis4 (f_up 0.837, outside this anchor's
+    # tolerance) and faults on superposition4 and haar_product; a second
+    # anchor outside tolerance makes the union call a block of two points
+    bad = replace(ANCHORS[0], name="norm_fault", expected=0.5,
+                  cavity=CavityParams(g=0.7, kappa_s=0.0, gamma=0.1),
+                  errors=DeviceErrorConfig(xi1=HwpError(0.1)))
+    missed = replace(ANCHORS[1], expected=0.9)
+    calls = spy_engine(monkeypatch)
+    with pytest.raises(OutputNormError, match="output norm exceeds 1: anchor norm_fault"):
+        check_anchors(InputEnsemble.basis4(), (ANCHORS[0], missed, bad))
+    assert calls == [[("baseline", "basis4", 3)],
+                     [("baseline", "superposition4", 2), ("baseline", "haar_product", 2)]]
