@@ -91,8 +91,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_reproduce(args) -> int:
     outcome = reproduce(args.target, args.out_dir)
     sys.stdout.write(outcome["summary"])
-    if outcome["csv"]:
-        print(f"csv: {outcome['csv']}")
+    print(f"csv: {outcome['csv']}")
     print(f"summary: {outcome['summary_path']}")
     return EXIT_OK if outcome["ok"] else EXIT_ANCHORS
 

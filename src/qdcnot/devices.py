@@ -44,7 +44,7 @@ class HwpError:
 
     xi: float = 0.0
 
-    DOMAIN = {"xi": (lambda v: abs(v) <= 1, "hwp error xi must satisfy |xi| <= 1")}
+    DOMAIN = {"xi": (lambda v: abs(v) <= 1, "hwp error xi must be in [-1, 1]")}
     __post_init__ = check_domain
 
 

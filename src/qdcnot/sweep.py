@@ -1,7 +1,9 @@
 """Configuration loading, parameter-grid sweeps, reproduction targets.
 
 Configs are flat ``key = value`` text files (``#`` comments allowed); the
-full schema with defaults and constraints lives in :data:`CONFIG_SCHEMA`.
+keys, their kinds and defaults live in :data:`CONFIG_SCHEMA`, and the range
+of a key that sets a component field lives in that component's ``DOMAIN``
+(see :data:`COMPONENTS`).
 Sweeps evaluate a two-axis grid in axis1-outer order, one row per point,
 and return it as a :class:`~qdcnot.table.GridTable`: its columns, read as
 the list of rows.  The grid runs in bounded blocks of valid rows by valid
@@ -66,80 +68,45 @@ ENSEMBLES = {
 }
 ENSEMBLE_NAMES = ("calibration", *ENSEMBLES)
 
-# key -> (kind, default, constraint-description, validator)
+# key -> (kind, default), then a choice key's allowed values; the range of a
+# key that sets a component field is that class's DOMAIN (see _KEY_DOMAINS)
 CONFIG_SCHEMA = {
-    "circuit": ("choice", "baseline", "baseline|optimized", ("baseline", "optimized")),
-    "g_over_kappa": ("float", 2.5, ">= 0", lambda v: v >= 0),
-    "kappa_s_over_kappa": ("float", 0.05, ">= 0", lambda v: v >= 0),
-    "gamma_over_kappa": ("float", 0.1, "> 0", lambda v: v > 0),
-    "xi1": ("float", 0.0, "in [-1, 1]", lambda v: -1 <= v <= 1),
-    "xi2": ("float", 0.0, "in [-1, 1]", lambda v: -1 <= v <= 1),
-    "tau_r1": ("float", 0.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "tau_l1": ("float", 0.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "tau_r2": ("float", 0.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "tau_l2": ("float", 0.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "tau_r3": ("float", 0.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "tau_l3": ("float", 0.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "tau_r4": ("float", 0.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "tau_l4": ("float", 0.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "sw1_t12": ("float", 1.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "sw1_t21": ("float", 1.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "sw1_r11": ("float", 1.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "sw1_r22": ("float", 1.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "sw2_t12": ("float", 1.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "sw2_t21": ("float", 1.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "sw2_r11": ("float", 1.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "sw2_r22": ("float", 1.0, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "cloner_fidelity": ("float", 1.0, "in [0.5, 1]", lambda v: 0.5 <= v <= 1),
-    "ensemble": ("choice", "calibration", "|".join(ENSEMBLE_NAMES), ENSEMBLE_NAMES),
-    "axis1": ("choice", "kappa_s_over_kappa", "|".join(AXIS_NAMES), AXIS_NAMES),
-    "axis1_lo": ("float", 0.0, "finite", None),
-    "axis1_hi": ("float", 2.0, "finite", None),
-    "axis1_points": ("int", 41, ">= 2", lambda v: v >= 2),
-    "axis1_scale": ("choice", "linear", "linear|log", ("linear", "log")),
-    "axis2": ("choice", "g_over_kappa", "|".join(AXIS_NAMES), AXIS_NAMES),
-    "axis2_lo": ("float", 0.0, "finite", None),
-    "axis2_hi": ("float", 3.0, "finite", None),
-    "axis2_points": ("int", 61, ">= 2", lambda v: v >= 2),
-    "axis2_scale": ("choice", "linear", "linear|log", ("linear", "log")),
-    "out": ("str", "", "path", None),
+    "circuit": ("choice", "baseline", ("baseline", "optimized")),
+    "g_over_kappa": ("float", 2.5),
+    "kappa_s_over_kappa": ("float", 0.05),
+    "gamma_over_kappa": ("float", 0.1),
+    "xi1": ("float", 0.0),
+    "xi2": ("float", 0.0),
+    "tau_r1": ("float", 0.0),
+    "tau_l1": ("float", 0.0),
+    "tau_r2": ("float", 0.0),
+    "tau_l2": ("float", 0.0),
+    "tau_r3": ("float", 0.0),
+    "tau_l3": ("float", 0.0),
+    "tau_r4": ("float", 0.0),
+    "tau_l4": ("float", 0.0),
+    "sw1_t12": ("float", 1.0),
+    "sw1_t21": ("float", 1.0),
+    "sw1_r11": ("float", 1.0),
+    "sw1_r22": ("float", 1.0),
+    "sw2_t12": ("float", 1.0),
+    "sw2_t21": ("float", 1.0),
+    "sw2_r11": ("float", 1.0),
+    "sw2_r22": ("float", 1.0),
+    "cloner_fidelity": ("float", 1.0),
+    "ensemble": ("choice", "calibration", ENSEMBLE_NAMES),
+    "axis1": ("choice", "kappa_s_over_kappa", AXIS_NAMES),
+    "axis1_lo": ("float", 0.0),
+    "axis1_hi": ("float", 2.0),
+    "axis1_points": ("int", 41),
+    "axis1_scale": ("choice", "linear", ("linear", "log")),
+    "axis2": ("choice", "g_over_kappa", AXIS_NAMES),
+    "axis2_lo": ("float", 0.0),
+    "axis2_hi": ("float", 3.0),
+    "axis2_points": ("int", 61),
+    "axis2_scale": ("choice", "linear", ("linear", "log")),
+    "out": ("str", ""),
 }
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    axis1: str
-    axis1_lo: float
-    axis1_hi: float
-    axis1_points: int
-    axis1_scale: str
-    axis2: str
-    axis2_lo: float
-    axis2_hi: float
-    axis2_points: int
-    axis2_scale: str
-
-    def __post_init__(self):
-        for (name, lo, hi, n, scale) in (
-            ("axis1", self.axis1_lo, self.axis1_hi, self.axis1_points, self.axis1_scale),
-            ("axis2", self.axis2_lo, self.axis2_hi, self.axis2_points, self.axis2_scale),
-        ):
-            if not lo < hi:
-                raise ConfigError(f"{name}: lo must be < hi, got [{lo}, {hi}]")
-            if n < 2:
-                raise ConfigError(f"{name}: points must be >= 2, got {n}")
-            if scale == "log" and lo <= 0:
-                raise ConfigError(f"{name}: log scale requires lo > 0, got {lo}")
-
-    def axis_values(self, which: int) -> list[float]:
-        lo, hi, n, scale = (
-            (self.axis1_lo, self.axis1_hi, self.axis1_points, self.axis1_scale)
-            if which == 1
-            else (self.axis2_lo, self.axis2_hi, self.axis2_points, self.axis2_scale)
-        )
-        if scale == "log":
-            return [float(v) for v in np.logspace(math.log10(lo), math.log10(hi), n)]
-        return [float(v) for v in np.linspace(lo, hi, n)]
 
 
 # component -> (its class, the config key of each of its fields in field
@@ -156,6 +123,9 @@ COMPONENTS = {
     "sw2": (SwitchCoeffs, ("sw2_t12", "sw2_t21", "sw2_r11", "sw2_r22")),
     "cloner": (ClonerConfig, ("cloner_fidelity",)),
 }
+# config key -> (test, rule): the DOMAIN entry of the component field it sets
+_KEY_DOMAINS = {key: cls.DOMAIN[f.name] for cls, keys in COMPONENTS.values()
+                for f, key in zip(fields(cls), keys)}
 # DeviceErrorConfig's fields, read once: fields() builds a tuple from a
 # generator on every call.  Tuples here are built from lists, and calls
 # unpack lists: a tuple of a list is sized up front, while tuple() of a
@@ -168,13 +138,6 @@ _ERROR_PARTS = [f.name for f in fields(DeviceErrorConfig)]
 @dataclass(frozen=True)
 class SimConfig:
     values: dict
-
-    def grid(self) -> SweepGrid:
-        v = self.values
-        return SweepGrid(
-            v["axis1"], v["axis1_lo"], v["axis1_hi"], v["axis1_points"], v["axis1_scale"],
-            v["axis2"], v["axis2_lo"], v["axis2_hi"], v["axis2_points"], v["axis2_scale"],
-        )
 
     def _component(self, name: str):
         """One validated component (see :data:`COMPONENTS`)."""
@@ -192,15 +155,18 @@ class SimConfig:
 
 
 def _check_value(key: str, value):
-    """Validate one typed value against CONFIG_SCHEMA; returns it unchanged."""
-    kind, default, constraint, check = CONFIG_SCHEMA[key]
+    """Validate one typed value by its key's kind, choices or domain; returns it unchanged."""
+    kind = CONFIG_SCHEMA[key][0]
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"config key {key!r}: must be finite, got {value!r}")
     if kind == "choice":
-        if value not in check:
-            raise ConfigError(f"config key {key!r}: must be one of {constraint}, got {value!r}")
-    elif check is not None and not check(value):
-        raise ConfigError(f"config key {key!r}: must be {constraint}, got {value!r}")
+        if value not in (allowed := CONFIG_SCHEMA[key][2]):
+            raise ConfigError(
+                f"config key {key!r}: must be one of {'|'.join(allowed)}, got {value!r}")
+    elif key in _KEY_DOMAINS:
+        test, rule = _KEY_DOMAINS[key]
+        if not test(value):
+            raise ConfigError(f"config key {key!r}: {rule}, got {value!r}")
     return value
 
 
@@ -222,9 +188,16 @@ def _parse_value(key: str, raw: str):
 
 
 def _config(values: dict) -> SimConfig:
-    cfg = SimConfig(values)
-    cfg.grid()  # validate axis combination early
-    return cfg
+    """``values`` as a config, once each axis has lo < hi, >= 2 points, and lo > 0 if log."""
+    for axis in ("axis1", "axis2"):
+        lo, hi, n = values[axis + "_lo"], values[axis + "_hi"], values[axis + "_points"]
+        if not lo < hi:
+            raise ConfigError(f"{axis}: lo must be < hi, got [{lo}, {hi}]")
+        if n < 2:
+            raise ConfigError(f"config key '{axis}_points': must be >= 2, got {n}")
+        if values[axis + "_scale"] == "log" and lo <= 0:
+            raise ConfigError(f"{axis}: log scale requires lo > 0, got {lo}")
+    return SimConfig(values)
 
 
 def parse_config_text(text: str) -> SimConfig:
@@ -304,8 +277,7 @@ def _axis_fields(axis: str) -> Mapping[str, tuple[str, ...]]:
 
 def _in_domain(axis: str, values: np.ndarray) -> np.ndarray:
     """Per value of ``axis``: does each component field it sets accept it (see ``DOMAIN``)."""
-    return np.logical_and.reduce([COMPONENTS[name][0].DOMAIN[field][0](values)
-                                  for name, names in _axis_fields(axis).items() for field in names])
+    return np.logical_and.reduce([_KEY_DOMAINS[key][0](values) for key in AXIS_KEYS[axis]])
 
 
 def _block_steps(axes: tuple[str, str], lengths: tuple[int, int]) -> tuple[int, int]:
@@ -314,6 +286,14 @@ def _block_steps(axes: tuple[str, str], lengths: tuple[int, int]) -> tuple[int, 
     share = CHUNK_POINTS // 3
     columns = min(lengths[1], share)
     return min(lengths[0], share, CHUNK_POINTS // columns if all(moves) else share), columns
+
+
+def _axis_values(v: dict, axis: str) -> list[float]:
+    """The grid values of ``axis`` ("axis1" or "axis2") in a config's values ``v``."""
+    lo, hi, n = v[axis + "_lo"], v[axis + "_hi"], v[axis + "_points"]
+    if v[axis + "_scale"] == "log":
+        return [float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n)]
+    return [float(x) for x in np.linspace(lo, hi, n)]
 
 
 def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> GridTable:
@@ -328,9 +308,9 @@ def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> GridTable:
     axis2 one (1, n, 1) array of its columns' values, the last axis being
     the input slot; every other field stays a scalar.
     """
-    grid, v = cfg.grid(), cfg.values
+    v = cfg.values
     axes = (v["axis1"], v["axis2"])
-    grid_values = (grid.axis_values(1), grid.axis_values(2))
+    grid_values = (_axis_values(v, "axis1"), _axis_values(v, "axis2"))
     values = [np.array(x) for x in grid_values]
     valid = [np.flatnonzero(_in_domain(axis, x)) for axis, x in zip(axes, values)]
     moved: dict[str, dict[str, int]] = {}  # component -> field -> index of the axis setting it
@@ -456,8 +436,10 @@ _CLAIM_ANCHORS = (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL, ANCHOR_BEST_CASE,
                   ANCHOR_MEASURED_SWITCHES)
 
 
-# an anchor block's point status -> the code of the output check it failed
+# an anchor block's point status, or the error one config raises, -> the
+# code of the output check it failed
 _FAULT_CODES = {f"error:{name}": code for code, (_, name, _) in FAULTS.items()}
+_FAULT_KINDS = {kind: code for code, (kind, _, _) in FAULTS.items()}
 
 
 @lru_cache(maxsize=32)
@@ -482,10 +464,14 @@ def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble
     A point of a block that fails an output check holds the error one config
     failing it raises, naming the anchor: reading it raises (see
     :func:`_read`), so a fault raises only where its value is used.  A lone
-    anchor is one config, which raises the engine's own error at once.
+    anchor (or anchors that share every field) is one config, which raises
+    at once: the same error, naming the (first) anchor.
     """
     group = tuple(anchors)
-    reports = average_fidelity(*_anchor_block(group), ensemble)
+    try:
+        reports = average_fidelity(*_anchor_block(group), ensemble)
+    except tuple(_FAULT_KINDS) as fault:
+        raise fault_error(_FAULT_KINDS[type(fault)], f"anchor {group[0].name}") from fault
     values: dict[tuple[str, str], float | Exception] = {}
     for report in reports if ensemble.parts else (reports,):
         if isinstance(report.status, str):  # one config: the anchors share every field
@@ -620,6 +606,14 @@ _TARGET_OVERRIDES = {
     ),
     "table_anchors": {},
 }
+# reproduce target -> the anchors its check reads (None: all of ANCHORS)
+_TARGET_ANCHORS = {
+    "fig3a": (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL),
+    "fig3b": (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL),
+    "fig4a": (ANCHOR_MEASURED_SWITCHES,),
+    "fig4b": (ANCHOR_BEST_CASE,),
+    "table_anchors": None,
+}
 
 
 def reproduce(target: str, out_dir: str) -> dict:
@@ -631,37 +625,22 @@ def reproduce(target: str, out_dir: str) -> dict:
     cfg = _config_with(**_TARGET_OVERRIDES[target])
     os.makedirs(out_dir, exist_ok=True)
     ensemble = calibrate_ensemble()
-    csv_path = None
+    anchors = _TARGET_ANCHORS[target]
+    csv_path = os.path.join(out_dir, f"{target}.csv")
 
-    if target in ("fig3a", "fig3b"):
-        table = sweep_coupling(cfg).without("f_down" if target == "fig3a" else "f_up")
-        csv_path = os.path.join(out_dir, f"{target}.csv")
+    if target == "table_anchors":
+        results = check_anchors(ensemble, anchors)
+        write_csv([["name", "circuit", "metric", "expected", "tolerance", "value",
+                    "ensemble", "status"],
+                   *[[r.anchor.name, r.anchor.circuit, r.anchor.metric, r.anchor.expected,
+                      r.anchor.tolerance, r.value, r.ensemble, r.status] for r in results]],
+                  csv_path)
+    else:  # the grid's CSV first, then its anchors
+        table = sweep_err_psw(cfg) if target == "fig4b" else sweep_coupling(cfg)
+        if target in ("fig3a", "fig3b"):
+            table = table.without("f_down" if target == "fig3a" else "f_up")
         write_csv(table, csv_path)
-        results = check_anchors(ensemble, tuple([a for a in ANCHORS if a.name.endswith("_ideal")]))
-    elif target == "fig4a":
-        table = sweep_coupling(cfg)
-        csv_path = os.path.join(out_dir, "fig4a.csv")
-        write_csv(table, csv_path)
-        results = check_anchors(
-            ensemble, tuple([a for a in ANCHORS if a.name == "optimized_measured_switches"])
-        )
-    elif target == "fig4b":
-        table = sweep_err_psw(cfg)
-        csv_path = os.path.join(out_dir, "fig4b.csv")
-        write_csv(table, csv_path)
-        results = check_anchors(
-            ensemble, tuple([a for a in ANCHORS if a.name == "optimized_best_case"])
-        )
-    else:
-        results = check_anchors(ensemble)
-        rows = [["name", "circuit", "metric", "expected", "tolerance", "value",
-                 "ensemble", "status"]]
-        for r in results:
-            rows.append([r.anchor.name, r.anchor.circuit, r.anchor.metric,
-                         r.anchor.expected, r.anchor.tolerance, r.value,
-                         r.ensemble, r.status])
-        csv_path = os.path.join(out_dir, "table_anchors.csv")
-        write_csv(rows, csv_path)
+        results = check_anchors(ensemble, anchors)
 
     summary = anchor_summary(results)
     summary_path = os.path.join(out_dir, f"{target}_summary.txt")

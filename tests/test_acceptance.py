@@ -17,16 +17,14 @@ from qdcnot.circuits import (
     DeviceErrorConfig,
     baseline_cnot,
     cnot_prefactor,
-    extract_branch_amplitudes,
     optimized_cnot,
-    output_amplitudes,
-    rr_up_closed_form,
     sign_fix_amplitude,
 )
 from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.sweep import calibrate_ensemble, check_anchors, reproduce
 
+from closed_form import extract_branch_amplitudes, output_amplitudes, rr_up_closed_form
 from labeled import labeled
 
 SQH = math.sqrt(0.5)

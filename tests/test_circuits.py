@@ -9,16 +9,14 @@ from qdcnot.circuits import (
     DeviceErrorConfig,
     baseline_cnot,
     cnot_prefactor,
-    extract_branch_amplitudes,
     loop_pass,
     optimized_cnot,
-    output_amplitudes,
-    rr_up_closed_form,
     sign_fix_amplitude,
 )
 from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs, cpbs_loop_maps
 from qdcnot.state import replace_unchecked, stack
 
+from closed_form import extract_branch_amplitudes, output_amplitudes, rr_up_closed_form
 from labeled import labeled
 from oracle import baseline_dense, dense_vector
 

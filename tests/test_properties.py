@@ -25,7 +25,6 @@ from qdcnot.circuits import (
     OutputNormError,
     baseline_cnot,
     optimized_cnot,
-    output_amplitudes,
 )
 from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
 from qdcnot.fidelity import InputEnsemble, average_fidelity
@@ -33,6 +32,7 @@ from qdcnot.state import stack
 import qdcnot.sweep as sweep_mod
 from qdcnot.sweep import AXIS_KEYS, AXIS_NAMES, SimConfig, _config_with, _run_grid
 
+from closed_form import output_amplitudes
 from labeled import labeled
 from oracle import baseline_dense, dense_vector
 

@@ -1,6 +1,6 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +8,13 @@ import pytest
 
 import qdcnot.sweep as sweep_mod
 from qdcnot.cavity import CavityParams
-from qdcnot.circuits import DeviceErrorConfig, OutputNormError, config_shapes
+from qdcnot.circuits import (
+    DeviceErrorConfig,
+    NonFiniteOutputError,
+    OutputNormError,
+    config_shapes,
+    fault_error,
+)
 from qdcnot.devices import HwpError
 from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.sweep import (
@@ -76,6 +82,25 @@ def test_out_of_range_value_names_key_and_constraint():
         parse_config_text("gamma_over_kappa = 0\n")
 
 
+def test_config_accepts_exactly_each_component_domain():
+    # the float keys that set a component field are exactly COMPONENTS' keys,
+    # so no key's range can come from anywhere but its class's DOMAIN
+    component_keys = {key for _, keys in sweep_mod.COMPONENTS.values() for key in keys}
+    float_keys = {key for key, entry in sweep_mod.CONFIG_SCHEMA.items()
+                  if entry[0] == "float" and not key.startswith("axis")}
+    assert float_keys == component_keys == set(sweep_mod._KEY_DOMAINS)
+    values = [-1.0, -1e-300, 0.0, 0.5, 1.0, 1 + 2**-52, math.nan, math.inf]
+    for cls, keys in sweep_mod.COMPONENTS.values():
+        for field, key in zip(fields(cls), keys):
+            test, _ = cls.DOMAIN[field.name]
+            for value in values:
+                if test(value):
+                    assert _config_with(**{key: value}).values[key] == value, (key, value)
+                else:
+                    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+                        _config_with(**{key: value})
+
+
 def test_malformed_line_reports_lineno():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("circuit = baseline\nnot a config line\n")
@@ -100,9 +125,9 @@ def test_repeated_key_rejected_with_lineno():
 
 def test_grid_validation():
     with pytest.raises(ConfigError, match="lo must be"):
-        small_cfg(axis1_lo=2.0, axis1_hi=1.0).grid()
+        small_cfg(axis1_lo=2.0, axis1_hi=1.0)
     with pytest.raises(ConfigError, match="log scale"):
-        small_cfg(axis1_scale="log", axis1_lo=0.0).grid()
+        small_cfg(axis1_scale="log", axis1_lo=0.0)
     with pytest.raises(ConfigError, match="points"):
         parse_config_text("axis1_points = 1\n")
 
@@ -698,6 +723,24 @@ def test_a_faulting_anchor_in_a_block_raises_by_name():
     assert type(single.value) is OutputNormError
     with pytest.raises(OutputNormError, match="output norm exceeds 1: anchor norm_fault"):
         check_anchors(ensemble, (ANCHORS[1], bad, ANCHORS[3]))
+
+
+def test_a_lone_faulting_anchor_raises_by_name(monkeypatch):
+    # alone, the norm_fault anchor is one config, not a point of a block
+    bad = replace(ANCHORS[0], name="norm_fault",
+                  cavity=CavityParams(g=0.7, kappa_s=0.0, gamma=0.1),
+                  errors=DeviceErrorConfig(xi1=HwpError(0.1)))
+    with pytest.raises(OutputNormError, match="output norm exceeds 1: anchor norm_fault") as err:
+        check_anchors(InputEnsemble.superposition4(), (bad,))
+    assert type(err.value.__cause__) is OutputNormError
+
+    def non_finite(*args):
+        raise fault_error(1, "baseline circuit, input 0")
+
+    monkeypatch.setattr(sweep_mod, "average_fidelity", non_finite)
+    with pytest.raises(NonFiniteOutputError,
+                       match="non-finite output amplitude: anchor norm_fault"):
+        check_anchors(InputEnsemble.superposition4(), (bad,))
 
 
 def test_reproduce_fig3a_surface(tmp_path):
