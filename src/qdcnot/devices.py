@@ -59,15 +59,15 @@ class CpbsError:
 
 @dataclass(frozen=True)
 class SwitchCoeffs:
-    """Transmittance/reflectance probabilities of one switch."""
+    """Transmittance/reflectance probabilities of the legs of one switch
+    that a photon takes: I1->O2 (t12), I1->O1 (r11) and I2->O2 (r22)."""
 
     t12: float = 1.0
-    t21: float = 1.0
     r11: float = 1.0
     r22: float = 1.0
 
     DOMAIN = {name: (_unit, f"switch coefficient {name} must be in [0, 1]")
-              for name in ("t12", "t21", "r11", "r22")}
+              for name in ("t12", "r11", "r22")}
     __post_init__ = check_domain
 
 
@@ -111,7 +111,7 @@ def spin_hadamard() -> np.ndarray:
     return np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
 
 
-_PATH_COEFF = {"I1->O2": "t12", "I2->O1": "t21", "I1->O1": "r11", "I2->O2": "r22"}
+_PATH_COEFF = {"I1->O2": "t12", "I1->O1": "r11", "I2->O2": "r22"}
 
 
 def switch_amplitude(coeffs: SwitchCoeffs, path: str):

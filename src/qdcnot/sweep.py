@@ -54,8 +54,7 @@ class ConfigError(ValueError):
 AXIS_KEYS = {
     "kappa_s_over_kappa": ("kappa_s_over_kappa",),
     "g_over_kappa": ("g_over_kappa",),
-    "err": ("xi1", "xi2", "tau_r1", "tau_l1", "tau_r2", "tau_l2",
-            "tau_r3", "tau_l3", "tau_r4", "tau_l4"),
+    "err": ("xi1", "xi2", "tau_r1", "tau_l1", "tau_l2", "tau_l3", "tau_r4"),
     "p_sw": ("sw1_t12", "sw1_r22", "sw2_t12", "sw2_r11"),
 }
 AXIS_NAMES = tuple(AXIS_KEYS)
@@ -79,20 +78,13 @@ CONFIG_SCHEMA = {
     "xi2": ("float", 0.0),
     "tau_r1": ("float", 0.0),
     "tau_l1": ("float", 0.0),
-    "tau_r2": ("float", 0.0),
     "tau_l2": ("float", 0.0),
-    "tau_r3": ("float", 0.0),
     "tau_l3": ("float", 0.0),
     "tau_r4": ("float", 0.0),
-    "tau_l4": ("float", 0.0),
     "sw1_t12": ("float", 1.0),
-    "sw1_t21": ("float", 1.0),
-    "sw1_r11": ("float", 1.0),
     "sw1_r22": ("float", 1.0),
     "sw2_t12": ("float", 1.0),
-    "sw2_t21": ("float", 1.0),
     "sw2_r11": ("float", 1.0),
-    "sw2_r22": ("float", 1.0),
     "cloner_fidelity": ("float", 1.0),
     "ensemble": ("choice", "calibration", ENSEMBLE_NAMES),
     "axis1": ("choice", "kappa_s_over_kappa", AXIS_NAMES),
@@ -109,23 +101,28 @@ CONFIG_SCHEMA = {
 }
 
 
-# component -> (its class, the config key of each of its fields in field
-# order); "cavity" is the CavityParams, every other name a DeviceErrorConfig field
+# component -> (its class, {field: the config key that sets it}) for the
+# fields a circuit reads; a field with no key keeps its class default.  The
+# photons pass one port of CPBS2-4 (the flipped control-L component CPBS2 and
+# CPBS3, the readout R photon CPBS4) and two legs of each switch (the control
+# I1->O2 on both, the target I2->O2 on sw1 and I1->O1 on sw2).  "cavity" is
+# the CavityParams, every other name a DeviceErrorConfig field
 COMPONENTS = {
-    "cavity": (CavityParams, ("g_over_kappa", "kappa_s_over_kappa", "gamma_over_kappa")),
-    "xi1": (HwpError, ("xi1",)),
-    "xi2": (HwpError, ("xi2",)),
-    "cpbs1": (CpbsError, ("tau_r1", "tau_l1")),
-    "cpbs2": (CpbsError, ("tau_r2", "tau_l2")),
-    "cpbs3": (CpbsError, ("tau_r3", "tau_l3")),
-    "cpbs4": (CpbsError, ("tau_r4", "tau_l4")),
-    "sw1": (SwitchCoeffs, ("sw1_t12", "sw1_t21", "sw1_r11", "sw1_r22")),
-    "sw2": (SwitchCoeffs, ("sw2_t12", "sw2_t21", "sw2_r11", "sw2_r22")),
-    "cloner": (ClonerConfig, ("cloner_fidelity",)),
+    "cavity": (CavityParams, {"g": "g_over_kappa", "kappa_s": "kappa_s_over_kappa",
+                              "gamma": "gamma_over_kappa"}),
+    "xi1": (HwpError, {"xi": "xi1"}),
+    "xi2": (HwpError, {"xi": "xi2"}),
+    "cpbs1": (CpbsError, {"tau_r": "tau_r1", "tau_l": "tau_l1"}),
+    "cpbs2": (CpbsError, {"tau_l": "tau_l2"}),
+    "cpbs3": (CpbsError, {"tau_l": "tau_l3"}),
+    "cpbs4": (CpbsError, {"tau_r": "tau_r4"}),
+    "sw1": (SwitchCoeffs, {"t12": "sw1_t12", "r22": "sw1_r22"}),
+    "sw2": (SwitchCoeffs, {"t12": "sw2_t12", "r11": "sw2_r11"}),
+    "cloner": (ClonerConfig, {"fidelity": "cloner_fidelity"}),
 }
 # config key -> (test, rule): the DOMAIN entry of the component field it sets
-_KEY_DOMAINS = {key: cls.DOMAIN[f.name] for cls, keys in COMPONENTS.values()
-                for f, key in zip(fields(cls), keys)}
+_KEY_DOMAINS = {key: cls.DOMAIN[field] for cls, keys in COMPONENTS.values()
+                for field, key in keys.items()}
 # DeviceErrorConfig's fields, read once: fields() builds a tuple from a
 # generator on every call.  Tuples here are built from lists, and calls
 # unpack lists: a tuple of a list is sized up front, while tuple() of a
@@ -142,7 +139,7 @@ class SimConfig:
     def _component(self, name: str):
         """One validated component (see :data:`COMPONENTS`)."""
         cls, keys = COMPONENTS[name]
-        return cls(*[self.values[k] for k in keys])  # sized up front, see _ERROR_PARTS
+        return cls(**{field: self.values[key] for field, key in keys.items()})
 
     def cavity(self) -> CavityParams:
         return self._component("cavity")
@@ -154,9 +151,22 @@ class SimConfig:
         return resolve_ensemble(self.values["ensemble"])
 
 
+# config kind -> (the Python types a value of that kind may have, their name);
+# a bool is an int to Python, but no key takes one
+_KIND_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "choice": (str, "a string"),
+    "str": (str, "a string"),
+}
+
+
 def _check_value(key: str, value):
     """Validate one typed value by its key's kind, choices or domain; returns it unchanged."""
     kind = CONFIG_SCHEMA[key][0]
+    types, expected = _KIND_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config key {key!r}: expected {expected}, got {value!r}")
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"config key {key!r}: must be finite, got {value!r}")
     if kind == "choice":
@@ -270,9 +280,9 @@ def _axis_fields(axis: str) -> Mapping[str, tuple[str, ...]]:
     Built once per axis, and read-only: every caller gets the same mapping.
     """
     keys = AXIS_KEYS[axis]
-    return MappingProxyType({
-        name: tuple(f.name for f, key in zip(fields(cls), component_keys) if key in keys)
-        for name, (cls, component_keys) in COMPONENTS.items() if set(component_keys) & set(keys)})
+    moved = {name: tuple([field for field, key in component_keys.items() if key in keys])
+             for name, (_, component_keys) in COMPONENTS.items()}
+    return MappingProxyType({name: names for name, names in moved.items() if names})
 
 
 def _in_domain(axis: str, values: np.ndarray) -> np.ndarray:
@@ -359,9 +369,10 @@ def sweep_coupling(cfg: SimConfig) -> GridTable:
 def sweep_err_psw(cfg: SimConfig) -> GridTable:
     """Optimized-circuit fidelity over (uniform error, switch probability): f_both.
 
-    The error axis sets every wave-plate and CPBS error to the axis value;
-    the switch axis sets the four routed-leg coefficients; the cloner is
-    pinned to the universal optimum and the cavity must be strongly coupled.
+    The error axis sets every wave-plate and CPBS error the circuits read to
+    the axis value; the switch axis sets the four routed-leg coefficients;
+    the cloner is pinned to the universal optimum and the cavity must be
+    strongly coupled.
     """
     if cfg.values["circuit"] != "optimized":
         raise ConfigError("err/p_sw sweep requires circuit = optimized")
@@ -397,8 +408,8 @@ class Anchor:
 
 _STRONG = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
 _WEAK = CavityParams(g=0.45, kappa_s=1.0, gamma=0.1)
-_SW1_MEASURED = SwitchCoeffs(t12=0.899, t21=1.0, r11=1.0, r22=0.65)
-_SW2_MEASURED = SwitchCoeffs(t12=0.956, t21=1.0, r11=0.648, r22=1.0)
+_SW1_MEASURED = SwitchCoeffs(t12=0.899, r22=0.65)
+_SW2_MEASURED = SwitchCoeffs(t12=0.956, r11=0.648)
 
 ANCHOR_STRONG_IDEAL = Anchor(
     "baseline_strong_ideal", 0.9374, 0.010, "baseline", _STRONG,
@@ -594,8 +605,7 @@ _TARGET_OVERRIDES = {
     "fig4a": dict(
         circuit="optimized",
         xi1=1e-2, xi2=1e-2,
-        tau_r1=1e-2, tau_l1=1e-2, tau_r2=1e-2, tau_l2=1e-2,
-        tau_r3=1e-2, tau_l3=1e-2, tau_r4=1e-2, tau_l4=1e-2,
+        tau_r1=1e-2, tau_l1=1e-2, tau_l2=1e-2, tau_l3=1e-2, tau_r4=1e-2,
         sw1_t12=0.899, sw1_r22=0.65, sw2_t12=0.956, sw2_r11=0.648,
         cloner_fidelity=0.82,
     ),

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from qdcnot.cavity import CavityParams, cavity_coeffs
 from qdcnot.circuits import (
+    DEFAULT_SPIN_INIT,
     NORM_TOL,
     CnotInputs,
     DeviceErrorConfig,
     OutputNormError,
+    _basis_outputs,
     baseline_cnot,
     optimized_cnot,
 )
@@ -44,7 +46,7 @@ cavities = st.builds(
     gamma=st.floats(1e-3, 10.0),
 )
 cpbs = st.builds(CpbsError, unit, unit)
-switches = st.builds(SwitchCoeffs, unit, unit, unit, unit)
+switches = st.builds(SwitchCoeffs, unit, unit, unit)
 errors = st.builds(
     DeviceErrorConfig,
     xi1=st.builds(HwpError, st.floats(-1.0, 1.0)), xi2=st.builds(HwpError, st.floats(-1.0, 1.0)),
@@ -265,6 +267,41 @@ def test_unitary_wave_plates_never_fault(inps, cavs, errs, circuit):
     assert not np.any(out.fault)
 
 
+def gram_top(cavity, err):
+    """λmax of G, the Gram matrix of the four photon-basis outputs with both
+    spin branches summed: an input's output norm^2 is c^H G c for its
+    coefficients c, so λmax is the largest over all two-photon inputs."""
+    spin = np.array(DEFAULT_SPIN_INIT, dtype=complex)
+    x = _basis_outputs(cavity_coeffs(cavity), err, spin, ())[..., 0]
+    return np.linalg.eigvalsh(np.einsum("sip,sjp->ij", x.conj(), x))[-1]
+
+
+@PROPERTY
+@given(st.lists(inputs, min_size=1, max_size=4), cavities, errors)
+# every error at 0.1 on the strong cavity: G's top eigenvector is this
+# product input, whose norm^2 1.0020120 exceeds 1, so it raises
+@example([CnotInputs(*qubit([0.157, 0.0, -0.988, 0.0]), *qubit([1.0, 0.0, -1.0, 0.0]))],
+         CavityParams(g=2.5, kappa_s=0.05, gamma=0.1), DeviceErrorConfig.uniform(0.1))
+def test_gram_top_eigenvalue_bounds_each_output_norm(inps, cavity, err):
+    top = gram_top(cavity, err)
+    # flags, never raises
+    norms = baseline_cnot(stack(inps), cavity, err).spin_weights.sum(axis=0)[:, 0]
+    assert np.all(norms <= top + 1e-12)
+    for inp, norm in zip(inps, norms):
+        if abs(norm - 1 - NORM_TOL) < 1e-12:
+            reject()  # too close to the check's bound to say which side a single run lands on
+        if norm > 1 + NORM_TOL:
+            with pytest.raises(OutputNormError):
+                baseline_cnot(inp, cavity, err)
+
+
+@PROPERTY
+@given(cavities, cpbs)
+def test_gram_top_eigenvalue_stays_within_one_at_unitary_wave_plates(cavity, cpbs1):
+    # with xi1 = xi2 = 0 no two-photon input, product or not, exceeds norm^2 1
+    assert gram_top(cavity, DeviceErrorConfig(cpbs1=cpbs1)) <= 1 + NORM_TOL
+
+
 def oracle_ideal_spin():
     """The spin ket the error-free optimized circuit ends in, from the oracle on |R R>."""
     v = baseline_dense(1, 0, 1, 0, (0.0, 1.0, 1.0, 0.0))
@@ -320,7 +357,7 @@ def grids(draw):
     overrides = dict(
         circuit=draw(st.sampled_from(["baseline", "optimized"])),
         ensemble=draw(st.sampled_from(["basis4", "superposition4"])),
-        xi1=draw(st.floats(-1.0, 1.0)), tau_r1=draw(unit), sw2_t21=draw(unit),
+        xi1=draw(st.floats(-1.0, 1.0)), tau_r1=draw(unit),
         kappa_s_over_kappa=draw(st.floats(0.0, 3.0)), g_over_kappa=draw(st.floats(0.0, 3.0)),
     )
     for n, axis in ((1, axis1), (2, axis2)):

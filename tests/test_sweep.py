@@ -1,6 +1,7 @@
 import math
 import os
-from dataclasses import fields, replace
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,62 @@ def test_retired_haar_keys_rejected():
             parse_config_text(f"ensemble = haar_product\n{line}\n")
 
 
+# the keys of the CPBS ports and switch legs no photon takes
+RETIRED_COMPONENT_KEYS = ("tau_r2", "tau_r3", "tau_l4", "sw1_t21", "sw1_r11", "sw2_t21",
+                          "sw2_r22")
+
+
+def test_every_component_key_moves_an_output():
+    # the keys that moved no output are gone: an old config naming one is
+    # rejected like any unknown key
+    for key in RETIRED_COMPONENT_KEYS:
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}' \\(line 2\\)"):
+            parse_config_text(f"circuit = optimized\n{key} = 0.5\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'$"):
+            _config_with(**{key: 0.5})
+    # every error small and nonzero (a default 0 error at 0.01, a default 1
+    # coefficient at 0.99), then each key alone one step inside its domain
+    defaults = {key: sweep_mod.CONFIG_SCHEMA[key][1] for key in sweep_mod._KEY_DOMAINS}
+    base = {key: 0.01 if v == 0.0 else 0.99 if v == 1.0 else v for key, v in defaults.items()}
+
+    def outputs(values):
+        cfg = _config_with(ensemble="basis4", **values)
+        reports = [average_fidelity(circuit, cfg.cavity(), cfg.device_errors(),
+                                    cfg.input_ensemble()) for circuit in ("baseline", "optimized")]
+        return [getattr(report, name) for report in reports
+                for name in ("f_up", "f_down", "f_both", "success_up", "success_down")]
+
+    before = outputs(base)
+    for key, (test, _) in sweep_mod._KEY_DOMAINS.items():
+        value = base[key] + 0.01 if test(base[key] + 0.01) else base[key] - 0.01
+        assert outputs({**base, key: value}) != before, key
+
+
+def test_config_with_checks_each_value_kind():
+    # parse_config_text converts text by kind before it checks; a value
+    # passed in directly must already be of its key's kind, and no key takes a bool
+    for overrides, message in (
+        (dict(axis1_points=2.5, ensemble="basis4"), "'axis1_points': expected an integer, got 2.5"),
+        (dict(axis1_points=True), "'axis1_points': expected an integer, got True"),
+        (dict(xi1="0.1"), "'xi1': expected a number, got '0.1'"),
+        (dict(xi1=False), "'xi1': expected a number, got False"),
+        (dict(out=3), "'out': expected a string, got 3"),
+        (dict(circuit=True), "'circuit': expected a string, got True"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"config key {message}")):
+            _config_with(**overrides)
+    # a float key takes an int as it is
+    assert _config_with(xi1=0, axis1_points=3).values["xi1"] == 0
+
+
+def test_readme_config_block_names_exactly_the_schema_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration files", 1)[1].split("```", 2)[1]
+    named = {key.strip() for line in block.splitlines() if "=" in line
+             for key in line.partition("=")[0].split(",")}
+    assert named == set(sweep_mod.CONFIG_SCHEMA)
+
+
 def test_unknown_key_named_in_error():
     with pytest.raises(ConfigError, match="frobnicate"):
         parse_config_text("frobnicate = 3\n")
@@ -85,14 +142,14 @@ def test_out_of_range_value_names_key_and_constraint():
 def test_config_accepts_exactly_each_component_domain():
     # the float keys that set a component field are exactly COMPONENTS' keys,
     # so no key's range can come from anywhere but its class's DOMAIN
-    component_keys = {key for _, keys in sweep_mod.COMPONENTS.values() for key in keys}
+    component_keys = {key for _, keys in sweep_mod.COMPONENTS.values() for key in keys.values()}
     float_keys = {key for key, entry in sweep_mod.CONFIG_SCHEMA.items()
                   if entry[0] == "float" and not key.startswith("axis")}
     assert float_keys == component_keys == set(sweep_mod._KEY_DOMAINS)
     values = [-1.0, -1e-300, 0.0, 0.5, 1.0, 1 + 2**-52, math.nan, math.inf]
     for cls, keys in sweep_mod.COMPONENTS.values():
-        for field, key in zip(fields(cls), keys):
-            test, _ = cls.DOMAIN[field.name]
+        for field, key in keys.items():
+            test, _ = cls.DOMAIN[field]
             for value in values:
                 if test(value):
                     assert _config_with(**{key: value}).values[key] == value, (key, value)
@@ -313,13 +370,13 @@ def test_chunk_moves_only_the_swept_fields(monkeypatch):
     assert np.shape(err.xi1.xi) == (3, 1, 1) and np.shape(err.sw1.t12) == (1, 3, 1)
     np.testing.assert_allclose(err.xi1.xi[:, 0, 0], np.logspace(-4, -1, 3), rtol=1e-15)
     np.testing.assert_allclose(err.sw1.t12[0, :, 0], [0.2, 0.6, 1.0], rtol=1e-15)
-    for moved in (err.xi2.xi, err.cpbs1.tau_r, err.cpbs1.tau_l, err.cpbs2.tau_r,
-                  err.cpbs3.tau_l, err.cpbs4.tau_r, err.cpbs4.tau_l):
+    for moved in (err.xi2.xi, err.cpbs1.tau_r, err.cpbs1.tau_l, err.cpbs2.tau_l,
+                  err.cpbs3.tau_l, err.cpbs4.tau_r):
         assert moved is err.xi1.xi
     for moved in (err.sw1.r22, err.sw2.t12, err.sw2.r11):
         assert moved is err.sw1.t12
-    for scalar in (cavity.g, cavity.kappa_s, cavity.gamma, err.sw1.t21, err.sw1.r11,
-                   err.sw2.t21, err.sw2.r22, err.cloner.fidelity):
+    for scalar in (cavity.g, cavity.kappa_s, cavity.gamma, err.cpbs2.tau_r, err.cpbs3.tau_r,
+                   err.cpbs4.tau_l, err.sw1.r11, err.sw2.r22, err.cloner.fidelity):
         assert np.ndim(scalar) == 0
 
 
@@ -462,8 +519,8 @@ def test_err_psw_rejects_a_cloner_it_would_override():
 def test_axis_fields_are_built_once_and_read_only():
     err = sweep_mod._axis_fields("err")
     assert sweep_mod._axis_fields("err") is err
-    assert dict(err) == {"xi1": ("xi",), "xi2": ("xi",),
-                         **{f"cpbs{k}": ("tau_r", "tau_l") for k in range(1, 5)}}
+    assert dict(err) == {"xi1": ("xi",), "xi2": ("xi",), "cpbs1": ("tau_r", "tau_l"),
+                         "cpbs2": ("tau_l",), "cpbs3": ("tau_l",), "cpbs4": ("tau_r",)}
     assert dict(sweep_mod._axis_fields("p_sw")) == {"sw1": ("t12", "r22"), "sw2": ("t12", "r11")}
     with pytest.raises(TypeError):
         err["cavity"] = ("g",)
