@@ -1,14 +1,17 @@
 """Quantum-dot spin in a double-sided optical microcavity.
 
-At resonance the coupled cavity transmits with a signed coefficient
+All rates are quoted in units of the cavity decay rate kappa, as the
+paper quotes them (g/kappa, kappa_s/kappa, gamma/kappa).  At resonance the
+coupled cavity transmits with a signed coefficient
 
-    t = -2*gamma*kappa / (gamma*(2*kappa + kappa_s) + 4*g^2),   r = 1 + t
+    t = -2*gamma / (gamma*(2 + kappa_s) + 4*g^2),   r = 1 + t
 
 and the uncoupled (cold) cavity coefficients t0, r0 are the same
-expressions at g = 0.  All rates are quoted in units of the cavity decay
-rate kappa.  The photon-spin interaction keeps the spin branch fixed and
-flips polarization exactly when it flips propagation direction; hot
-transitions scatter with (r1, t1), cold ones with (-t0, -r0).
+expressions at g = 0; t lies in [-1, 0], so the circuits read the
+magnitudes |t| and |r| = 1 - |t|.  The photon-spin interaction keeps the
+spin branch fixed and flips polarization exactly when it flips
+propagation direction; hot transitions scatter with (r1, t1), cold ones
+with (-t0, -r0).
 
 In a block of grid points a swept rate holds an array (one entry per
 row or column of the block); the coefficients and the interaction map are
@@ -26,15 +29,13 @@ from .state import check_domain
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Cavity rates; ``kappa`` is the normalization unit (default 1)."""
+    """Cavity rates in units of the cavity decay rate kappa."""
 
     g: float
     kappa_s: float
     gamma: float
-    kappa: float = 1.0
 
     DOMAIN = {
-        "kappa": (lambda v: np.isfinite(v) & (v > 0), "kappa must be positive and finite"),
         **{name: (lambda v: np.isfinite(v) & (v >= 0), f"{name} must be nonnegative and finite")
            for name in ("g", "kappa_s")},
         "gamma": (lambda v: np.isfinite(v) & (v > 0), "gamma must be positive and finite"),
@@ -44,49 +45,35 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class CavityCoeffs:
-    """Magnitudes of the coupled (t1, r1) and uncoupled (t0, r0) response.
-
-    The signed values satisfying r = 1 + t are kept alongside so tests can
-    assert the identity without re-deriving signs from magnitudes.
-    """
+    """Magnitudes of the coupled (t1, r1) and uncoupled (t0, r0) response."""
 
     t1: float
     r1: float
     t0: float
     r0: float
-    t_signed: float
-    r_signed: float
-    t0_signed: float
-    r0_signed: float
 
     @classmethod
     def ideal(cls) -> "CavityCoeffs":
         # perfect spin-dependent routing: hot photons reflect, cold transmit
-        return cls(t1=0.0, r1=1.0, t0=1.0, r0=0.0,
-                   t_signed=0.0, r_signed=1.0, t0_signed=-1.0, r0_signed=0.0)
+        return cls(t1=0.0, r1=1.0, t0=1.0, r0=0.0)
 
 
 def cavity_coeffs(params: CavityParams) -> CavityCoeffs:
     """Evaluate the resonant response for the given rates.
 
-    ``CavityParams.DOMAIN`` keeps gamma and kappa positive, so the cold
-    denominator gamma*(2*kappa + kappa_s) is too.
+    ``CavityParams.DOMAIN`` keeps gamma positive, so the cold denominator
+    gamma*(2 + kappa_s) is too.
     """
     p = params
-    denom0 = p.gamma * (2 * p.kappa + p.kappa_s)
-    t = -2 * p.gamma * p.kappa / (denom0 + 4 * p.g * p.g)
-    r = 1 + t
-    t0 = -2 * p.gamma * p.kappa / denom0
-    r0 = 1 + t0
-    return CavityCoeffs(
-        t1=abs(t), r1=abs(r), t0=abs(t0), r0=abs(r0),
-        t_signed=t, r_signed=r, t0_signed=t0, r0_signed=r0,
-    )
+    denom0 = p.gamma * (2 + p.kappa_s)
+    t = -2 * p.gamma / (denom0 + 4 * p.g * p.g)
+    t0 = -2 * p.gamma / denom0
+    return CavityCoeffs(t1=abs(t), r1=abs(1 + t), t0=abs(t0), r0=abs(1 + t0))
 
 
 def is_strong_coupling(params: CavityParams) -> bool:
-    """Strict threshold g > (kappa_s + kappa)/4."""
-    return params.g > (params.kappa_s + params.kappa) / 4
+    """Strict threshold g > (kappa_s + kappa)/4, with kappa = 1."""
+    return params.g > (params.kappa_s + 1) / 4
 
 
 # the entry of (t1, -t0, r1, -r0, 0) at each (spin, out, in) of interaction_map's

@@ -29,11 +29,11 @@ values on an (m, 1, 1) array, the axis2 values on a (1, n, 1) one)
 broadcast against each other, and the output carries one run per batch
 element.  The circuit is linear in its input, so the stages
 (:func:`_basis_outputs`, their one definition) run only on the
-photon-basis inputs |RR>, |RL>, |LR>, |LL>, all with the batch's one
-spin; no stage flips the spin, so each photon's stages are 2x2 maps per
-spin branch and point (:func:`loop_pass`).  The stage maps come
-points-last from ``devices`` and ``cavity``, (entries..., points...),
-and run in that layout.  Each input's output is then the combination of
+photon-basis inputs |RR>, |RL>, |LR>, |LL>, all with the one initial
+spin (:data:`DEFAULT_SPIN_INIT`); no stage flips the spin, so each
+photon's stages are 2x2 maps per spin branch and point
+(:func:`loop_pass`).  The stage maps come points-last from ``devices``
+and ``cavity``, (entries..., points...), and run in that layout.  Each input's output is then the combination of
 the four basis outputs its own coefficients give, computed with the
 points on the last axis, (spin, input, photon pair, point); the output
 checks run on it, the optimized circuit's sign fix scales it per point,
@@ -76,32 +76,26 @@ DEFAULT_SPIN_INIT = (SQRT_HALF, -SQRT_HALF)
 
 @dataclass(frozen=True)
 class CnotInputs:
-    """Product input: control (alpha, beta), target (delta, gamma_amp), spin."""
+    """Product input: control (alpha, beta), target (delta, gamma_amp).
+
+    Every input starts the spin in ``spin_init``, the paper's one state
+    (a class constant, not a field).
+    """
 
     alpha: complex
     beta: complex
     delta: complex
     gamma_amp: complex
-    spin_init: tuple[complex, complex] = DEFAULT_SPIN_INIT
+    spin_init = DEFAULT_SPIN_INIT
 
     def __post_init__(self):
         for name, (x, y) in (
             ("control", (self.alpha, self.beta)),
             ("target", (self.delta, self.gamma_amp)),
-            ("spin_init", self.spin_init),
         ):
             n = abs(x) ** 2 + abs(y) ** 2
             if not abs(n - 1) <= 1e-9:  # a nan fails it too
                 raise ValueError(f"{name} amplitudes not normalized: |.|^2 = {n}")
-
-    @cached_property
-    def shared_spin_init(self) -> tuple[complex, complex]:
-        """The one ``spin_init`` of a single or a stacked input, found once per object."""
-        up, down = (np.asarray(v) for v in self.spin_init)
-        if np.any(up != up.flat[0]) or np.any(down != down.flat[0]):
-            raise ValueError("stacked inputs must share one spin_init: the circuit runs "
-                             "the photon basis with a single spin")
-        return (up.flat[0].item(), down.flat[0].item())
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -114,11 +108,9 @@ class CnotInputs:
         return coefficients
 
     @classmethod
-    def basis(cls, control: str, target: str, spin_init=DEFAULT_SPIN_INIT) -> "CnotInputs":
+    def basis(cls, control: str, target: str) -> "CnotInputs":
         amp = {"R": (1.0, 0.0), "L": (0.0, 1.0)}
-        a, b = amp[control]
-        d, g = amp[target]
-        return cls(a, b, d, g, spin_init)
+        return cls(*amp[control], *amp[target])
 
 
 @dataclass(frozen=True)
@@ -194,9 +186,12 @@ def loop_pass(cpbs1: CpbsError, coeffs: CavityCoeffs, batch: tuple) -> np.ndarra
     return _dot(merge, _dot(_flat(interaction_map(coeffs), batch, 3), split))
 
 
-def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, spin: np.ndarray,
-                   batch: tuple) -> np.ndarray:
-    """The stages on the photon basis with the ``spin`` ket, on the points of ``batch``.
+# the spin every run starts in; complex, as a real ket would start the stages in float64
+_SPIN_INIT = np.array(DEFAULT_SPIN_INIT, dtype=complex)
+
+
+def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, batch: tuple) -> np.ndarray:
+    """The stages on the photon basis with the initial spin, on the points of ``batch``.
 
     Returns (spin, basis input, photon pair, point): the basis inputs and the
     photon pairs both run |RR>, |RL>, |LR>, |LL>.
@@ -206,7 +201,7 @@ def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, spin: np.ndarra
     hadamard = spin_hadamard()
     # axes (spin, p1, p1 input, point): the control photon's HWP1, loop pass
     # and HWP2 in each spin branch, then the spin rotation mixes the branches
-    x = _dot(hwp2, _dot(loop, hwp1 * spin[:, None, None, None]))
+    x = _dot(hwp2, _dot(loop, hwp1 * _SPIN_INIT[:, None, None, None]))
     x = _dot(hadamard[:, :, None], x.reshape(2, 4, -1)).reshape(2, 2, 2, -1)
     # axes (spin, p1 input, p2 input, p1, p2, point): the target photon's loop
     # pass in each spin branch, an outer product, then the second spin rotation
@@ -301,9 +296,9 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     the block hold both circuits: where the mask is off, the sign-fix
     factor and the weight are exactly 1.0, so those points keep the bits
     :func:`baseline_cnot` gives them.  The stages run on the photon basis
-    |RR>, |RL>, |LR>, |LL> with the inputs' shared spin at the points of
-    the fields they read (and, with a sign fix, of those the sign fix reads,
-    and of the mask); each input's output is its
+    |RR>, |RL>, |LR>, |LL> with the spin :data:`DEFAULT_SPIN_INIT` at the
+    points of the fields they read (and, with a sign fix, of those the sign
+    fix reads, and of the mask); each input's output is its
     :attr:`CnotInputs.coefficients`' combination of the four basis outputs,
     one ``(inputs, 4) @ (4, 4·points)`` matmul per spin, laid out (spin,
     input, photon pair, point).  The output checks flag each input and point
@@ -321,9 +316,7 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
                          f"got shape {shape}")
     coeffs = _coeffs(cavity)
     coefficients = inputs.coefficients
-    # complex: a real ket (DEFAULT_SPIN_INIT is one) would start the stages in float64
-    spin = np.array(inputs.shared_spin_init, dtype=complex)
-    x = _basis_outputs(coeffs, err, spin, points).reshape(2, 4, -1)
+    x = _basis_outputs(coeffs, err, points).reshape(2, 4, -1)
     y = np.matmul(coefficients.reshape(-1, 4), x).reshape(2, -1, 4, x.shape[-1] // 4)
     del x  # the checks below need only y
     weights = branch_weights(y)

@@ -17,10 +17,10 @@ weight in.
 An ensemble runs as one batch.  The circuit runs the four photon-basis
 inputs and combines their outputs into every input's output, laid out
 (spin, input, photon pair, point) with the points last (see
-``circuits.baseline_cnot``), so the inputs of an ensemble share one
-``spin_init``.  :func:`average_fidelity` reads that array, the one output
-the circuit returns (``CircuitOutput.columns``), at fixed indices: each
-overlap is the input's conjugated truth-table output
+``circuits.baseline_cnot``); every input starts the spin in the one
+state ``CnotInputs.spin_init``.  :func:`average_fidelity` reads that
+array, the one output the circuit returns (``CircuitOutput.columns``), at
+fixed indices: each overlap is the input's conjugated truth-table output
 (:attr:`InputEnsemble.targets`, a permutation of the input's own
 coefficients, built once per ensemble) against its output, each branch
 weight is the one the circuit computed (``CircuitOutput.spin_weights``),
@@ -78,16 +78,11 @@ class InputEnsemble:
     def union(cls, *ensembles: InputEnsemble) -> InputEnsemble:
         """The ensembles as the parts of one: its kind is their kinds joined
         with ``+``, its states are theirs in order; built once per process.
-
-        The circuit runs every input with one spin, so the parts must share
-        their ``spin_init``.
+        Each part must hold inputs.
         """
         if not ensembles or not all(e.states for e in ensembles):
             raise ValueError(f"a union needs parts that hold inputs, got "
                              f"{[(e.kind, len(e.states)) for e in ensembles]}")
-        if len({e.inputs.shared_spin_init for e in ensembles}) > 1:
-            raise ValueError("union parts must share one spin_init: the circuit runs "
-                             "all their inputs with a single spin")
         states: list[CnotInputs] = []
         for e in ensembles:
             states += e.states
@@ -143,12 +138,10 @@ class InputEnsemble:
         ))
 
 
-@lru_cache(maxsize=8)
-def _ideal_output_spin(spin_init: tuple[complex, complex]) -> tuple[complex, complex]:
+@cache
+def _ideal_output_spin() -> tuple[complex, complex]:
     """Spin ket the error-free optimized circuit ends in, computed by running it."""
-    out = optimized_cnot(
-        CnotInputs.basis("R", "R", spin_init), CavityCoeffs.ideal(), DeviceErrorConfig()
-    )
+    out = optimized_cnot(CnotInputs.basis("R", "R"), CavityCoeffs.ideal(), DeviceErrorConfig())
     up, down = (complex(out.columns[s, 0, 0, 0]) for s in (0, 1))  # |RR> per spin branch
     norm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
     if abs(norm - 1) > 1e-9:
@@ -229,7 +222,7 @@ def average_fidelity(
 
     # <CNOT c_i|out_i> per spin branch, input and point: a (1, 4) @ (4, points) each
     overlap = np.matmul(ensemble.targets[:, None, :], y)[:, :, 0]
-    up, down = _ideal_output_spin(ensemble.inputs.shared_spin_init)
+    up, down = _ideal_output_spin()
     per_input = np.concatenate([
         2 * np.abs(overlap) ** 2,
         (np.abs(np.conj(up) * overlap[0] + np.conj(down) * overlap[1]) ** 2)[None],

@@ -1,6 +1,6 @@
 """Configuration loading, parameter-grid sweeps, reproduction targets.
 
-Configs are flat ``key = value`` text files (``#`` comments allowed); the
+Configs are flat ``key = value`` text files (whole-line ``#`` comments); the
 keys, their kinds and defaults live in :data:`CONFIG_SCHEMA`, and the range
 of a key that sets a component field lives in that component's ``DOMAIN``
 (see :data:`COMPONENTS`).
@@ -228,6 +228,9 @@ def parse_config_text(text: str) -> SimConfig:
                 f"repeated config key {key!r} (line {lineno}; first set on line {seen[key]})"
             )
         seen[key] = lineno
+        if "#" in raw:
+            raise ConfigError(f"config key {key!r} (line {lineno}): a value may not hold '#'; "
+                              f"comments go on their own line, got {raw!r}")
         values[key] = _parse_value(key, raw)
     return _config(values)
 

@@ -2,7 +2,7 @@
 
 A grid sweep returns a :class:`GridTable`: its header, the distinct values
 of its two axes and one column per value and status, in axis1-outer order.
-It reads as the list of rows it stands for (header first), and
+It iterates as the list of rows it stands for (header first), and
 :func:`write_csv` writes it from its columns: each axis value is formatted
 once, and each chunk of rows is one ``%`` template over its cells.  Any
 other table is a list of rows and is written cell by cell.
@@ -11,20 +11,18 @@ other table is a list of rows and is written cell by cell.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import stat
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 
 
 @dataclass(frozen=True, eq=False)
-class GridTable(Sequence):
+class GridTable:
     """A grid's rows as columns: ``[*header]``, then ``[x1, x2, *values, status]``
-    per point, axis1 outer.  Read-only; indexing, slicing and iteration give
-    new lists, and it equals the list of those rows.
+    per point, axis1 outer.  Read-only; ``len`` counts those rows and
+    iteration gives each as a new list.
 
     ``axes`` holds each axis's distinct values (m and n floats), ``values``
     one column of m * n floats per value name and ``status`` one string per
@@ -44,26 +42,6 @@ class GridTable(Sequence):
         return chain([list(self.header)], map(list, zip(
             chain.from_iterable(map(repeat, x1, repeat(len(x2)))),
             chain.from_iterable(repeat(x2, len(x1))), *self.values, self.status)))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        k = operator.index(index)
-        k += len(self) if k < 0 else 0
-        if not 0 <= k < len(self):
-            raise IndexError("grid table index out of range")
-        if k == 0:
-            return list(self.header)
-        i, j = divmod(k - 1, len(self.axes[1]))
-        return [self.axes[0][i], self.axes[1][j], *(c[k - 1] for c in self.values),
-                self.status[k - 1]]
-
-    def __eq__(self, other):
-        if isinstance(other, GridTable):
-            other = list(other)
-        elif not isinstance(other, list):
-            return NotImplemented
-        return list(self) == other
 
     def without(self, *names: str) -> GridTable:
         """The same grid without the value columns ``names``."""
@@ -159,7 +137,7 @@ def _write_grid(fh, table: GridTable) -> None:
         fh.write(template % tuple(chain.from_iterable(cells)))
 
 
-def write_csv(table: Sequence[list], path: str) -> None:
+def write_csv(table: GridTable | list[list], path: str) -> None:
     """UTF-8, comma-separated, 10 significant digits, LF endings.
 
     Every float cell is written as ``format(v, ".10g")``, any other as
@@ -171,7 +149,7 @@ def write_csv(table: Sequence[list], path: str) -> None:
     """
     if not table:
         raise ValueError("refusing to write an empty table")
-    head = table[0]
+    head = table.header if isinstance(table, GridTable) else table[0]
     with _overwrite(path) as fh:
         fh.write(",".join(map(_cell_text, head)) + "\n")
         if isinstance(table, GridTable):

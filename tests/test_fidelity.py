@@ -47,7 +47,7 @@ def target_state(inputs, mode):
     elif mode == "branch_down":
         spin = make_state("spin", [("down", 1.0)])
     elif mode == "both":
-        up, down = fidelity_module._ideal_output_spin(inputs.shared_spin_init)
+        up, down = fidelity_module._ideal_output_spin()
         spin = make_state("spin", [("up", up), ("down", down)])
     else:
         raise ValueError(f"unknown fidelity mode {mode!r}")
@@ -197,6 +197,11 @@ def test_haar_product_is_36_normalized_cardinal_products_built_once():
 def test_average_fidelity_rejects_empty_ensemble():
     with pytest.raises(ValueError, match="empty"):
         average_fidelity("baseline", STRONG, NO_ERR, InputEnsemble("none", ()))
+
+
+def test_average_fidelity_rejects_an_unknown_circuit_name():
+    with pytest.raises(ValueError, match="unknown circuit 'fancy'"):
+        average_fidelity("fancy", STRONG, NO_ERR, InputEnsemble.basis4())
 
 
 def test_average_fidelity_ideal_everything():
@@ -350,18 +355,6 @@ def test_targets_are_the_conjugated_truth_table():
         assert ensemble.targets.tobytes() == expected.tobytes()
 
 
-def test_mixed_spin_init_rejected():
-    mixed = (CnotInputs.basis("R", "R"), CnotInputs.basis("R", "R", spin_init=(1.0, 0.0)))
-    with pytest.raises(ValueError, match="spin_init"):
-        baseline_cnot(stack(mixed), STRONG, NO_ERR)
-    with pytest.raises(ValueError, match="spin_init"):
-        average_fidelity("optimized", STRONG, NO_ERR, InputEnsemble("mixed", mixed))
-    # one shared spin, whatever it is, runs
-    shared = stack([CnotInputs.basis(c, "R", spin_init=(1.0, 0.0)) for c in "RL"])
-    out = baseline_cnot(shared, IDEAL, NO_ERR)
-    assert (out.points, out.inputs) == ((), (2,))
-
-
 def test_average_fidelity_runs_the_circuit_once(monkeypatch):
     import qdcnot.circuits as circuits
 
@@ -420,15 +413,12 @@ def test_union_parts_equal_separate_calls():
         average_fidelity("baseline", CavityParams(g=0.7, kappa_s=0.0, gamma=0.1), faulty, union)
 
 
-def test_union_rejects_empty_parts_and_mixed_spins():
+def test_union_rejects_empty_parts():
     basis4 = InputEnsemble.basis4()
     with pytest.raises(ValueError, match="a union needs parts that hold inputs"):
         InputEnsemble.union(basis4, InputEnsemble("none", ()))
     with pytest.raises(ValueError, match="a union needs parts that hold inputs"):
         InputEnsemble.union()
-    up = InputEnsemble("up", (CnotInputs.basis("R", "R", spin_init=(1.0, 0.0)),))
-    with pytest.raises(ValueError, match="union parts must share one spin_init"):
-        InputEnsemble.union(basis4, up)
 
 
 def test_a_mixed_block_equals_its_per_circuit_blocks():

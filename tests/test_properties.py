@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from qdcnot.cavity import CavityParams, cavity_coeffs
 from qdcnot.circuits import (
-    DEFAULT_SPIN_INIT,
     NORM_TOL,
     CnotInputs,
     DeviceErrorConfig,
@@ -271,8 +270,7 @@ def gram_top(cavity, err):
     """λmax of G, the Gram matrix of the four photon-basis outputs with both
     spin branches summed: an input's output norm^2 is c^H G c for its
     coefficients c, so λmax is the largest over all two-photon inputs."""
-    spin = np.array(DEFAULT_SPIN_INIT, dtype=complex)
-    x = _basis_outputs(cavity_coeffs(cavity), err, spin, ())[..., 0]
+    x = _basis_outputs(cavity_coeffs(cavity), err, ())[..., 0]
     return np.linalg.eigvalsh(np.einsum("sip,sjp->ij", x.conj(), x))[-1]
 
 
@@ -415,7 +413,7 @@ def assert_rows_match_point_builds(cfg, rows):
 ))
 def test_grid_lines_equal_per_point_builds(cfg):
     v = cfg.values
-    rows = _run_grid(cfg, cfg.input_ensemble())[1:]  # the point rows, header dropped
+    rows = list(_run_grid(cfg, cfg.input_ensemble()))[1:]  # the point rows, header dropped
     assert len(rows) == v["axis1_points"] * v["axis2_points"]
     assert_rows_match_point_builds(cfg, rows)
 
@@ -460,7 +458,7 @@ def test_chunk_boundaries_keep_every_point_row(monkeypatch):
         for n, axis_range in ((1, range1), (2, range2)):
             overrides.update({f"axis{n}_{k}": x for k, x in axis_range.items()})
         cfg = _config_with(**overrides)
-        rows = _run_grid(cfg, cfg.input_ensemble())[1:]  # the point rows, header dropped
+        rows = list(_run_grid(cfg, cfg.input_ensemble()))[1:]  # the point rows, header dropped
         assert len(rows) == range1["points"] * range2["points"]
         # the block's axis1 values on an (m, 1, 1) array, its axis2 values on (1, n, 1)
         assert [(np.shape(a)[0], np.shape(b)[1]) for a, b in calls] == blocks

@@ -168,6 +168,41 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.values["circuit"] == "optimized"
 
 
+@pytest.mark.parametrize("line", ["out = grid.csv  # where it goes",
+                                  "g_over_kappa = 2.5  # strong",
+                                  "circuit = optimized # the cloner circuit"])
+def test_comment_after_a_value_rejected(line):
+    # a trailing comment would become part of a string value (the CSV path)
+    key = line.partition(" ")[0]
+    with pytest.raises(ConfigError, match=f"config key '{key}' \\(line 2\\): .*"
+                                          "comments go on their own line"):
+        parse_config_text(f"# a whole-line comment\n{line}\n")
+
+
+CHOICE_KEYS = ("circuit", "ensemble", "axis1", "axis1_scale", "axis2", "axis2_scale")
+
+
+@pytest.mark.parametrize("key", CHOICE_KEYS)
+def test_choice_outside_its_choices_rejected(key):
+    assert {k for k, entry in sweep_mod.CONFIG_SCHEMA.items() if entry[0] == "choice"} == \
+        set(CHOICE_KEYS)
+    allowed = "|".join(sweep_mod.CONFIG_SCHEMA[key][2])
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config key {key!r}: must be one of {allowed}, got 'cubic'")):
+        parse_config_text(f"{key} = cubic\n")
+    with pytest.raises(ConfigError, match=re.escape(f"config key {key!r}: must be one of")):
+        _config_with(**{key: "cubic"})
+
+
+def test_text_of_the_wrong_kind_rejected_naming_key():
+    for line, message in (("xi1 = abc", "'xi1': expected a number, got 'abc'"),
+                          ("g_over_kappa = 2.5x", "'g_over_kappa': expected a number, got '2.5x'"),
+                          ("axis1_points = 3.5", "'axis1_points': expected an integer, got '3.5'"),
+                          ("axis2_points = many", "'axis2_points': expected an integer, got 'many'")):
+        with pytest.raises(ConfigError, match=re.escape(f"config key {message}")):
+            parse_config_text(line + "\n")
+
+
 def test_non_finite_float_rejected_naming_key():
     for key, raw in (("g_over_kappa", "inf"), ("gamma_over_kappa", "inf"),
                      ("kappa_s_over_kappa", "nan"), ("axis1_hi", "-inf")):
@@ -204,7 +239,7 @@ def test_calibration_picks_basis4():
 # --- sweeps
 
 def test_coupling_sweep_shape_and_order():
-    table = sweep_coupling(small_cfg())
+    table = list(sweep_coupling(small_cfg()))
     assert table[0] == ["kappa_s_over_kappa", "g_over_kappa", "f_up", "f_down", "status"]
     assert len(table) == 5  # header + 2x2 grid
     # axis1-outer ordering
@@ -214,12 +249,12 @@ def test_coupling_sweep_shape_and_order():
 
 
 def test_coupling_sweep_optimized_emits_combined_column():
-    table = sweep_coupling(small_cfg(circuit="optimized"))
+    table = list(sweep_coupling(small_cfg(circuit="optimized")))
     assert table[0] == ["kappa_s_over_kappa", "g_over_kappa", "f_both", "status"]
 
 
 def test_coupling_sweep_hits_anchor_points():
-    table = sweep_coupling(small_cfg())
+    table = list(sweep_coupling(small_cfg()))
     rows = {(r[0], r[1]): r for r in table[1:]}
     strong = rows[(0.05, 2.5)]
     weak = rows[(1.0, 0.45)]
@@ -236,7 +271,7 @@ def test_fidelities_stay_in_unit_interval_on_grid():
     cfg = small_cfg(axis1_points=4, axis2_points=4, axis1_lo=0.0, axis1_hi=2.0,
                     axis2_lo=0.0, axis2_hi=3.0, xi1=0.01, xi2=0.01,
                     tau_r1=0.01, tau_l1=0.01)
-    for row in sweep_coupling(cfg)[1:]:
+    for row in list(sweep_coupling(cfg))[1:]:
         assert 0.0 <= row[2] <= 1.0 and 0.0 <= row[3] <= 1.0
 
 
@@ -247,7 +282,7 @@ def test_err_psw_sweep_schema_and_endpoints():
         axis2="p_sw", axis2_lo=0.6, axis2_hi=1.0, axis2_points=3,
         kappa_s_over_kappa=0.05, g_over_kappa=2.5,
     )
-    table = sweep_err_psw(cfg)
+    table = list(sweep_err_psw(cfg))
     assert table[0] == ["err", "p_sw", "f_both", "status"]
     errs = sorted({r[0] for r in table[1:]})
     assert errs[0] == pytest.approx(1e-4) and errs[-1] == pytest.approx(1e-1)
@@ -263,7 +298,7 @@ def test_err_psw_switch_probability_zero_kills_fidelity():
         axis2="p_sw", axis2_lo=0.0, axis2_hi=1.0, axis2_points=2,
         kappa_s_over_kappa=0.05, g_over_kappa=2.5,
     )
-    table = sweep_err_psw(cfg)
+    table = list(sweep_err_psw(cfg))
     zero_rows = [r for r in table[1:] if r[1] == 0.0]
     assert zero_rows and all(r[2] == 0.0 for r in zero_rows)
 
@@ -271,6 +306,10 @@ def test_err_psw_switch_probability_zero_kills_fidelity():
 def test_err_psw_requires_optimized_strong_coupling():
     with pytest.raises(ConfigError, match="optimized"):
         sweep_err_psw(small_cfg(axis1="err", axis2="p_sw"))
+    with pytest.raises(ConfigError, match=re.escape(
+            "err/p_sw sweep needs axes err and p_sw, got ['err', 'g_over_kappa']")):
+        sweep_err_psw(small_cfg(circuit="optimized", axis1="err", axis1_lo=1e-4,
+                                axis1_hi=1e-1))
     with pytest.raises(ConfigError, match="strong"):
         sweep_err_psw(small_cfg(
             circuit="optimized", axis1="err", axis1_lo=1e-4, axis1_hi=1e-1,
@@ -282,10 +321,10 @@ def test_err_psw_requires_optimized_strong_coupling():
 def test_failed_grid_point_emits_sentinel_row():
     # xi1 = 0.1 lifts the output norm of some superposition inputs above 1;
     # exactly these points of the batched rows fail the norm check
-    table = sweep_coupling(small_cfg(
+    table = list(sweep_coupling(small_cfg(
         ensemble="superposition4", xi1=0.1, axis1_lo=0.0, axis1_hi=2.0, axis1_points=5,
         axis2_lo=0.0, axis2_hi=3.0, axis2_points=6,
-    ))
+    )))
     assert len(table) == 1 + 5 * 6  # no row dropped
     bad = [r for r in table[1:] if r[4] != "ok"]
     assert [r[0] for r in bad] == [0.0] * 5
@@ -296,8 +335,8 @@ def test_failed_grid_point_emits_sentinel_row():
     assert len(good) == 25 and all(0 <= r[2] <= 1 and 0 <= r[3] <= 1 for r in good)
 
     # a negative coupling rate is rejected per point, before the batch runs
-    table = sweep_coupling(small_cfg(axis1_points=4, axis2_lo=-1.0, axis2_hi=3.0,
-                                     axis2_points=7))
+    table = list(sweep_coupling(small_cfg(axis1_points=4, axis2_lo=-1.0, axis2_hi=3.0,
+                                          axis2_points=7)))
     assert len(table) == 1 + 4 * 7
     bad = [r for r in table[1:] if r[4] != "ok"]
     assert len(bad) == 8 and all(r[1] < 0 and r[4] == "error:ValueError" for r in bad)
@@ -319,19 +358,19 @@ def test_invalid_grid_points_keep_their_error_rows():
     def expected(err, p_sw):
         return "error:ValueError" if err > 1 or not 0 <= p_sw <= 1 else "ok"
 
-    table = sweep_err_psw(err_psw_cfg(
+    table = list(sweep_err_psw(err_psw_cfg(
         axis1_lo=0.0, axis1_hi=2.0, axis1_points=5, axis1_scale="linear",
         axis2_lo=-0.2, axis2_hi=1.2, axis2_points=8,
-    ))
+    )))
     statuses = [r[3] for r in table[1:]]
     assert statuses == [expected(r[0], r[1]) for r in table[1:]]
     assert (statuses.count("error:ValueError"), statuses.count("ok")) == (25, 15)
     assert all(math.isnan(r[2]) for r in table[1:] if r[3] != "ok")
 
-    table = sweep_err_psw(err_psw_cfg(
+    table = list(sweep_err_psw(err_psw_cfg(
         axis1="p_sw", axis1_lo=-0.2, axis1_hi=1.2, axis1_points=5, axis1_scale="linear",
         axis2="err", axis2_lo=0.0, axis2_hi=2.0, axis2_points=7,
-    ))
+    )))
     statuses = [r[3] for r in table[1:]]
     assert statuses == [expected(r[1], r[0]) for r in table[1:]]
     assert (statuses.count("error:ValueError"), statuses.count("ok")) == (23, 12)
@@ -391,7 +430,7 @@ def test_grid_without_a_valid_column_runs_nothing(monkeypatch):
     for invalid in (dict(axis2_lo=1.5, axis2_hi=2.0),
                     dict(axis2="g_over_kappa", axis2_lo=-2.0, axis2_hi=-1.0),
                     dict(axis1_lo=1.5, axis1_hi=2.0)):
-        table = sweep_mod._run_grid(err_psw_cfg(**invalid), InputEnsemble.basis4())[1:]  # rows
+        table = list(sweep_mod._run_grid(err_psw_cfg(**invalid), InputEnsemble.basis4()))[1:]
         assert len(table) == 9
         assert all(r[5] == "error:ValueError" and all(map(math.isnan, r[2:5])) for r in table)
 
@@ -452,7 +491,7 @@ def test_fault_rows_keep_their_statuses(sweep, overrides, digest, counts):
     import hashlib
     from collections import Counter
 
-    table = sweep(_config_with(**overrides))
+    table = list(sweep(_config_with(**overrides)))
     status = [row[-1] for row in table[1:]]
     assert Counter(status) == counts
     assert hashlib.sha256("\n".join(status).encode()).hexdigest() == digest
@@ -513,7 +552,7 @@ def test_err_psw_rejects_a_cloner_it_would_override():
         with pytest.raises(ConfigError, match="cloner_fidelity"):
             sweep_err_psw(err_psw_cfg(cloner_fidelity=value))
     pinned = sweep_err_psw(err_psw_cfg(cloner_fidelity=5 / 6))
-    assert pinned == sweep_err_psw(err_psw_cfg())
+    assert list(pinned) == list(sweep_err_psw(err_psw_cfg()))
 
 
 def test_axis_fields_are_built_once_and_read_only():
@@ -813,7 +852,7 @@ def test_reproduce_fig3a_surface(tmp_path):
 def test_reproduce_fig3b_emits_down_branch(tmp_path):
     # small sanity on the column selection without rerunning the full grid
     table = sweep_coupling(small_cfg())
-    assert table[0][2] == "f_up" and table[0][3] == "f_down"
+    assert table.header[2:4] == ("f_up", "f_down")
 
 
 def test_a_candidate_fault_raises_by_name_from_the_union_call(monkeypatch):
