@@ -255,9 +255,10 @@ def _report(means: np.ndarray, fault: np.ndarray, circuit: str | np.ndarray,
         status = "ok" if not points else ("ok",) * math.prod(points)
     else:
         # per point, the first input (in ensemble order) that failed a check
-        first = np.take_along_axis(fault, np.argmax(fault != 0, axis=-1)[..., None], -1)[..., 0]
+        where = np.argmax(fault != 0, axis=-1)
+        first = np.take_along_axis(fault, where[..., None], -1)[..., 0]
         if not points:
-            raise fault_error(int(first), f"{circuit} circuit, input {int(np.argmax(fault))}")
+            raise fault_error(int(first), f"{circuit} circuit, input {int(where)}")
         values = np.where(first == 0, means, math.nan)
         status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
     return FidelityReport(*values, ensemble=kind, circuit=circuit, status=status)

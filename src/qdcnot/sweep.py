@@ -535,6 +535,8 @@ def check_anchors(
     """
     if anchors is None:
         anchors = ANCHORS
+    if not anchors:
+        return []
     block = anchors
     if any(a.documented_residual for a in anchors):
         names = {a.name for a in anchors}

@@ -2,20 +2,20 @@
 
 A grid sweep returns a :class:`GridTable`: its header, the distinct values
 of its two axes and one column per value and status, in axis1-outer order.
-It iterates as the list of rows it stands for (header first), and
-:func:`write_csv` writes it from its columns: each axis value is formatted
-once, and each chunk of rows is one ``%`` template over its cells.  Any
-other table is a list of rows and is written cell by cell.
+It iterates as the list of rows it stands for (header first).
+:func:`write_csv` writes each chunk of rows as one ``%`` template over its
+cells: a grid's from its columns, each axis value formatted once, and a
+list of rows' when its rows share one length and each column one kind.
+Any other list of rows is written cell by cell.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,35 +57,6 @@ def _cell_text(cell) -> str:
     return format(cell, ".10g") if isinstance(cell, float) else str(cell)
 
 
-def _signed_zeros(column: tuple) -> bool:
-    """Does ``column`` hold -0.0?  It is one dict key with 0.0 but prints apart."""
-    zeros = compress(column, map((0.0).__eq__, column))
-    return any(math.copysign(1.0, z) < 0 for z in zeros)
-
-
-def _column_format(column: tuple):
-    """How to write the cells of one column: None for text, else a function of a cell.
-
-    A float column that repeats its values (a grid axis: at most half as
-    many distinct values as cells, in its first chunk and in all) formats
-    each distinct value once.
-    """
-    kinds = set(map(type, column))
-    if kinds == {str}:
-        return None
-    if kinds != {float}:
-        return _cell_text
-    head = column[:CSV_CHUNK_ROWS]
-    if 2 * len(set(head)) > len(head):
-        return "%.10g".__mod__  # the bytes of format(v, ".10g")
-    distinct = dict.fromkeys(column)
-    if 2 * len(distinct) > len(column) or 0.0 in distinct and _signed_zeros(column):
-        return "%.10g".__mod__
-    for value in distinct:
-        distinct[value] = format(value, ".10g")
-    return distinct.__getitem__
-
-
 # rows written per chunk, so the text of a large table is never held whole
 CSV_CHUNK_ROWS = 512
 
@@ -118,34 +89,43 @@ def _overwrite(path: str):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def _write_grid(fh, table: GridTable) -> None:
-    """The rows of ``table`` from its columns, in chunks of CSV_CHUNK_ROWS.
+def _row_template(rows: list) -> str | None:
+    """One ``%`` template for each of ``rows``, or None unless they share one
+    length and each column holds only floats (``%.10g``) or only str and int
+    (``%s``)."""
+    if len(set(map(len, rows))) != 1:
+        return None
+    formats = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            formats.append("%.10g")
+        elif kinds <= {str, int}:
+            formats.append("%s")
+        else:  # e.g. floats with ints or bools, or a numpy scalar
+            return None
+    return ",".join(formats) + "\n"
 
-    ``"%.10g" % v`` gives the bytes of ``format(v, ".10g")`` for every float;
-    each axis value is formatted once, by position, so 0.0 and -0.0 stay apart.
-    """
-    x1, x2 = (["%.10g" % v for v in axis] for axis in table.axes)
-    cells_x1 = chain.from_iterable(map(repeat, x1, repeat(len(x2))))
-    cells_x2 = chain.from_iterable(repeat(x2, len(x1)))
-    row = "%s,%s," + "%.10g," * len(table.values) + "%s\n"
-    full = row * CSV_CHUNK_ROWS
-    for start in range(0, len(table.status), CSV_CHUNK_ROWS):
-        size = min(CSV_CHUNK_ROWS, len(table.status) - start)
-        cells = zip(islice(cells_x1, size), islice(cells_x2, size),
-                    *(c[start:start + size] for c in (*table.values, table.status)))
-        template = full if size == CSV_CHUNK_ROWS else row * size
-        fh.write(template % tuple(chain.from_iterable(cells)))
+
+def _write_rows(fh, rows, count: int, row_template: str) -> None:
+    """``count`` rows from the iterator ``rows``, each chunk of CSV_CHUNK_ROWS
+    of them written as one ``%`` template over its cells."""
+    full = row_template * CSV_CHUNK_ROWS
+    for start in range(0, count, CSV_CHUNK_ROWS):
+        size = min(CSV_CHUNK_ROWS, count - start)
+        template = full if size == CSV_CHUNK_ROWS else row_template * size
+        fh.write(template % tuple(chain.from_iterable(islice(rows, size))))
 
 
 def write_csv(table: GridTable | list[list], path: str) -> None:
     """UTF-8, comma-separated, 10 significant digits, LF endings.
 
-    Every float cell is written as ``format(v, ".10g")``, any other as
-    ``str``.  A :class:`GridTable` is written from its columns (see
-    :func:`_write_grid`).  A list of rows whose rows after the first have
-    one length is formatted column by column, in chunks of rows, else row
-    by row.  An existing file at ``path`` is overwritten in place (see
-    :func:`_overwrite`).
+    Every float cell is written as ``format(v, ".10g")`` (the bytes of
+    ``"%.10g" % v``), any other as ``str``.  A :class:`GridTable` is written
+    from its columns, each axis value formatted once by position, so 0.0 and
+    -0.0 stay apart; a list of rows through its :func:`_row_template`, or
+    cell by cell if it has none; an existing file at ``path`` is
+    overwritten in place (see :func:`_overwrite`).
     """
     if not table:
         raise ValueError("refusing to write an empty table")
@@ -153,15 +133,14 @@ def write_csv(table: GridTable | list[list], path: str) -> None:
     with _overwrite(path) as fh:
         fh.write(",".join(map(_cell_text, head)) + "\n")
         if isinstance(table, GridTable):
-            _write_grid(fh, table)
+            x1, x2 = (["%.10g" % v for v in axis] for axis in table.axes)
+            rows = zip(chain.from_iterable(map(repeat, x1, repeat(len(x2)))),
+                       chain.from_iterable(repeat(x2, len(x1))), *table.values, table.status)
+            _write_rows(fh, rows, len(table.status),
+                        "%s,%s," + "%.10g," * len(table.values) + "%s\n")
             return
         rows = table[1:]
-        if len(set(map(len, rows))) != 1:
+        if template := _row_template(rows):
+            _write_rows(fh, iter(rows), len(rows), template)
+        else:
             fh.writelines(",".join(map(_cell_text, row)) + "\n" for row in rows)
-            return
-        columns = list(zip(*rows))
-        formats = [_column_format(column) for column in columns]
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = [column[start:start + CSV_CHUNK_ROWS] for column in columns]
-            texts = [cells if f is None else [*map(f, cells)] for f, cells in zip(formats, chunk)]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")

@@ -21,7 +21,6 @@ from qdcnot.circuits import (
     sign_fix_amplitude,
 )
 from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs
-from qdcnot.fidelity import InputEnsemble, average_fidelity
 from qdcnot.sweep import calibrate_ensemble, check_anchors, reproduce
 
 from closed_form import extract_branch_amplitudes, output_amplitudes, rr_up_closed_form

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from qdcnot.cavity import CavityCoeffs, CavityParams, cavity_coeffs
-from qdcnot.circuits import CnotInputs, DeviceErrorConfig, baseline_cnot, optimized_cnot
+from qdcnot.circuits import (
+    CnotInputs,
+    DeviceErrorConfig,
+    NonFiniteOutputError,
+    OutputNormError,
+    baseline_cnot,
+    optimized_cnot,
+)
 from qdcnot.devices import F_UC, ClonerConfig, HwpError, SwitchCoeffs
 import qdcnot.fidelity as fidelity_module
 from qdcnot.fidelity import InputEnsemble, average_fidelity
@@ -321,6 +328,14 @@ def test_core_norm_fault_flags_every_switch_point():
         report = average_fidelity(circuit, cavity, switch_line(err), ensemble)
         assert report.status == ("error:AssertionError",) * 3
         assert np.isnan(report.f_both).all() and report.f_both.shape == (3,)
+
+
+@pytest.mark.parametrize("fault, kind", [
+    ([0, 1, 2], NonFiniteOutputError), ([0, 2, 1], OutputNormError)])
+def test_a_single_config_fault_names_the_first_failing_input(fault, kind):
+    # the first input (in ensemble order) that failed raises, with its own code
+    with pytest.raises(kind, match=r": baseline circuit, input 1$"):
+        fidelity_module._report(np.zeros(5), np.array(fault), "baseline", "basis4")
 
 
 def test_ensemble_caches_are_built_once_and_locked():

@@ -29,15 +29,12 @@ PACKAGE = ROOT / "src" / "qdcnot"
 # the labeled kit waits on the benchmark's span table, which traces four of
 # its names on qdcnot.circuits (ROADMAP item 1)
 _LABELED_KIT = "labeled kit, traced by bench/spans.py: ROADMAP item 1"
-# unreached function -> why it stays
-ALLOWED = {
-    **{f"state.{name}": _LABELED_KIT for name in (
-        "JointState.batch_shape", "JointState._index", "JointState.amplitude",
-        "JointState.entries", "JointState.norm_sq", "JointState.__len__",
-        "make_state", "tensor", "apply_mode_map", "with_weight", "project_spin",
-        "inner_product", "_basis", "_as_names", "_as_values", "_value_index", "_sorted")},
-    "table._signed_zeros": "only a list table whose repeated float column holds 0.0 reaches it",
-}
+# unreached function -> why it stays: exactly the labeled kit
+ALLOWED = {f"state.{name}": _LABELED_KIT for name in (
+    "JointState.batch_shape", "JointState._index", "JointState.amplitude",
+    "JointState.entries", "JointState.norm_sq", "JointState.__len__",
+    "make_state", "tensor", "apply_mode_map", "with_weight", "project_spin",
+    "inner_product", "_basis", "_as_names", "_as_values", "_value_index", "_sorted")}
 
 
 def defined_functions() -> set[str]:

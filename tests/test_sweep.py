@@ -613,8 +613,8 @@ def test_write_csv_format(tmp_path):
 def test_write_csv_rows_of_other_kinds_keep_per_cell_bytes(tmp_path):
     # every float is written as format(v, ".10g") and every other cell as
     # str, whatever else its row or column holds (a header, an int, a bool or
-    # a string where a float was); the same rows with a short row go row by
-    # row, without it column by column, with a repeating (axis) column
+    # a string where a float was); these rows go cell by cell, with a short
+    # row or without it (their columns mix kinds)
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
               0.1 + 0.2, -123456.78901234, 1e16, 2.5e-7]
     rows = ([[x, -x, "ok"] for x in values] + [[0.1 + 0.2, x, "ok"] for x in values]
@@ -632,6 +632,10 @@ def test_write_csv_rows_of_other_kinds_keep_per_cell_bytes(tmp_path):
         write_csv(table, str(path))
         assert path.read_text().split("\n")[1:-1] == [
             f"{format(x, '.10g')},{k}" for k, x in enumerate(column)]
+    # one kind per column: an int column is written as str(n), never "%.10g" % n
+    table = [["n", "text", "v"], [12345678901, "ok", 0.1 + 0.2], [-7, "error:ValueError", -0.0]]
+    write_csv(table, str(path))
+    assert path.read_text() == "n,text,v\n12345678901,ok,0.3\n-7,error:ValueError,-0\n"
 
 
 def test_write_csv_ten_significant_digits(tmp_path):
@@ -763,6 +767,12 @@ def test_calibration_runs_one_block_per_ensemble(monkeypatch):
     assert len(calls) == 1
     assert calls[0] == [("baseline", kind, 2)
                         for kind in ("basis4", "superposition4", "haar_product")]
+
+
+def test_check_anchors_of_no_anchors_makes_no_engine_call(monkeypatch):
+    calls = spy_engine(monkeypatch)
+    assert check_anchors(InputEnsemble.basis4(), ()) == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("target, calls", [
