@@ -15,14 +15,7 @@ import sys
 from .cavity import CavityParams, cavity_coeffs, is_strong_coupling
 from .circuits import OutputNormError
 from .fidelity import average_fidelity
-from .sweep import (
-    ConfigError,
-    load_config,
-    reproduce,
-    sweep_coupling,
-    sweep_err_psw,
-    write_csv,
-)
+from .sweep import ConfigError, load_config, reproduce, run_sweep, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -78,11 +71,7 @@ def _cmd_sweep(args) -> int:
     out = args.out or cfg.values["out"]
     if not out:
         raise ConfigError("no output path: pass --out or set `out` in the config")
-    axes = {cfg.values["axis1"], cfg.values["axis2"]}
-    if axes == {"err", "p_sw"}:
-        table = sweep_err_psw(cfg)
-    else:
-        table = sweep_coupling(cfg)
+    table = run_sweep(cfg)
     write_csv(table, out)
     print(f"wrote {len(table) - 1} rows to {out}")
     return EXIT_OK

@@ -3,13 +3,17 @@
 Configs are flat ``key = value`` text files (whole-line ``#`` comments); the
 keys, their kinds and defaults live in :data:`CONFIG_SCHEMA`, and the range
 of a key that sets a component field lives in that component's ``DOMAIN``
-(see :data:`COMPONENTS`).
+(see :data:`COMPONENTS`).  The paper's anchors are written once, as
+components; ``_config_values`` reads an anchor back as config values, so
+an empty config is the strong-coupling ideal anchor and each grid target
+of ``reproduce`` runs one anchor's config.
 Sweeps evaluate a two-axis grid in axis1-outer order, one row per point,
 and return it as a :class:`~qdcnot.table.GridTable`: its columns, read as
 the list of rows.  The grid runs in bounded blocks of valid rows by valid
 columns, each one batch against the whole input ensemble with the axis1
 values on one array axis and the axis2 values on another; a point that
-fails keeps its row and status.  ``write_csv`` (from :mod:`qdcnot.table`)
+fails keeps its row and status.  ``run_sweep`` picks the sweep by the
+config's axes.  ``write_csv`` (from :mod:`qdcnot.table`)
 writes a table, and CSV output is byte-deterministic: same config, same
 bytes.
 
@@ -67,40 +71,6 @@ ENSEMBLES = {
 }
 ENSEMBLE_NAMES = ("calibration", *ENSEMBLES)
 
-# key -> (kind, default), then a choice key's allowed values; the range of a
-# key that sets a component field is that class's DOMAIN (see _KEY_DOMAINS)
-CONFIG_SCHEMA = {
-    "circuit": ("choice", "baseline", ("baseline", "optimized")),
-    "g_over_kappa": ("float", 2.5),
-    "kappa_s_over_kappa": ("float", 0.05),
-    "gamma_over_kappa": ("float", 0.1),
-    "xi1": ("float", 0.0),
-    "xi2": ("float", 0.0),
-    "tau_r1": ("float", 0.0),
-    "tau_l1": ("float", 0.0),
-    "tau_l2": ("float", 0.0),
-    "tau_l3": ("float", 0.0),
-    "tau_r4": ("float", 0.0),
-    "sw1_t12": ("float", 1.0),
-    "sw1_r22": ("float", 1.0),
-    "sw2_t12": ("float", 1.0),
-    "sw2_r11": ("float", 1.0),
-    "cloner_fidelity": ("float", 1.0),
-    "ensemble": ("choice", "calibration", ENSEMBLE_NAMES),
-    "axis1": ("choice", "kappa_s_over_kappa", AXIS_NAMES),
-    "axis1_lo": ("float", 0.0),
-    "axis1_hi": ("float", 2.0),
-    "axis1_points": ("int", 41),
-    "axis1_scale": ("choice", "linear", ("linear", "log")),
-    "axis2": ("choice", "g_over_kappa", AXIS_NAMES),
-    "axis2_lo": ("float", 0.0),
-    "axis2_hi": ("float", 3.0),
-    "axis2_points": ("int", 61),
-    "axis2_scale": ("choice", "linear", ("linear", "log")),
-    "out": ("str", ""),
-}
-
-
 # component -> (its class, {field: the config key that sets it}) for the
 # fields a circuit reads; a field with no key keeps its class default.  The
 # photons pass one port of CPBS2-4 (the flipped control-L component CPBS2 and
@@ -119,6 +89,95 @@ COMPONENTS = {
     "sw1": (SwitchCoeffs, {"t12": "sw1_t12", "r22": "sw1_r22"}),
     "sw2": (SwitchCoeffs, {"t12": "sw2_t12", "r11": "sw2_r11"}),
     "cloner": (ClonerConfig, {"fidelity": "cloner_fidelity"}),
+}
+
+
+# a reference value the paper quotes at one point of one figure (arXiv
+# 1811.06044), with the circuit and components that point stands for
+@dataclass(frozen=True)
+class Anchor:
+    name: str
+    expected: float          # fidelity, not percent
+    tolerance: float         # absolute, same units
+    circuit: str
+    cavity: CavityParams
+    errors: DeviceErrorConfig
+    documented_residual: bool = False  # expected to miss; report, don't fail
+
+    def __hash__(self):  # equal anchors share a name, which hashes far faster than every field
+        return hash(self.name)
+
+    @property
+    def metric(self) -> str:
+        """What the anchor reads: the better branch of the baseline ("best_branch"),
+        the optimized circuit's whole output ("both")."""
+        return "best_branch" if self.circuit == "baseline" else "both"
+
+
+_STRONG = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
+_WEAK = CavityParams(g=0.45, kappa_s=1.0, gamma=0.1)
+_SW1_MEASURED = SwitchCoeffs(t12=0.899, r22=0.65)
+_SW2_MEASURED = SwitchCoeffs(t12=0.956, r11=0.648)
+
+ANCHOR_STRONG_IDEAL = Anchor(
+    "baseline_strong_ideal", 0.9374, 0.010, "baseline", _STRONG, DeviceErrorConfig())
+ANCHOR_WEAK_IDEAL = Anchor(
+    "baseline_weak_ideal", 0.3234, 0.010, "baseline", _WEAK, DeviceErrorConfig())
+# With every error pinned at 1e-2 this model family lands ~2 points above
+# the quoted value under every supported ensemble; reported as a residual.
+ANCHOR_STRONG_ERR = Anchor(
+    "baseline_strong_err1e-2", 0.8789, 0.015, "baseline", _STRONG,
+    DeviceErrorConfig.uniform(1e-2), documented_residual=True)
+ANCHOR_WEAK_ERR = Anchor(
+    "baseline_weak_err1e-2", 0.3002, 0.015, "baseline", _WEAK, DeviceErrorConfig.uniform(1e-2))
+ANCHOR_MEASURED_SWITCHES = Anchor(
+    "optimized_measured_switches", 0.2627, 0.015, "optimized", _STRONG,
+    DeviceErrorConfig.uniform(
+        1e-2, sw1=_SW1_MEASURED, sw2=_SW2_MEASURED, cloner=ClonerConfig(0.82)))
+ANCHOR_BEST_CASE = Anchor(
+    "optimized_best_case", 0.78, 0.010, "optimized", _STRONG,
+    DeviceErrorConfig.uniform(1e-4, cloner=ClonerConfig(F_UC)))
+
+ANCHORS: tuple[Anchor, ...] = (
+    ANCHOR_STRONG_IDEAL,
+    ANCHOR_WEAK_IDEAL,
+    ANCHOR_STRONG_ERR,
+    ANCHOR_WEAK_ERR,
+    ANCHOR_MEASURED_SWITCHES,
+    ANCHOR_BEST_CASE,
+)
+# the anchors the qualitative claims read, in the order they read them
+_CLAIM_ANCHORS = (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL, ANCHOR_BEST_CASE,
+                  ANCHOR_MEASURED_SWITCHES)
+
+
+def _config_values(anchor: Anchor) -> dict:
+    """The config values that give ``anchor``'s circuit and components: the
+    inverse of :data:`COMPONENTS`, in its order."""
+    parts = {"cavity": anchor.cavity, **vars(anchor.errors)}
+    return {"circuit": anchor.circuit, **{key: getattr(parts[name], field)
+                                          for name, (_, keys) in COMPONENTS.items()
+                                          for field, key in keys.items()}}
+
+
+# key -> (kind, default), then a choice key's allowed values; the range of a
+# key that sets a component field is that class's DOMAIN (see _KEY_DOMAINS).
+# An empty config is the strong-coupling ideal anchor
+CONFIG_SCHEMA = {
+    **{key: ("choice", value, ("baseline", "optimized")) if key == "circuit"
+       else ("float", value) for key, value in _config_values(ANCHOR_STRONG_IDEAL).items()},
+    "ensemble": ("choice", "calibration", ENSEMBLE_NAMES),
+    "axis1": ("choice", "kappa_s_over_kappa", AXIS_NAMES),
+    "axis1_lo": ("float", 0.0),
+    "axis1_hi": ("float", 2.0),
+    "axis1_points": ("int", 41),
+    "axis1_scale": ("choice", "linear", ("linear", "log")),
+    "axis2": ("choice", "g_over_kappa", AXIS_NAMES),
+    "axis2_lo": ("float", 0.0),
+    "axis2_hi": ("float", 3.0),
+    "axis2_points": ("int", 61),
+    "axis2_scale": ("choice", "linear", ("linear", "log")),
+    "out": ("str", ""),
 }
 # config key -> (test, rule): the DOMAIN entry of the component field it sets
 _KEY_DOMAINS = {key: cls.DOMAIN[field] for cls, keys in COMPONENTS.values()
@@ -182,18 +241,11 @@ def _check_value(key: str, value):
 
 def _parse_value(key: str, raw: str):
     kind = CONFIG_SCHEMA[key][0]
-    if kind == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: expected a number, got {raw!r}") from None
-    elif kind == "int":
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from None
-    else:
-        value = raw
+    try:
+        value = {"float": float, "int": int}.get(kind, str)(raw)
+    except ValueError:
+        raise ConfigError(
+            f"config key {key!r}: expected {_KIND_TYPES[kind][1]}, got {raw!r}") from None
     return _check_value(key, value)
 
 
@@ -390,64 +442,16 @@ def sweep_err_psw(cfg: SimConfig) -> GridTable:
     return _run_grid(pinned, pinned.input_ensemble()).without("f_up", "f_down")
 
 
+def run_sweep(cfg: SimConfig) -> GridTable:
+    """The config's grid: :func:`sweep_err_psw` on the err and p_sw axes,
+    :func:`sweep_coupling` on any other."""
+    if {cfg.values["axis1"], cfg.values["axis2"]} == {"err", "p_sw"}:
+        return sweep_err_psw(cfg)
+    return sweep_coupling(cfg)
+
+
 # ---------------------------------------------------------------------------
 # reproduction targets
-
-
-@dataclass(frozen=True)
-class Anchor:
-    name: str
-    expected: float          # fidelity, not percent
-    tolerance: float         # absolute, same units
-    circuit: str
-    cavity: CavityParams
-    errors: DeviceErrorConfig
-    metric: str              # "best_branch" or "both"
-    documented_residual: bool = False  # expected to miss; report, don't fail
-
-    def __hash__(self):  # equal anchors share a name, which hashes far faster than every field
-        return hash(self.name)
-
-
-_STRONG = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
-_WEAK = CavityParams(g=0.45, kappa_s=1.0, gamma=0.1)
-_SW1_MEASURED = SwitchCoeffs(t12=0.899, r22=0.65)
-_SW2_MEASURED = SwitchCoeffs(t12=0.956, r11=0.648)
-
-ANCHOR_STRONG_IDEAL = Anchor(
-    "baseline_strong_ideal", 0.9374, 0.010, "baseline", _STRONG,
-    DeviceErrorConfig(), "best_branch")
-ANCHOR_WEAK_IDEAL = Anchor(
-    "baseline_weak_ideal", 0.3234, 0.010, "baseline", _WEAK,
-    DeviceErrorConfig(), "best_branch")
-# With every error pinned at 1e-2 this model family lands ~2 points above
-# the quoted value under every supported ensemble; reported as a residual.
-ANCHOR_STRONG_ERR = Anchor(
-    "baseline_strong_err1e-2", 0.8789, 0.015, "baseline", _STRONG,
-    DeviceErrorConfig.uniform(1e-2), "best_branch", documented_residual=True)
-ANCHOR_WEAK_ERR = Anchor(
-    "baseline_weak_err1e-2", 0.3002, 0.015, "baseline", _WEAK,
-    DeviceErrorConfig.uniform(1e-2), "best_branch")
-ANCHOR_MEASURED_SWITCHES = Anchor(
-    "optimized_measured_switches", 0.2627, 0.015, "optimized", _STRONG,
-    DeviceErrorConfig.uniform(
-        1e-2, sw1=_SW1_MEASURED, sw2=_SW2_MEASURED, cloner=ClonerConfig(0.82)
-    ), "both")
-ANCHOR_BEST_CASE = Anchor(
-    "optimized_best_case", 0.78, 0.010, "optimized", _STRONG,
-    DeviceErrorConfig.uniform(1e-4, cloner=ClonerConfig(F_UC)), "both")
-
-ANCHORS: tuple[Anchor, ...] = (
-    ANCHOR_STRONG_IDEAL,
-    ANCHOR_WEAK_IDEAL,
-    ANCHOR_STRONG_ERR,
-    ANCHOR_WEAK_ERR,
-    ANCHOR_MEASURED_SWITCHES,
-    ANCHOR_BEST_CASE,
-)
-# the anchors the qualitative claims read, in the order they read them
-_CLAIM_ANCHORS = (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL, ANCHOR_BEST_CASE,
-                  ANCHOR_MEASURED_SWITCHES)
 
 
 # an anchor block's point status, or the error one config raises, -> the
@@ -470,10 +474,11 @@ def _anchor_block(group: tuple[Anchor, ...]
 
 
 def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble
-                   ) -> dict[tuple[str, str], float | Exception]:
+                   ) -> dict[tuple[Anchor, str], float | Exception]:
     """Each anchor's metric on each part of ``ensemble`` (the ensemble itself
-    if it is not a union), keyed by (anchor name, part kind): one engine call
-    for all of them, whatever their circuits.
+    if it is not a union), keyed by (anchor, part kind): one engine call for
+    all of them, whatever their circuits.  Two anchors that share a name but
+    not their fields are two keys.
 
     A point of a block that fails an output check holds the error one config
     failing it raises, naming the anchor: reading it raises (see
@@ -486,7 +491,7 @@ def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble
         reports = average_fidelity(*_anchor_block(group), ensemble)
     except tuple(_FAULT_KINDS) as fault:
         raise fault_error(_FAULT_KINDS[type(fault)], f"anchor {group[0].name}") from fault
-    values: dict[tuple[str, str], float | Exception] = {}
+    values: dict[tuple[Anchor, str], float | Exception] = {}
     for report in reports if ensemble.parts else (reports,):
         if isinstance(report.status, str):  # one config: the anchors share every field
             rows = [(report.f_up, report.f_down, report.f_both, report.status)] * len(group)
@@ -494,16 +499,17 @@ def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble
             rows = zip(report.f_up.tolist(), report.f_down.tolist(), report.f_both.tolist(),
                        report.status)
         for anchor, (up, down, both, status) in zip(group, rows):
-            values[anchor.name, report.ensemble] = (
+            values[anchor, report.ensemble] = (
                 fault_error(_FAULT_CODES[status], f"anchor {anchor.name}") if status != "ok"
                 else max(up, down) if anchor.metric == "best_branch" else both)
     return values
 
 
-def _read(values: dict[tuple[str, str], float | Exception], anchor: Anchor, kind: str) -> float:
+def _read(values: dict[tuple[Anchor, str], float | Exception], anchor: Anchor, kind: str
+          ) -> float:
     """``anchor``'s value on the ensemble ``kind`` (see :func:`_anchor_values`);
     raises the fault its point failed with."""
-    value = values[anchor.name, kind]
+    value = values[anchor, kind]
     if isinstance(value, Exception):
         raise value
     return value
@@ -539,8 +545,7 @@ def check_anchors(
         return []
     block = anchors
     if any(a.documented_residual for a in anchors):
-        names = {a.name for a in anchors}
-        block = (*anchors, *[a for a in _CLAIM_ANCHORS if a.name not in names])
+        block = (*anchors, *[a for a in _CLAIM_ANCHORS if a not in anchors])
     values = _anchor_values(block, ensemble)
     checked = [_read(values, a, ensemble.kind) for a in anchors]
     outside = [abs(v - a.expected) > a.tolerance for a, v in zip(anchors, checked)]
@@ -570,7 +575,8 @@ def check_anchors(
     return results
 
 
-def _qualitative_claims_hold(values: dict[tuple[str, str], float | Exception], kind: str) -> bool:
+def _qualitative_claims_hold(values: dict[tuple[Anchor, str], float | Exception], kind: str
+                             ) -> bool:
     """Strong >> weak; best case near the cloner bound; realistic collapse."""
     strong, weak, best, realistic = [_read(values, a, kind) for a in _CLAIM_ANCHORS]
     return strong > weak + 0.30 and abs(best - F_UC) < 0.07 and realistic < best / 2
@@ -603,58 +609,47 @@ def _config_with(**overrides) -> SimConfig:
     return _config(values)
 
 
-# reproduce target -> its config on top of the schema defaults
-_TARGET_OVERRIDES = {
-    "fig3a": dict(circuit="baseline"),
-    "fig3b": dict(circuit="baseline"),
-    "fig4a": dict(
-        circuit="optimized",
-        xi1=1e-2, xi2=1e-2,
-        tau_r1=1e-2, tau_l1=1e-2, tau_l2=1e-2, tau_l3=1e-2, tau_r4=1e-2,
-        sw1_t12=0.899, sw1_r22=0.65, sw2_t12=0.956, sw2_r11=0.648,
-        cloner_fidelity=0.82,
-    ),
-    "fig4b": dict(
-        circuit="optimized",
+# reproduce grid target -> (the anchor whose config it runs, the axes it
+# sets on top of that config; the anchors its check reads; the value columns
+# its CSV drops).  "table_anchors" is the one target with no grid
+_GRID_TARGETS = {
+    "fig3a": (ANCHOR_STRONG_IDEAL, {}, (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL), ("f_down",)),
+    "fig3b": (ANCHOR_STRONG_IDEAL, {}, (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL), ("f_up",)),
+    "fig4a": (ANCHOR_MEASURED_SWITCHES, {}, (ANCHOR_MEASURED_SWITCHES,), ()),
+    "fig4b": (ANCHOR_BEST_CASE, dict(
         axis1="err", axis1_lo=1e-4, axis1_hi=1e-1, axis1_points=31, axis1_scale="log",
         axis2="p_sw", axis2_lo=0.6, axis2_hi=1.0, axis2_points=41, axis2_scale="linear",
-    ),
-    "table_anchors": {},
+    ), (ANCHOR_BEST_CASE,), ()),
 }
-# reproduce target -> the anchors its check reads (None: all of ANCHORS)
-_TARGET_ANCHORS = {
-    "fig3a": (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL),
-    "fig3b": (ANCHOR_STRONG_IDEAL, ANCHOR_WEAK_IDEAL),
-    "fig4a": (ANCHOR_MEASURED_SWITCHES,),
-    "fig4b": (ANCHOR_BEST_CASE,),
-    "table_anchors": None,
-}
+_TARGETS = (*_GRID_TARGETS, "table_anchors")
+
+
+@cache
+def _target_config(target: str) -> SimConfig:
+    """A grid target's config: its anchor's values, then its axes; built once per process."""
+    anchor, axes, _, _ = _GRID_TARGETS[target]
+    return _config_with(**_config_values(anchor), **axes)
 
 
 def reproduce(target: str, out_dir: str) -> dict:
     """Run one named reproduction target; returns {csv, summary, results, ok}."""
-    if target not in _TARGET_OVERRIDES:
-        raise ConfigError(
-            f"unknown reproduce target {target!r}; valid: {', '.join(_TARGET_OVERRIDES)}"
-        )
-    cfg = _config_with(**_TARGET_OVERRIDES[target])
+    if target not in _TARGETS:
+        raise ConfigError(f"unknown reproduce target {target!r}; valid: {', '.join(_TARGETS)}")
     os.makedirs(out_dir, exist_ok=True)
     ensemble = calibrate_ensemble()
-    anchors = _TARGET_ANCHORS[target]
     csv_path = os.path.join(out_dir, f"{target}.csv")
 
     if target == "table_anchors":
-        results = check_anchors(ensemble, anchors)
+        results = check_anchors(ensemble)
         write_csv([["name", "circuit", "metric", "expected", "tolerance", "value",
                     "ensemble", "status"],
                    *[[r.anchor.name, r.anchor.circuit, r.anchor.metric, r.anchor.expected,
                       r.anchor.tolerance, r.value, r.ensemble, r.status] for r in results]],
                   csv_path)
     else:  # the grid's CSV first, then its anchors
-        table = sweep_err_psw(cfg) if target == "fig4b" else sweep_coupling(cfg)
-        if target in ("fig3a", "fig3b"):
-            table = table.without("f_down" if target == "fig3a" else "f_up")
-        write_csv(table, csv_path)
+        table = run_sweep(_target_config(target))
+        _, _, anchors, drops = _GRID_TARGETS[target]
+        write_csv(table.without(*drops) if drops else table, csv_path)
         results = check_anchors(ensemble, anchors)
 
     summary = anchor_summary(results)

@@ -125,7 +125,7 @@ def test_reproduce_anchor_failure_exits_3(tmp_path, monkeypatch):
     # force an impossible expectation so the anchor check genuinely fails
     broken = tuple(
         sweep_mod.Anchor(
-            a.name, 0.5, 1e-6, a.circuit, a.cavity, a.errors, a.metric,
+            a.name, 0.5, 1e-6, a.circuit, a.cavity, a.errors,
             documented_residual=False,
         )
         for a in sweep_mod.ANCHORS[:1]

@@ -44,6 +44,11 @@ def small_cfg(**overrides):
     return _config_with(**base)
 
 
+def target_values(target):
+    """A copy of a reproduce grid target's config values: its anchor's, then its axes."""
+    return dict(sweep_mod._target_config(target).values)
+
+
 # --- config parsing
 
 def test_minimal_config_gets_defaults():
@@ -123,6 +128,18 @@ def test_readme_config_block_names_exactly_the_schema_keys():
     named = {key.strip() for line in block.splitlines() if "=" in line
              for key in line.partition("=")[0].split(",")}
     assert named == set(sweep_mod.CONFIG_SCHEMA)
+    # the schema takes its component defaults from an anchor, so each number
+    # the block prints as a default is checked against it
+    printed = {}
+    for line in block.splitlines():
+        keys, _, rest = line.partition("=")
+        try:
+            number = float(rest.split()[0])
+        except (IndexError, ValueError):  # no value, or a choice
+            continue
+        printed.update({key.strip(): number for key in keys.split(",")})
+    assert printed == {key: entry[1] for key, entry in sweep_mod.CONFIG_SCHEMA.items()
+                       if entry[0] in ("float", "int")}
 
 
 def test_unknown_key_named_in_error():
@@ -456,29 +473,29 @@ def test_fig4b_runs_its_stages_on_the_err_points_only(monkeypatch):
 
     monkeypatch.setattr(circuits, "loop_pass", spy_loop)
     monkeypatch.setattr(fidelity, "optimized_cnot", spy_optimized)
-    table = sweep_err_psw(_config_with(**sweep_mod._TARGET_OVERRIDES["fig4b"]))
+    table = sweep_err_psw(_config_with(**target_values("fig4b")))
     assert len(table) == 1 + 31 * 41
     assert max(stage_points) == 31 and set(stage_points) <= {1, 31}
     # one run; its output spans the 31 err rows, a length-1 p_sw axis and the inputs
     assert outputs == [((31, 1), (4,))]
 
 
-# grids whose fault rows the engine must keep: (sweep, overrides of a
-# reproduce target, sha256 of the status column joined by newlines, status
-# counts), recorded with the per-input state engine that preceded the
-# basis-level fidelity arithmetic
+# grids whose fault rows the engine must keep: (sweep, a reproduce target's
+# config values with overrides, sha256 of the status column joined by
+# newlines, status counts), recorded with the per-input state engine that
+# preceded the basis-level fidelity arithmetic
 FAULT_GRIDS = (
     # superposition inputs through a non-unitary HWP1: some outputs exceed norm 1
-    (sweep_coupling, dict(sweep_mod._TARGET_OVERRIDES["fig3a"], ensemble="superposition4",
+    (sweep_coupling, dict(target_values("fig3a"), ensemble="superposition4",
                           xi1=0.1),
      "e9ba04ff62841787f81d980175cfc68e8d215507f4a84a96394f697f339040c6",
      {"ok": 2317, "error:AssertionError": 184}),
     # negative coupling rates g on the first 9 columns
-    (sweep_coupling, dict(sweep_mod._TARGET_OVERRIDES["fig3a"], axis2_lo=-0.5),
+    (sweep_coupling, dict(target_values("fig3a"), axis2_lo=-0.5),
      "408e54224b26a3cfcf4456b6d52da2dec1b8181c745ac938d4fa0fb4ea9e43a8",
      {"ok": 2132, "error:ValueError": 369}),
     # errors and switch probabilities beyond [0, 1], and norms above 1 inside it
-    (sweep_err_psw, dict(sweep_mod._TARGET_OVERRIDES["fig4b"], axis1_scale="linear",
+    (sweep_err_psw, dict(target_values("fig4b"), axis1_scale="linear",
                          axis1_lo=0.0, axis1_hi=2.0, axis2_lo=-0.2, axis2_hi=1.2),
      "7fd210e57c85655969a36881594a57266ad11eda4e76894e425aefdf405a8192",
      {"ok": 435, "error:ValueError": 807, "error:AssertionError": 29}),
@@ -505,8 +522,8 @@ def test_grid_blocks_keep_their_memory_bound():
     # p_sw values on the 36-input ensemble (4.3 MB with 128 p_sw values a block)
     import tracemalloc
 
-    fig3a = _config_with(**sweep_mod._TARGET_OVERRIDES["fig3a"])
-    wide = _config_with(**dict(sweep_mod._TARGET_OVERRIDES["fig4b"], ensemble="haar_product",
+    fig3a = _config_with(**target_values("fig3a"))
+    wide = _config_with(**dict(target_values("fig4b"), ensemble="haar_product",
                                axis2_points=400))
     for sweep, cfg, bound_mb in ((sweep_coupling, fig3a, 1.0), (sweep_err_psw, wide, 6.0)):
         sweep(cfg)
@@ -812,9 +829,9 @@ def test_anchor_values_on_a_union_equal_each_part_alone():
         for anchor in ANCHORS:
             value = sweep_mod._read(union, anchor, part.kind)
             if part.kind == "basis4":
-                assert value == alone[anchor.name, "basis4"], anchor.name
+                assert value == alone[anchor, "basis4"], anchor.name
             else:
-                assert abs(value - alone[anchor.name, part.kind]) <= 1e-15, anchor.name
+                assert abs(value - alone[anchor, part.kind]) <= 1e-15, anchor.name
 
 
 def test_a_faulting_anchor_in_a_block_raises_by_name():
@@ -847,6 +864,61 @@ def test_a_lone_faulting_anchor_raises_by_name(monkeypatch):
     with pytest.raises(NonFiniteOutputError,
                        match="non-finite output amplitude: anchor norm_fault"):
         check_anchors(InputEnsemble.superposition4(), (bad,))
+
+
+def test_anchors_that_share_a_name_keep_their_own_values():
+    # an Anchor hashes by its name but compares by its fields: a copy of the
+    # strong-coupling anchor on the weak cavity is another anchor, and each
+    # reads its own value, in one block as alone
+    ensemble = calibrate_ensemble()
+    a = ANCHORS[0]
+    b = replace(a, cavity=CavityParams(0.45, 1.0, 0.1))
+
+    def read(results):
+        return [(r.value, r.status, r.best_ensemble) for r in results]
+
+    alone = [read(check_anchors(ensemble, (anchor,)))[0] for anchor in (a, b)]
+    assert [status for _, status, _ in alone] == ["PASS", "FAIL"]
+    assert read(check_anchors(ensemble, (a, b))) == alone
+    # the qualitative claims read the real weak-coupling anchor, not one
+    # that only shares its name
+    strong_weak = replace(sweep_mod.ANCHOR_WEAK_IDEAL, cavity=a.cavity)
+    results = check_anchors(ensemble, (sweep_mod.ANCHOR_STRONG_ERR, strong_weak))
+    assert [r.status for r in results] == ["DOCUMENTED", "FAIL"]
+
+
+@pytest.mark.parametrize("target", ["fig3a", "fig3b", "fig4a", "fig4b"])
+def test_each_grid_target_passes_through_its_anchors(target):
+    # each anchor a grid target checks is the target's config moved along the
+    # grid's axes to a grid point, and the unrounded grid reads the anchor's
+    # value there
+    anchors = sweep_mod._GRID_TARGETS[target][2]
+    values = target_values(target)
+    table = sweep_mod.run_sweep(_config_with(**values))
+    moved = {key for axis in table.header[:2] for key in sweep_mod.AXIS_KEYS[axis]}
+    columns = dict(zip(table.header[2:-1], table.values))
+    for result in check_anchors(calibrate_ensemble(), anchors):
+        anchor_values = sweep_mod._config_values(result.anchor)
+        assert {k: v for k, v in anchor_values.items() if k not in moved} == \
+            {k: values[k] for k in anchor_values if k not in moved}, result.anchor.name
+        i, j = [axis.index(anchor_values[sweep_mod.AXIS_KEYS[name][0]])
+                for name, axis in zip(table.header[:2], table.axes)]
+        point = i * len(table.axes[1]) + j
+        value = (max(columns["f_up"][point], columns["f_down"][point])
+                 if result.anchor.metric == "best_branch" else columns["f_both"][point])
+        assert abs(value - result.value) <= 1e-12, (result.anchor.name, value, result.value)
+
+
+def test_fig4b_scales_as_p_sw_to_the_fourth_and_falls_with_err():
+    # p_sw scales four routed switch legs by sqrt(p_sw) each, so on the
+    # unrounded fig4b grid F(err, p) = F(err, 1) p^4; and no error helps: F
+    # does not increase along err at any p_sw
+    table = sweep_err_psw(_config_with(**target_values("fig4b")))
+    errs, p_sw = table.axes
+    f = np.reshape(table.values[0], (len(errs), len(p_sw)))
+    assert table.header[2] == "f_both" and p_sw[-1] == 1.0 and errs == sorted(errs)
+    np.testing.assert_allclose(f, f[:, -1:] * np.array(p_sw) ** 4, rtol=1e-12, atol=0)
+    assert np.all(np.diff(f, axis=0) <= 0)
 
 
 def test_reproduce_fig3a_surface(tmp_path):
