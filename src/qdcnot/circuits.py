@@ -23,12 +23,11 @@ circuit's output expression (the sign fix lands only on the two spin-up
 control-L coefficients).
 
 Every circuit function also runs a batch: inputs whose amplitudes are
-arrays (a stacked ensemble) and configurations whose fields are arrays
-ending in a length-1 input axis (a block of grid points: the axis1
-values on an (m, 1, 1) array, the axis2 values on a (1, n, 1) one)
-broadcast against each other, and the output carries one run per batch
-element.  The circuit is linear in its input, so the stages
-(:func:`_basis_outputs`, their one definition) run only on the
+arrays (a stacked ensemble) against a configuration whose fields are
+arrays over its points (a block of grid points: the axis1 values on an
+(m, 1) array, the axis2 values on a (1, n) one), and the output carries
+one run per point and input.  The circuit is linear in its input, so the
+stages (:func:`_basis_outputs`, their one definition) run only on the
 photon-basis inputs |RR>, |RL>, |LR>, |LL>, all with the one initial
 spin (:data:`DEFAULT_SPIN_INIT`); no stage flips the spin, so each
 photon's stages are 2x2 maps per spin branch and point
@@ -148,7 +147,7 @@ def config_shapes(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
                   reads: tuple[str, ...]) -> tuple[tuple, tuple]:
     """Broadcast shapes of every config field and of the fields of the parts
     named in ``reads`` ("cavity" or a :class:`DeviceErrorConfig` field), from
-    one walk over the fields: () for one config, (m, n, 1) for a grid block."""
+    one walk over the fields: () for one config, (m, n) for a grid block."""
     shapes: set[tuple] = set()  # of every field that is an array
     read: set[tuple] = set()  # of the array fields of the parts in reads
     for name, part in (("cavity", cavity), *vars(err).items()):
@@ -267,10 +266,9 @@ class CircuitOutput:
     |RR>, |RL>, |LR>, |LL>, the inputs and the points are flattened, and
     the global ``weight`` (per point of the config) is not applied.
     ``spin_weights`` is :func:`branch_weights` of it.  ``points`` and
-    ``inputs`` are the shapes flattened there: the stages' point axes
-    without the config's input axis, and the input axes (a single input
-    against a block keeps the block's length-1 input axis).  ``fault`` has
-    every point axis of the config, then the inputs.
+    ``inputs`` are the shapes flattened there: the stages' point axes, and
+    the input axes (none for a single input).  ``fault`` has every point
+    axis of the config, then the inputs.
     """
 
     columns: np.ndarray
@@ -292,7 +290,7 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     optimized circuit's prefactor as its weight where ``sign_fix`` holds.
 
     ``sign_fix`` is one flag, or a per-point mask of a block (an array that
-    broadcasts against its fields, ``(k, 1)`` for k anchors), which makes
+    broadcasts against its fields, ``(k,)`` for k anchors), which makes
     the block hold both circuits: where the mask is off, the sign-fix
     factor and the weight are exactly 1.0, so those points keep the bits
     :func:`baseline_cnot` gives them.  The stages run on the photon basis
@@ -303,17 +301,14 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     one ``(inputs, 4) @ (4, 4·points)`` matmul per spin, laid out (spin,
     input, photon pair, point).  The output checks flag each input and point
     whose output is non-finite (code 1) or has norm > 1 (code 2); a single
-    run raises.  The sign fix then scales the spin-up, control-L amplitudes
-    per point.
+    input on a single config raises.  The sign fix then scales the spin-up,
+    control-L amplitudes per point.
     """
     mask = np.shape(sign_fix)
     fixed = sign_fix.any() if mask else sign_fix
     shape, points = config_shapes(cavity, err, _SIGN_FIX_READS if fixed else _CORE_READS)
     if mask:
         shape, points = np.broadcast_shapes(shape, mask), np.broadcast_shapes(points, mask)
-    if shape[-1:] not in ((), (1,)):
-        raise ValueError(f"a batched config must end in the length-1 input axis, "
-                         f"got shape {shape}")
     coeffs = _coeffs(cavity)
     coefficients = inputs.coefficients
     x = _basis_outputs(coeffs, err, points).reshape(2, 4, -1)
@@ -322,9 +317,8 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     weights = branch_weights(y)
     norm = weights.sum(axis=0)  # non-finite if an amplitude is
     fault = np.where(np.isfinite(norm), np.where(norm > 1 + NORM_TOL, 2, 0), 1)
-    # the inputs take the place of a block's length-1 input axis
-    inputs = coefficients.shape[:-1] or points[-1:]
-    if not inputs and fault[0, 0]:
+    inputs = coefficients.shape[:-1]
+    if not (inputs or shape) and fault[0, 0]:
         raise fault_error(int(fault[0, 0]), f"norm {norm[0, 0]}")
     weight = 1.0
     if fixed:  # spin up, control L
@@ -333,10 +327,9 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
             fix, weight = np.where(sign_fix, fix, 1.0), np.where(sign_fix, weight, 1.0)
         y[0, :, 2:] *= np.broadcast_to(fix, points).reshape(-1)
         weights = branch_weights(y)
-    points = points[:-1]
     k, i = len(points), len(inputs)
     fault = fault.reshape(inputs + points).transpose(*range(i, i + k), *range(i))
-    return CircuitOutput(y, weights, np.broadcast_to(fault, shape[:-1] + inputs), weight,
+    return CircuitOutput(y, weights, np.broadcast_to(fault, shape + inputs), weight,
                          points, inputs)
 
 
@@ -348,8 +341,8 @@ def baseline_cnot(
     """Spin-cavity CNOT without the sign fix; uses xi1, xi2 and CPBS1 only.
 
     The stages run on the photon basis, and the output checks on each
-    input's output.  A config's fields are scalars, or hold a block's grid
-    points on arrays whose last axis is the length-1 input axis.
+    input's output.  A config's fields are scalars, or arrays over a
+    block's points.
     """
     return _run(inputs, cavity, err, sign_fix=False)
 

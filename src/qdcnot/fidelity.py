@@ -26,12 +26,12 @@ coefficients, built once per ensemble) against its output, each branch
 weight is the one the circuit computed (``CircuitOutput.spin_weights``),
 and the five means over the inputs, taken in one reduction, then take each
 point's squared weight.
-Given a block of grid points (configuration fields holding an ``(m, 1,
-1)`` array of axis1 values or a ``(1, n, 1)`` array of axis2 values
-wherever the grid moves them), it runs the whole block against the whole
-ensemble at once and reports one value and one status per point.  A
-block may mix both circuits (the circuit's name per point, as the anchor
-checks stack them), and the ensemble may be a union of ensembles
+Given a block of grid points (configuration fields holding an ``(m, 1)``
+array of axis1 values or a ``(1, n)`` array of axis2 values wherever the
+grid moves them), it runs the whole block against the whole ensemble at
+once and reports one value and one status per point.  A block may mix
+both circuits (the circuit's name per point, as the anchor checks stack
+them), and the ensemble may be a union of ensembles
 (:meth:`InputEnsemble.union`): one circuit run covers all its inputs, and
 each part is reduced over its own slice of them, so each part's report is
 the one it gives alone.
@@ -188,9 +188,9 @@ def average_fidelity(
     """Arithmetic mean of the per-input fidelities, in ensemble order.
 
     ``cavity`` and ``err`` are one configuration, or a block of grid
-    points: the fields the grid moves hold arrays over its points that end
-    in the length-1 input axis, ``(m, 1, 1)`` for axis1 and ``(1, n, 1)``
-    for axis2 (each entry inside its domain), every other field a scalar.
+    points: the fields the grid moves hold arrays over its points, ``(m, 1)``
+    for axis1 and ``(1, n)`` for axis2 (each entry inside its domain), every
+    other field a scalar.
     ``circuit`` is "baseline" or "optimized", or, for a block that holds
     both, an array of those names that broadcasts against its fields (one
     per point): the block runs through ``optimized_cnot`` with the sign fix
@@ -218,7 +218,6 @@ def average_fidelity(
         out = optimized_cnot(ensemble.inputs, cavity, err, sign_fix=optimized)
     y = out.columns  # (spin, input, photon pair, point), weight not applied
     w2 = np.square(out.weight)  # the optimized circuit's prefactor, per point
-    w2 = w2[..., 0] if np.ndim(w2) else w2
 
     # <CNOT c_i|out_i> per spin branch, input and point: a (1, 4) @ (4, points) each
     overlap = np.matmul(ensemble.targets[:, None, :], y)[:, :, 0]

@@ -161,8 +161,8 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def stack(items: Sequence, shape: tuple[int, ...] = (-1,), shared: bool = False):
-    """One value whose leaves hold arrays over ``items``, reshaped to ``shape``.
+def stack(items: Sequence, *, shared: bool = False):
+    """One value whose leaves hold arrays over ``items``, one entry per item.
 
     Dataclasses are stacked field by field and tuples entry by entry, so a
     list of inputs becomes one batched input.  Each item was validated when
@@ -175,12 +175,12 @@ def stack(items: Sequence, shape: tuple[int, ...] = (-1,), shared: bool = False)
         return first
     if dataclasses.is_dataclass(first):
         return replace_unchecked(first, **{
-            f.name: stack([getattr(item, f.name) for item in items], shape, shared)
+            f.name: stack([getattr(item, f.name) for item in items], shared=shared)
             for f in dataclasses.fields(first)
         })
     if isinstance(first, tuple):
-        return tuple(stack(list(column), shape, shared) for column in zip(*items))
-    return np.array(items).reshape(shape)
+        return tuple(stack(list(column), shared=shared) for column in zip(*items))
+    return np.array(items)
 
 
 def make_state(

@@ -288,7 +288,7 @@ def parse_config_text(text: str) -> SimConfig:
 
 
 def load_config(path: str) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         return parse_config_text(fh.read())
 
 
@@ -361,17 +361,17 @@ def _axis_values(v: dict, axis: str) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, n)]
 
 
-def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> GridTable:
-    """The grid's table, evaluated in blocks of points: header axis1, axis2,
-    f_up, f_down, f_both, status; each axis's values once, one value and
-    status per point in axis1-outer order.
+def _run_grid(cfg: SimConfig) -> GridTable:
+    """The grid's table on the config's ensemble, evaluated in blocks of
+    points: header axis1, axis2, f_up, f_down, f_both, status; each axis's
+    values once, one value and status per point in axis1-outer order.
 
     A point outside a component's domain keeps its own error row.  Validity
     is per axis value, so the valid points are the valid rows by the valid
     columns; each block of them runs as one config whose fields moved by
-    axis1 hold one (m, 1, 1) array of its rows' values and those moved by
-    axis2 one (1, n, 1) array of its columns' values, the last axis being
-    the input slot; every other field stays a scalar.
+    axis1 hold one (m, 1) array of its rows' values and those moved by
+    axis2 one (1, n) array of its columns' values (``np.ix_``); every other
+    field stays a scalar.
     """
     v = cfg.values
     axes = (v["axis1"], v["axis2"])
@@ -383,6 +383,7 @@ def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> GridTable:
         for name, names in _axis_fields(axis).items():
             moved.setdefault(name, {}).update(dict.fromkeys(names, a))
     parts = {"cavity": cfg.cavity(), **vars(cfg.device_errors())}
+    ensemble = cfg.input_ensemble()
     f = np.full((3, len(values[0]), len(values[1])), math.nan)
     status = np.array(["error:ValueError"] * f[0].size, dtype=object).reshape(f.shape[1:])
     if all(len(ix) for ix in valid):  # else no point is valid and nothing runs
@@ -390,8 +391,7 @@ def _run_grid(cfg: SimConfig, ensemble: InputEnsemble) -> GridTable:
         # the blocks' list is unpacked, not a generator (see _ERROR_PARTS)
         for block in itertools.product(*[[ix[k:k + step] for k in range(0, len(ix), step)]
                                          for ix, step in zip(valid, steps)]):
-            axis_values = (values[0][block[0]].reshape(-1, 1, 1),
-                           values[1][block[1]].reshape(1, -1, 1))
+            axis_values = np.ix_(values[0][block[0]], values[1][block[1]])
             run = {**parts, **{name: replace_unchecked(parts[name], **{
                 field: axis_values[a] for field, a in slots.items()})
                 for name, slots in moved.items()}}
@@ -415,7 +415,7 @@ def sweep_coupling(cfg: SimConfig) -> GridTable:
         raise ConfigError(
             f"coupling sweep needs axes kappa_s_over_kappa and g_over_kappa, got {sorted(axes)}"
         )
-    table = _run_grid(cfg, cfg.input_ensemble())
+    table = _run_grid(cfg)
     if cfg.values["circuit"] == "baseline":
         return table.without("f_both")
     return table.without("f_up", "f_down")
@@ -439,15 +439,20 @@ def sweep_err_psw(cfg: SimConfig) -> GridTable:
     if (cloner := cfg.values["cloner_fidelity"]) not in (CONFIG_SCHEMA["cloner_fidelity"][1], F_UC):
         raise ConfigError(f"err/p_sw sweep pins cloner_fidelity to 5/6, got {cloner!r}")
     pinned = SimConfig({**cfg.values, "cloner_fidelity": F_UC})
-    return _run_grid(pinned, pinned.input_ensemble()).without("f_up", "f_down")
+    return _run_grid(pinned).without("f_up", "f_down")
 
 
 def run_sweep(cfg: SimConfig) -> GridTable:
-    """The config's grid: :func:`sweep_err_psw` on the err and p_sw axes,
-    :func:`sweep_coupling` on any other."""
-    if {cfg.values["axis1"], cfg.values["axis2"]} == {"err", "p_sw"}:
+    """The config's grid: :func:`sweep_coupling` on the kappa_s_over_kappa and
+    g_over_kappa axes, :func:`sweep_err_psw` on the err and p_sw axes; any
+    other pair is rejected."""
+    axes = {cfg.values["axis1"], cfg.values["axis2"]}
+    if axes == {"kappa_s_over_kappa", "g_over_kappa"}:
+        return sweep_coupling(cfg)
+    if axes == {"err", "p_sw"}:
         return sweep_err_psw(cfg)
-    return sweep_coupling(cfg)
+    raise ConfigError(f"sweep axes must be kappa_s_over_kappa and g_over_kappa, or err and "
+                      f"p_sw, got {sorted(axes)}")
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +471,11 @@ def _anchor_block(group: tuple[Anchor, ...]
     """The anchors' circuit, cavity and errors as one block, built once per process.
 
     A field that differs between them, the circuit's name included, holds a
-    (k, 1) array over the anchors (a point axis, then the length-1 input
-    axis); one they share stays a scalar.  So the anchors of one circuit run
-    that circuit alone, and a lone anchor is its own config.
+    (k,) array over the anchors; one they share stays a scalar.  So the
+    anchors of one circuit run that circuit alone, and a lone anchor is its
+    own config.
     """
-    return stack([(a.circuit, a.cavity, a.errors) for a in group], (-1, 1), shared=True)
+    return stack([(a.circuit, a.cavity, a.errors) for a in group], shared=True)
 
 
 def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble

@@ -274,11 +274,11 @@ def test_loop_pass_is_the_spin_blocks_of_the_folded_pass():
     # split, cavity and merge never flip the spin: the CPBS1 loop pass folded
     # on (photon, spin) has no spin-flipping entry, and its two spin blocks
     # are the per-spin maps the engine builds, for one config and for blocks
-    # whose cavity and CPBS1 errors move on (m, 1, 1) and (1, n, 1) axes
+    # whose cavity and CPBS1 errors move on (m, 1) and (1, n) axes
     rng = np.random.default_rng(5)
     cavity = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)
-    rows, columns = rng.uniform(0, 2, (3, 1, 1)), rng.uniform(0, 3, (1, 4, 1))
-    taus = rng.uniform(0, 0.3, (2, 3, 1, 1))
+    rows, columns = rng.uniform(0, 2, (3, 1)), rng.uniform(0, 3, (1, 4))
+    taus = rng.uniform(0, 0.3, (2, 3, 1))
     cases = [
         (cavity, CpbsError(0.03, 0.07)),
         (replace_unchecked(cavity, kappa_s=rows, g=columns), CpbsError(0.03, 0.07)),
@@ -337,14 +337,15 @@ def test_circuits_build_no_labeled_state(monkeypatch, tmp_path):
 
 # --- input validation
 
-def test_config_points_must_sit_on_a_column():
-    # a line's points on a (k,) array would pair up with the four basis inputs
-    cavities = stack([CavityParams(g=g, kappa_s=0.05, gamma=0.1) for g in (1, 2, 3, 4)])
-    with pytest.raises(ValueError, match="length-1 input axis, got shape \\(4,\\)"):
-        baseline_cnot(CnotInputs.basis("R", "L"), cavities)
-    column = stack([CavityParams(g=g, kappa_s=0.05, gamma=0.1) for g in (1, 2, 3, 4)], (-1, 1))
-    out = baseline_cnot(CnotInputs.basis("R", "L"), column)
-    assert (out.points, out.inputs) == ((4,), (1,))
+def test_a_line_keeps_its_points_apart_from_the_inputs():
+    # a (4,) line against the four basis inputs: 4 x 4 runs, not 4 pairs
+    line = stack([CavityParams(g=g, kappa_s=0.05, gamma=0.1) for g in (1, 2, 3, 4)])
+    basis = stack([CnotInputs.basis(c, t) for c in "RL" for t in "RL"])
+    out = baseline_cnot(basis, line)
+    assert (out.points, out.inputs, out.fault.shape) == ((4,), (4,), (4, 4))
+    for j, g in enumerate((1, 2, 3, 4)):
+        alone = baseline_cnot(basis, CavityParams(g=g, kappa_s=0.05, gamma=0.1))
+        assert out.columns[..., j].tobytes() == alone.columns[..., 0].tobytes(), j
 
 
 def test_inputs_must_be_normalized():

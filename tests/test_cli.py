@@ -194,3 +194,35 @@ def test_cavity_subcommand_rejects_zero_gamma(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: gamma must be positive and finite, got 0.0\n"
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    text = "circuit = optimized\nensemble = basis4\n"
+    plain = write_cfg(tmp_path, text)
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert sweep_mod.load_config(str(marked)) == sweep_mod.load_config(plain)
+    assert main(["simulate", "--config", str(marked)]) == 0
+    assert "optimized" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, named", [
+    ("circuit = optimized\n\ufeffensemble = basis4\n", "'\\ufeffensemble' (line 2)"),
+    ("circuit = \ufeffoptimized\n", "'circuit'"),
+])
+def test_a_byte_order_mark_past_the_start_is_rejected(tmp_path, capsys, text, named):
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["simulate", "--config", str(marked)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+def test_sweep_rejects_an_unsupported_axis_pair(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "axis1 = err\naxis2 = kappa_s_over_kappa\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: sweep axes must be kappa_s_over_kappa and "
+                            "g_over_kappa, or err and p_sw, got ['err', 'kappa_s_over_kappa']\n")
+    assert not (tmp_path / "out.csv").exists()

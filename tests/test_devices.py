@@ -167,7 +167,7 @@ def test_maps_put_the_points_last():
     # a map of scalar fields is (i, j); a batched one (i, j, *shape), and
     # moving its entry axes last gives the entry-by-entry map bit for bit
     rng = np.random.default_rng(21)
-    rows, columns = rng.uniform(0, 0.5, (3, 1, 1)), rng.uniform(0, 0.5, (1, 4, 1))
+    rows, columns = rng.uniform(0, 0.5, (3, 1)), rng.uniform(0, 0.5, (1, 4))
     for xi in (0.3, -1.0, rows, -columns):
         m = hwp_map(replace_unchecked(HwpError(), xi=xi))
         c, s = np.sqrt((1 - xi) / 2), np.sqrt((1 + xi) / 2)

@@ -294,8 +294,8 @@ P_SW = (0.2, 0.6, 1.0)
 
 
 def switch_line(err: DeviceErrorConfig) -> DeviceErrorConfig:
-    """``err`` with the four routed switch legs holding a (3, 1) column over P_SW."""
-    col = np.array(P_SW).reshape(-1, 1)
+    """``err`` with the four routed switch legs holding a (3,) line over P_SW."""
+    col = np.array(P_SW)
     return replace(err, sw1=replace_unchecked(err.sw1, t12=col, r22=col),
                    sw2=replace_unchecked(err.sw2, t12=col, r11=col))
 
@@ -328,6 +328,22 @@ def test_core_norm_fault_flags_every_switch_point():
         report = average_fidelity(circuit, cavity, switch_line(err), ensemble)
         assert report.status == ("error:AssertionError",) * 3
         assert np.isnan(report.f_both).all() and report.f_both.shape == (3,)
+
+
+def test_one_input_against_a_switch_line_reports_per_point():
+    # a line whose only arrays move the weight is still a line: one input
+    # against it reports a fault per point, as against a cavity line
+    cavity = CavityParams(g=3.0, kappa_s=0.0, gamma=0.1)
+    err = DeviceErrorConfig(xi1=HwpError(0.1))
+    inp = InputEnsemble.superposition4().states[3]
+    with pytest.raises(AssertionError, match="output norm exceeds 1"):
+        optimized_cnot(inp, cavity, err)
+    for run in (optimized_cnot, baseline_cnot):
+        out = run(inp, cavity, switch_line(err))
+        assert (out.points, out.inputs) == ((), ())
+        assert out.fault.tolist() == [2, 2, 2]
+    line = stack([cavity] * 3)
+    assert optimized_cnot(inp, line, err).fault.tolist() == [2, 2, 2]
 
 
 @pytest.mark.parametrize("fault, kind", [
@@ -401,10 +417,9 @@ def test_union_parts_equal_separate_calls():
     assert union.kind == "basis4+superposition4+haar_product"
     assert union.states == parts[0].states + parts[1].states + parts[2].states
     assert InputEnsemble.union(*parts) is union  # built once per process
-    # a (4, 1) line of g values at kappa_s = 0 with xi1 = 0.1: g = 0.7 faults on
+    # a (4,) line of g values at kappa_s = 0 with xi1 = 0.1: g = 0.7 faults on
     # superposition4 and haar_product, not on basis4
-    line = stack([CavityParams(g=g, kappa_s=0.0, gamma=0.1) for g in (0.3, 0.7, 1.5, 3.0)],
-                 (-1, 1))
+    line = stack([CavityParams(g=g, kappa_s=0.0, gamma=0.1) for g in (0.3, 0.7, 1.5, 3.0)])
     err = DeviceErrorConfig.uniform(1e-2, cloner=ClonerConfig(F_UC))
     faulty = DeviceErrorConfig(xi1=HwpError(0.1))
     for circuit in ("baseline", "optimized"):
@@ -448,11 +463,11 @@ def test_a_mixed_block_equals_its_per_circuit_blocks():
         ("baseline", weak, NO_ERR),
         ("optimized", strong, DeviceErrorConfig.uniform(1e-4, cloner=ClonerConfig(F_UC))),
     ]
-    circuits = np.array([c for c, _, _ in points]).reshape(-1, 1)
-    cavity, err = stack([(cav, e) for _, cav, e in points], (-1, 1))
+    circuits = np.array([c for c, _, _ in points])
+    cavity, err = stack([(cav, e) for _, cav, e in points])
     ensemble = InputEnsemble.basis4()
     mixed = optimized_cnot(ensemble.inputs, cavity, err, sign_fix=circuits == "optimized")
-    weight = np.broadcast_to(mixed.weight, (4, 1))[:, 0]
+    weight = np.broadcast_to(mixed.weight, (4,))
     for j, (circuit, cav, e) in enumerate(points):
         run = baseline_cnot if circuit == "baseline" else optimized_cnot
         alone = run(ensemble.inputs, cav, e)
@@ -465,10 +480,10 @@ def test_a_mixed_block_equals_its_per_circuit_blocks():
     assert report.status == ("ok",) * 4
     for circuit in ("baseline", "optimized"):
         slots = [j for j, (c, _, _) in enumerate(points) if c == circuit]
-        cav_block, err_block = stack([points[j][1:] for j in slots], (-1, 1))
+        cav_block, err_block = stack([points[j][1:] for j in slots])
         block = average_fidelity(circuit, cav_block, err_block, ensemble)
         for name in REPORT_VALUES:
             assert (np.asarray(getattr(report, name))[slots].tobytes()
                     == np.asarray(getattr(block, name)).tobytes()), (circuit, name)
     with pytest.raises(ValueError, match="unknown circuit in"):
-        average_fidelity(np.array(["baseline", "cloned"]).reshape(-1, 1), cavity, err, ensemble)
+        average_fidelity(np.array(["baseline", "cloned"]), cavity, err, ensemble)

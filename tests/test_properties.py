@@ -112,14 +112,14 @@ def test_basis_expansion_matches_oracle_on_each_input(inps, cavs, errs, circuit)
     n = len(cavs)
     errs = errs[:n]
     run = baseline_cnot if circuit == "baseline" else optimized_cnot
-    cavity, err = stack(cavs, (-1, 1)), stack(errs, (-1, 1))
+    cavity, err = stack(cavs), stack(errs)
     out = labeled(run(stack(inps), cavity, err))
     amps = (out.amps * np.asarray(out.weight)[..., None, None, None]).reshape(n, len(inps), 8)
     fault = np.broadcast_to(out.fault, (n, len(inps)))
-    # one input against the line keeps the line's length-1 input axis
+    # one input against the line has only the line's point axis
     single = labeled(run(inps[0], cavity, err))
-    assert single.amps.shape == (n, 1, 2, 2, 2)
-    assert np.max(np.abs(single.amps[:, 0] - out.amps[:, 0])) < 1e-12
+    assert single.amps.shape == (n, 2, 2, 2)
+    assert np.max(np.abs(single.amps - out.amps[:, 0])) < 1e-12
     report = average_fidelity(circuit, cavity, err, InputEnsemble("drawn", tuple(inps)))
     for p in range(n):
         norms = []
@@ -167,7 +167,7 @@ def test_batch_of_points_and_inputs_equals_single_runs(cavs, errs, inps, circuit
     n = len(cavs)
     errs = errs[:n]
     run = baseline_cnot if circuit == "baseline" else optimized_cnot
-    out = labeled(run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1))))
+    out = labeled(run(stack(inps), stack(cavs), stack(errs)))
     assert out.amps.shape == (n, len(inps), 2, 2, 2)
     weight = np.broadcast_to(out.weight, (n, len(inps)))
     fault = np.broadcast_to(out.fault, (n, len(inps)))
@@ -184,7 +184,7 @@ def test_batch_of_points_and_inputs_equals_single_runs(cavs, errs, inps, circuit
 
     # the ensemble average of a row equals the average of each point alone
     ensemble = InputEnsemble("drawn", tuple(inps))
-    row = average_fidelity(circuit, stack(cavs, (-1, 1)), stack(errs, (-1, 1)), ensemble)
+    row = average_fidelity(circuit, stack(cavs), stack(errs), ensemble)
     for p in range(n):
         try:
             point = average_fidelity(circuit, cavs[p], errs[p], ensemble)
@@ -247,7 +247,7 @@ def test_output_norm_stays_within_the_wave_plate_bound(inps, cavs, errs, circuit
     errs = errs[:n]
     run = baseline_cnot if circuit == "baseline" else optimized_cnot
     # flags, never raises
-    out = labeled(run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1))))
+    out = labeled(run(stack(inps), stack(cavs), stack(errs)))
     bound = np.array([wave_plate_bound(err) for err in errs])[:, None]
     assert np.all(out.norm_sq() <= bound * (1 + 1e-12))
 
@@ -262,7 +262,7 @@ def test_unitary_wave_plates_never_fault(inps, cavs, errs, circuit):
     n = len(cavs)
     errs = errs[:n]
     run = baseline_cnot if circuit == "baseline" else optimized_cnot
-    out = run(stack(inps), stack(cavs, (-1, 1)), stack(errs, (-1, 1)))
+    out = run(stack(inps), stack(cavs), stack(errs))
     assert not np.any(out.fault)
 
 
@@ -308,10 +308,11 @@ def oracle_ideal_spin():
     return spin / np.linalg.norm(spin)
 
 
+FIXED_ENSEMBLES = st.sampled_from([InputEnsemble.basis4(), InputEnsemble.superposition4(),
+                                   InputEnsemble.haar_product()])
 ENSEMBLES = st.one_of(
     st.lists(inputs, min_size=1, max_size=5).map(lambda s: InputEnsemble("drawn", tuple(s))),
-    st.sampled_from([InputEnsemble.basis4(), InputEnsemble.superposition4(),
-                     InputEnsemble.haar_product()]),
+    FIXED_ENSEMBLES,
 )
 
 
@@ -346,6 +347,39 @@ def test_average_fidelity_is_the_mean_of_oracle_values(ensemble, cavity, err, ci
     expected = np.mean(values, axis=0)
     got = [report.f_up, report.f_down, report.f_both, report.success_up, report.success_down]
     assert np.max(np.abs(np.array(got) - expected)) < 1e-12
+
+
+def at_p_sw(err, p):
+    """``err`` with the four routed switch legs at ``p``, as the p_sw axis sets them."""
+    return replace(err, sw1=replace(err.sw1, t12=p, r22=p), sw2=replace(err.sw2, t12=p, r11=p))
+
+
+def report_or_fault(circuit, cavity, err, ensemble):
+    """The five values and the status, or the fault one config raises as its status."""
+    try:
+        r = average_fidelity(circuit, cavity, err, ensemble)
+    except (OutputNormError, ValueError) as fault:
+        return None, f"{type(fault).__name__}: {fault}"
+    return [r.f_up, r.f_down, r.f_both, r.success_up, r.success_down], r.status
+
+
+@PROPERTY
+# p from 1e-12 keeps F p^4 among the normal floats, where a relative tolerance holds
+@given(FIXED_ENSEMBLES, cavities, errors, st.floats(1e-12, 1.0))
+def test_optimized_report_scales_as_p_sw_to_the_fourth(ensemble, cavity, err, p):
+    # each routed leg contributes sqrt(p) to the optimized circuit's weight and
+    # moves no amplitude, so every value at p is the value at p = 1 times p^4;
+    # the baseline routes through no switch and does not move at all
+    for circuit in ("optimized", "baseline"):
+        at_one, status_one = report_or_fault(circuit, cavity, at_p_sw(err, 1.0), ensemble)
+        at_p, status_p = report_or_fault(circuit, cavity, at_p_sw(err, p), ensemble)
+        assert status_p == status_one
+        if at_one is None:
+            continue
+        if circuit == "optimized":
+            np.testing.assert_allclose(at_p, np.array(at_one) * p ** 4, rtol=1e-12, atol=0)
+        else:
+            assert at_p == at_one
 
 
 @st.composite
@@ -413,7 +447,7 @@ def assert_rows_match_point_builds(cfg, rows):
 ))
 def test_grid_lines_equal_per_point_builds(cfg):
     v = cfg.values
-    rows = list(_run_grid(cfg, cfg.input_ensemble()))[1:]  # the point rows, header dropped
+    rows = list(_run_grid(cfg))[1:]  # the point rows, header dropped
     assert len(rows) == v["axis1_points"] * v["axis2_points"]
     assert_rows_match_point_builds(cfg, rows)
 
@@ -458,11 +492,11 @@ def test_chunk_boundaries_keep_every_point_row(monkeypatch):
         for n, axis_range in ((1, range1), (2, range2)):
             overrides.update({f"axis{n}_{k}": x for k, x in axis_range.items()})
         cfg = _config_with(**overrides)
-        rows = list(_run_grid(cfg, cfg.input_ensemble()))[1:]  # the point rows, header dropped
+        rows = list(_run_grid(cfg))[1:]  # the point rows, header dropped
         assert len(rows) == range1["points"] * range2["points"]
-        # the block's axis1 values on an (m, 1, 1) array, its axis2 values on (1, n, 1)
+        # the block's axis1 values on an (m, 1) array, its axis2 values on (1, n)
         assert [(np.shape(a)[0], np.shape(b)[1]) for a, b in calls] == blocks
-        assert all(np.shape(a)[1:] == (1, 1) and np.shape(b)[::2] == (1, 1) for a, b in calls)
+        assert all(np.shape(a)[1:] == (1,) and np.shape(b)[:1] == (1,) for a, b in calls)
         # together the blocks hold each valid point exactly once, in row order
         points = [(x, y) for a, b in calls for x in np.ravel(a) for y in np.ravel(b)]
         valid = [(r[0], r[1]) for r in rows if r[5] != "error:ValueError"]

@@ -142,6 +142,13 @@ def test_readme_config_block_names_exactly_the_schema_keys():
                        if entry[0] in ("float", "int")}
 
 
+def test_readme_targets_table_lists_exactly_the_reproduce_targets():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Reproduction targets", 1)[1].split("\n\n")[1]
+    rows = table.splitlines()[2:]  # the header and its rule dropped
+    assert [row.split("|")[1].strip().strip("`") for row in rows] == list(sweep_mod._TARGETS)
+
+
 def test_unknown_key_named_in_error():
     with pytest.raises(ConfigError, match="frobnicate"):
         parse_config_text("frobnicate = 3\n")
@@ -421,11 +428,11 @@ def test_chunk_moves_only_the_swept_fields(monkeypatch):
     assert len(seen) == 1  # the 3 x 4 grid is one block
     cavity, err = seen[0]
     # the valid rows and columns (p_sw = -0.2 is not one): the err values
-    # on an (m, 1, 1) array, the p_sw values on a (1, n, 1) array, each axis
+    # on an (m, 1) array, the p_sw values on a (1, n) array, each axis
     # one array for all its fields
-    assert np.shape(err.xi1.xi) == (3, 1, 1) and np.shape(err.sw1.t12) == (1, 3, 1)
-    np.testing.assert_allclose(err.xi1.xi[:, 0, 0], np.logspace(-4, -1, 3), rtol=1e-15)
-    np.testing.assert_allclose(err.sw1.t12[0, :, 0], [0.2, 0.6, 1.0], rtol=1e-15)
+    assert np.shape(err.xi1.xi) == (3, 1) and np.shape(err.sw1.t12) == (1, 3)
+    np.testing.assert_allclose(err.xi1.xi[:, 0], np.logspace(-4, -1, 3), rtol=1e-15)
+    np.testing.assert_allclose(err.sw1.t12[0, :], [0.2, 0.6, 1.0], rtol=1e-15)
     for moved in (err.xi2.xi, err.cpbs1.tau_r, err.cpbs1.tau_l, err.cpbs2.tau_l,
                   err.cpbs3.tau_l, err.cpbs4.tau_r):
         assert moved is err.xi1.xi
@@ -447,7 +454,7 @@ def test_grid_without_a_valid_column_runs_nothing(monkeypatch):
     for invalid in (dict(axis2_lo=1.5, axis2_hi=2.0),
                     dict(axis2="g_over_kappa", axis2_lo=-2.0, axis2_hi=-1.0),
                     dict(axis1_lo=1.5, axis1_hi=2.0)):
-        table = list(sweep_mod._run_grid(err_psw_cfg(**invalid), InputEnsemble.basis4()))[1:]
+        table = list(sweep_mod._run_grid(err_psw_cfg(**invalid)))[1:]
         assert len(table) == 9
         assert all(r[5] == "error:ValueError" and all(map(math.isnan, r[2:5])) for r in table)
 
@@ -919,6 +926,39 @@ def test_fig4b_scales_as_p_sw_to_the_fourth_and_falls_with_err():
     assert table.header[2] == "f_both" and p_sw[-1] == 1.0 and errs == sorted(errs)
     np.testing.assert_allclose(f, f[:, -1:] * np.array(p_sw) ** 4, rtol=1e-12, atol=0)
     assert np.all(np.diff(f, axis=0) <= 0)
+
+
+def coupling_surface(target, column):
+    """A coupling target's g axis and its unrounded ``column`` as (kappa_s, g) values."""
+    table = sweep_coupling(sweep_mod._target_config(target))
+    kappa_s, g = table.axes
+    assert table.header[:2] == ("kappa_s_over_kappa", "g_over_kappa")
+    assert set(table.status) == {"ok"}
+    values = table.values[table.header[2:-1].index(column)]
+    return np.array(g), np.reshape(values, (len(kappa_s), len(g)))
+
+
+@pytest.mark.parametrize("target, column", [("fig3b", "f_down"), ("fig4a", "f_both")])
+def test_coupling_surfaces_fall_with_kappa_s_and_rise_with_g(target, column):
+    # side leakage never helps and stronger coupling never hurts, at every
+    # step (recorded: the largest kappa_s step is -0.0032 on fig3b and
+    # -0.00086 on fig4a, the smallest g step +1.1e-8 and +2.2e-5)
+    _, f = coupling_surface(target, column)
+    assert np.all(np.diff(f, axis=0) <= 0)
+    assert np.all(np.diff(f, axis=1) >= 0)
+
+
+def test_fig3a_falls_with_kappa_s_and_rises_with_g_past_weak_coupling():
+    # f_up falls along kappa_s everywhere; along g it rises except at 93
+    # steps, all within g <= 0.15, none deeper than -0.0039136: a recorded
+    # weak-coupling feature, not an invariant
+    g, f = coupling_surface("fig3a", "f_up")
+    assert np.all(np.diff(f, axis=0) <= 0)
+    steps = np.diff(f, axis=1)
+    rows, ends = np.nonzero(steps < 0)
+    assert len(rows) == 93
+    assert np.all(g[ends + 1] <= 0.15 + 1e-12)
+    assert steps.min() >= -0.00392
 
 
 def test_reproduce_fig3a_surface(tmp_path):
