@@ -144,12 +144,13 @@ def _coeffs(cavity: CavityParams | CavityCoeffs) -> CavityCoeffs:
 
 
 def config_shapes(cavity: CavityParams | CavityCoeffs, err: DeviceErrorConfig,
-                  reads: tuple[str, ...]) -> tuple[tuple, tuple]:
+                  reads: tuple[str, ...], mask: tuple = ()) -> tuple[tuple, tuple]:
     """Broadcast shapes of every config field and of the fields of the parts
     named in ``reads`` ("cavity" or a :class:`DeviceErrorConfig` field), from
-    one walk over the fields: () for one config, (m, n) for a grid block."""
-    shapes: set[tuple] = set()  # of every field that is an array
-    read: set[tuple] = set()  # of the array fields of the parts in reads
+    one walk over the fields: () for one config, (m, n) for a grid block.
+    Both also broadcast with ``mask``, the shape of a per-point mask."""
+    shapes: set[tuple] = {mask}  # of every field that is an array
+    read: set[tuple] = {mask}  # of the array fields of the parts in reads
     for name, part in (("cavity", cavity), *vars(err).items()):
         for v in vars(part).values():
             if shape := getattr(v, "shape", ()):
@@ -289,26 +290,24 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     """Each input's output, checked, then with the sign fix and the
     optimized circuit's prefactor as its weight where ``sign_fix`` holds.
 
-    ``sign_fix`` is one flag, or a per-point mask of a block (an array that
-    broadcasts against its fields, ``(k,)`` for k anchors), which makes
-    the block hold both circuits: where the mask is off, the sign-fix
-    factor and the weight are exactly 1.0, so those points keep the bits
-    :func:`baseline_cnot` gives them.  The stages run on the photon basis
-    |RR>, |RL>, |LR>, |LL> with the spin :data:`DEFAULT_SPIN_INIT` at the
-    points of the fields they read (and, with a sign fix, of those the sign
-    fix reads, and of the mask); each input's output is its
-    :attr:`CnotInputs.coefficients`' combination of the four basis outputs,
-    one ``(inputs, 4) @ (4, 4·points)`` matmul per spin, laid out (spin,
-    input, photon pair, point).  The output checks flag each input and point
-    whose output is non-finite (code 1) or has norm > 1 (code 2); a single
-    input on a single config raises.  The sign fix then scales the spin-up,
-    control-L amplitudes per point.
+    ``sign_fix`` is a per-point mask that broadcasts against the fields (one
+    flag, or ``(k,)`` for a block of k anchors), so a block may hold both
+    circuits: where it is off, the sign-fix factor and the weight are
+    exactly 1.0, and those points keep :func:`baseline_cnot`'s bits.  The
+    stages run on the photon basis |RR>, |RL>, |LR>, |LL> with the spin
+    :data:`DEFAULT_SPIN_INIT` at the points of the mask and of the fields
+    they read (with a sign fix, those the sign fix reads too); each input's
+    output is its :attr:`CnotInputs.coefficients`' combination of the four
+    basis outputs, one ``(inputs, 4) @ (4, 4·points)`` matmul per spin, laid
+    out (spin, input, photon pair, point).  The output checks flag each
+    input and point whose output is non-finite (code 1) or has norm > 1
+    (code 2); a single input on a single config raises.  The sign fix then
+    scales the spin-up, control-L amplitudes per point.
     """
-    mask = np.shape(sign_fix)
-    fixed = sign_fix.any() if mask else sign_fix
-    shape, points = config_shapes(cavity, err, _SIGN_FIX_READS if fixed else _CORE_READS)
-    if mask:
-        shape, points = np.broadcast_shapes(shape, mask), np.broadcast_shapes(points, mask)
+    sign_fix = np.asarray(sign_fix)
+    fixed = sign_fix.any()
+    shape, points = config_shapes(cavity, err, _SIGN_FIX_READS if fixed else _CORE_READS,
+                                  sign_fix.shape)
     coeffs = _coeffs(cavity)
     coefficients = inputs.coefficients
     x = _basis_outputs(coeffs, err, points).reshape(2, 4, -1)
@@ -322,9 +321,8 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
         raise fault_error(int(fault[0, 0]), f"norm {norm[0, 0]}")
     weight = 1.0
     if fixed:  # spin up, control L
-        fix, weight = sign_fix_amplitude(err), cnot_prefactor(err)
-        if mask:
-            fix, weight = np.where(sign_fix, fix, 1.0), np.where(sign_fix, weight, 1.0)
+        fix = np.where(sign_fix, sign_fix_amplitude(err), 1.0)
+        weight = np.where(sign_fix, cnot_prefactor(err), 1.0)
         y[0, :, 2:] *= np.broadcast_to(fix, points).reshape(-1)
         weights = branch_weights(y)
     k, i = len(points), len(inputs)
@@ -378,7 +376,8 @@ def optimized_cnot(
 
     The output checks run on the core output; the sign fix then scales the
     spin-up, control-L amplitudes at each point, and the prefactor is the
-    output's weight.  A per-point ``sign_fix`` mask runs a block of both
-    circuits: the points where it is off get :func:`baseline_cnot`'s output.
+    output's weight.  ``sign_fix`` is a mask over the points (one flag
+    covers them all), so one block may run both circuits: the points where
+    it is off get :func:`baseline_cnot`'s output.
     """
     return _run(inputs, cavity, err, sign_fix)

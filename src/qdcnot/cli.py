@@ -50,10 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    report = average_fidelity(
-        cfg.values["circuit"], cfg.cavity(), cfg.device_errors(), cfg.input_ensemble()
-    )
-    print(f"circuit            {report.circuit}")
+    circuit = cfg.values["circuit"]
+    report = average_fidelity(circuit, cfg.cavity(), cfg.device_errors(), cfg.input_ensemble())
+    print(f"circuit            {circuit}")
     print(f"ensemble           {report.ensemble}")
     print(f"strong coupling    {is_strong_coupling(cfg.cavity())}")
     print(f"f_up               {report.f_up:.10g}")

@@ -78,15 +78,18 @@ class InputEnsemble:
     def union(cls, *ensembles: InputEnsemble) -> InputEnsemble:
         """The ensembles as the parts of one: its kind is their kinds joined
         with ``+``, its states are theirs in order; built once per process.
-        Each part must hold inputs.
+        Each part must hold inputs and have a kind of its own.
         """
         if not ensembles or not all(e.states for e in ensembles):
             raise ValueError(f"a union needs parts that hold inputs, got "
                              f"{[(e.kind, len(e.states)) for e in ensembles]}")
+        kinds = [e.kind for e in ensembles]
+        if repeated := sorted({kind for kind in kinds if kinds.count(kind) > 1}):
+            raise ValueError(f"a union needs parts of distinct kinds, got {repeated} repeated")
         states: list[CnotInputs] = []
         for e in ensembles:
             states += e.states
-        return cls("+".join([e.kind for e in ensembles]), tuple(states), ensembles)
+        return cls("+".join(kinds), tuple(states), ensembles)
 
     @cached_property
     def inputs(self) -> CnotInputs:
@@ -157,8 +160,7 @@ class FidelityReport:
     their branch; the folded variants and ``f_both`` include all weight.
     For a block of grid points every value is an array over them, and
     ``status`` says per point, in row-major order, "ok" or which output
-    check failed; ``circuit`` is the circuit's name, or the names per point
-    of a block of both circuits.
+    check failed.  ``ensemble`` is the kind of the ensemble averaged over.
     """
 
     f_up: float
@@ -167,7 +169,6 @@ class FidelityReport:
     success_up: float
     success_down: float
     ensemble: str
-    circuit: str | np.ndarray
     status: str | tuple[str, ...] = "ok"
 
     @property
@@ -260,4 +261,4 @@ def _report(means: np.ndarray, fault: np.ndarray, circuit: str | np.ndarray,
             raise fault_error(int(first), f"{circuit} circuit, input {int(where)}")
         values = np.where(first == 0, means, math.nan)
         status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
-    return FidelityReport(*values, ensemble=kind, circuit=circuit, status=status)
+    return FidelityReport(*values, ensemble=kind, status=status)

@@ -306,7 +306,7 @@ def calibrate_ensemble() -> InputEnsemble:
     candidates = [make() for make in ENSEMBLES.values()]
     values = _anchor_values(anchors, InputEnsemble.union(*candidates))
     return min(candidates, key=lambda ens: max([
-        abs(_read(values, anchor, ens.kind) - anchor.expected) for anchor in anchors]))
+        abs(values[anchor, ens.kind] - anchor.expected) for anchor in anchors]))
 
 
 def resolve_ensemble(name: str) -> InputEnsemble:
@@ -479,24 +479,24 @@ def _anchor_block(group: tuple[Anchor, ...]
 
 
 def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble
-                   ) -> dict[tuple[Anchor, str], float | Exception]:
+                   ) -> dict[tuple[Anchor, str], float]:
     """Each anchor's metric on each part of ``ensemble`` (the ensemble itself
     if it is not a union), keyed by (anchor, part kind): one engine call for
     all of them, whatever their circuits.  Two anchors that share a name but
     not their fields are two keys.
 
-    A point of a block that fails an output check holds the error one config
-    failing it raises, naming the anchor: reading it raises (see
-    :func:`_read`), so a fault raises only where its value is used.  A lone
-    anchor (or anchors that share every field) is one config, which raises
-    at once: the same error, naming the (first) anchor.
+    The first point of the block that fails an output check, part by part
+    and then anchor by anchor in block order, raises the error one config
+    failing it raises, naming the anchor.  A lone anchor (or anchors that
+    share every field) is one config, which raises in the engine: the same
+    error, naming the (first) anchor.
     """
     group = tuple(anchors)
     try:
         reports = average_fidelity(*_anchor_block(group), ensemble)
     except tuple(_FAULT_KINDS) as fault:
         raise fault_error(_FAULT_KINDS[type(fault)], f"anchor {group[0].name}") from fault
-    values: dict[tuple[Anchor, str], float | Exception] = {}
+    values: dict[tuple[Anchor, str], float] = {}
     for report in reports if ensemble.parts else (reports,):
         if isinstance(report.status, str):  # one config: the anchors share every field
             rows = [(report.f_up, report.f_down, report.f_both, report.status)] * len(group)
@@ -504,20 +504,10 @@ def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble
             rows = zip(report.f_up.tolist(), report.f_down.tolist(), report.f_both.tolist(),
                        report.status)
         for anchor, (up, down, both, status) in zip(group, rows):
-            values[anchor, report.ensemble] = (
-                fault_error(_FAULT_CODES[status], f"anchor {anchor.name}") if status != "ok"
-                else max(up, down) if anchor.metric == "best_branch" else both)
+            if status != "ok":
+                raise fault_error(_FAULT_CODES[status], f"anchor {anchor.name}")
+            values[anchor, report.ensemble] = both if anchor.metric == "both" else max(up, down)
     return values
-
-
-def _read(values: dict[tuple[Anchor, str], float | Exception], anchor: Anchor, kind: str
-          ) -> float:
-    """``anchor``'s value on the ensemble ``kind`` (see :func:`_anchor_values`);
-    raises the fault its point failed with."""
-    value = values[anchor, kind]
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 @dataclass(frozen=True)
@@ -541,9 +531,12 @@ def check_anchors(
     anchors the qualitative claims read when a documented residual is
     requested; then only the anchors outside tolerance, on the union of the
     candidate ensembles other than ``ensemble``.  Each (anchor, ensemble)
-    pair is evaluated once per call, and a fault raises only where its
-    value is read: on ``ensemble``, or for an anchor outside tolerance.
+    pair is evaluated once per call, and the first point of a call that
+    fails an output check raises, naming its anchor.  ``ensemble`` is one
+    ensemble, not a union.
     """
+    if ensemble.parts:
+        raise ValueError(f"anchors are checked on one ensemble, not the union {ensemble.kind!r}")
     if anchors is None:
         anchors = ANCHORS
     if not anchors:
@@ -552,7 +545,7 @@ def check_anchors(
     if any(a.documented_residual for a in anchors):
         block = (*anchors, *[a for a in _CLAIM_ANCHORS if a not in anchors])
     values = _anchor_values(block, ensemble)
-    checked = [_read(values, a, ensemble.kind) for a in anchors]
+    checked = [values[a, ensemble.kind] for a in anchors]
     outside = [abs(v - a.expected) > a.tolerance for a, v in zip(anchors, checked)]
     if any(outside):
         others = InputEnsemble.union(*[make() for kind, make in ENSEMBLES.items()
@@ -568,7 +561,7 @@ def check_anchors(
         best_name, best_value = ensemble.kind, value
         met = False
         for kind in ENSEMBLES:
-            alt_value = _read(values, anchor, kind)
+            alt_value = values[anchor, kind]
             if abs(alt_value - anchor.expected) < abs(best_value - anchor.expected):
                 best_name, best_value = kind, alt_value
             if abs(alt_value - anchor.expected) <= anchor.tolerance:
@@ -580,10 +573,9 @@ def check_anchors(
     return results
 
 
-def _qualitative_claims_hold(values: dict[tuple[Anchor, str], float | Exception], kind: str
-                             ) -> bool:
+def _qualitative_claims_hold(values: dict[tuple[Anchor, str], float], kind: str) -> bool:
     """Strong >> weak; best case near the cloner bound; realistic collapse."""
-    strong, weak, best, realistic = [_read(values, a, kind) for a in _CLAIM_ANCHORS]
+    strong, weak, best, realistic = [values[a, kind] for a in _CLAIM_ANCHORS]
     return strong > weak + 0.30 and abs(best - F_UC) < 0.07 and realistic < best / 2
 
 

@@ -451,6 +451,16 @@ def test_union_rejects_empty_parts():
         InputEnsemble.union()
 
 
+def test_union_rejects_parts_that_share_a_kind():
+    # each part's report is known by its kind: two parts of one kind would share it
+    basis4, superposition4 = InputEnsemble.basis4(), InputEnsemble.superposition4()
+    with pytest.raises(ValueError, match=r"distinct kinds, got \['x'\] repeated"):
+        InputEnsemble.union(InputEnsemble("x", basis4.states),
+                            InputEnsemble("x", superposition4.states))
+    with pytest.raises(ValueError, match=r"got \['basis4'\] repeated"):
+        InputEnsemble.union(basis4, superposition4, basis4)
+
+
 def test_a_mixed_block_equals_its_per_circuit_blocks():
     # four points of both circuits in one block, every field differing
     strong = CavityParams(g=2.5, kappa_s=0.05, gamma=0.1)

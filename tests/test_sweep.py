@@ -817,7 +817,7 @@ def test_anchor_blocks_equal_single_configs(kind):
     ensemble = sweep_mod.ENSEMBLES[kind]()
     batched = sweep_mod._anchor_values(ANCHORS, ensemble)
     for anchor in ANCHORS:
-        value = sweep_mod._read(batched, anchor, kind)
+        value = batched[anchor, kind]
         report = average_fidelity(anchor.circuit, anchor.cavity, anchor.errors, ensemble)
         single = (max(report.f_up, report.f_down) if anchor.metric == "best_branch"
                   else report.f_both)
@@ -834,7 +834,7 @@ def test_anchor_values_on_a_union_equal_each_part_alone():
     for part in parts:
         alone = sweep_mod._anchor_values(ANCHORS, part)
         for anchor in ANCHORS:
-            value = sweep_mod._read(union, anchor, part.kind)
+            value = union[anchor, part.kind]
             if part.kind == "basis4":
                 assert value == alone[anchor, "basis4"], anchor.name
             else:
@@ -853,6 +853,25 @@ def test_a_faulting_anchor_in_a_block_raises_by_name():
     assert type(single.value) is OutputNormError
     with pytest.raises(OutputNormError, match="output norm exceeds 1: anchor norm_fault"):
         check_anchors(ensemble, (ANCHORS[1], bad, ANCHORS[3]))
+
+
+def test_a_block_fault_raises_at_once():
+    # the norm_fault anchor's point of a block raises as the block's reports
+    # are read; a clean block gives only floats
+    ensemble = InputEnsemble.superposition4()
+    bad = replace(ANCHORS[0], name="norm_fault",
+                  cavity=CavityParams(g=0.7, kappa_s=0.0, gamma=0.1),
+                  errors=DeviceErrorConfig(xi1=HwpError(0.1)))
+    with pytest.raises(OutputNormError, match="output norm exceeds 1: anchor norm_fault"):
+        sweep_mod._anchor_values((ANCHORS[1], bad), ensemble)
+    values = sweep_mod._anchor_values((ANCHORS[1], ANCHORS[3]), ensemble)
+    assert [type(v) for v in values.values()] == [float, float]
+
+
+def test_anchors_are_checked_on_one_ensemble_not_a_union():
+    union = InputEnsemble.union(InputEnsemble.basis4(), InputEnsemble.superposition4())
+    with pytest.raises(ValueError, match="not the union 'basis4\\+superposition4'"):
+        check_anchors(union, (ANCHORS[0],))
 
 
 def test_a_lone_faulting_anchor_raises_by_name(monkeypatch):
