@@ -32,16 +32,21 @@ photon-basis inputs |RR>, |RL>, |LR>, |LL>, all with the one initial
 spin (:data:`DEFAULT_SPIN_INIT`); no stage flips the spin, so each
 photon's stages are 2x2 maps per spin branch and point
 (:func:`loop_pass`).  The stage maps come points-last from ``devices``
-and ``cavity``, (entries..., points...), and run in that layout.  Each input's output is then the combination of
-the four basis outputs its own coefficients give, computed with the
-points on the last axis, (spin, input, photon pair, point); the output
-checks run on it, the optimized circuit's sign fix scales it per point,
-and the returned :class:`CircuitOutput` is that array (``columns``),
-with each spin branch's squared norm and the global weight alongside: no
-labeled state is built.  A field that only scales the global weight
-(:data:`WEIGHT_ONLY`) adds no point to the stages; the config's shape
-and the stages' point shape are read in one walk over its fields
-(:func:`config_shapes`).  One block may hold points of both circuits:
+and ``cavity``, (entries..., points...), and run in that layout.  Every
+map of the model is real, and so is the initial spin, so the stages run
+in float64.  Each input's output is then the combination of the four
+basis outputs its own coefficients give, in real numbers: a complex input
+runs as its real and imaginary parts (:attr:`CnotInputs.real_coefficients`),
+so no complex arithmetic runs anywhere.  The output is laid out (spin,
+amplitude, input, point); the output checks run on it, the optimized
+circuit's sign fix scales it per point, and the returned
+:class:`CircuitOutput` is that array (``amplitudes``), with each spin
+branch's squared norm and the global weight alongside: no labeled state
+is built.  Every sum runs in one fixed order and calls no BLAS, so a
+point's output has the same bits in a block of any size, alone included.
+A field that only scales the global weight (:data:`WEIGHT_ONLY`) adds no
+point to the stages; the config's shape and the stages' point shape are
+read in one walk over its fields (:func:`config_shapes`).  One block may hold points of both circuits:
 ``optimized_cnot`` takes the sign fix as a per-point mask, and where it is
 off the sign-fix factor and the weight are exactly 1.0, so those points
 keep the bits :func:`baseline_cnot` gives them.
@@ -105,6 +110,16 @@ class CnotInputs:
         coefficients = np.stack([a * d, a * g, b * d, b * g], axis=-1)
         coefficients.flags.writeable = False
         return coefficients
+
+    @cached_property
+    def real_coefficients(self) -> np.ndarray:
+        """:attr:`coefficients` in real numbers, (..., part, 4): their real
+        parts, then their imaginary parts if they are complex; read-only,
+        built once per object."""
+        c = self.coefficients
+        parts = np.stack([c.real, c.imag], axis=-2) if np.iscomplexobj(c) else c[..., None, :]
+        parts.flags.writeable = False
+        return parts
 
     @classmethod
     def basis(cls, control: str, target: str) -> "CnotInputs":
@@ -170,10 +185,26 @@ def _flat(m: np.ndarray, batch: tuple, k: int = 2) -> np.ndarray:
     return m.reshape(m.shape[:k] + (-1,))
 
 
+# the most points at which _dot forms its j products whole: faster on small
+# blocks, and above it adding them one at a time takes as long
+DOT_WHOLE_POINTS = 512
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a · b`` per point of (..., i, j, points) and (..., j, k, points) arrays, each entry
-    summed in index order without fused multiply-adds (symmetric inputs stay symmetric)."""
-    return (a[..., :, :, None, :] * b[..., None, :, :, :]).sum(-3)
+    summed in index order without fused multiply-adds (symmetric inputs stay symmetric).
+
+    Up to :data:`DOT_WHOLE_POINTS` points the j products are formed at once
+    and summed (numpy adds fewer than 8 terms in order); above, they are
+    added one at a time into the output, so no temporary is larger than it.
+    Both give the same bits."""
+    if max(a.shape[-1], b.shape[-1]) <= DOT_WHOLE_POINTS:
+        return (a[..., :, :, None, :] * b[..., None, :, :, :]).sum(-3)
+    out = a[..., :, 0, None, :] * b[..., None, 0, :, :]
+    term = np.empty_like(out)
+    for j in range(1, a.shape[-2]):
+        out += np.multiply(a[..., :, j, None, :], b[..., None, j, :, :], out=term)
+    return out
 
 
 def loop_pass(cpbs1: CpbsError, coeffs: CavityCoeffs, batch: tuple) -> np.ndarray:
@@ -186,8 +217,8 @@ def loop_pass(cpbs1: CpbsError, coeffs: CavityCoeffs, batch: tuple) -> np.ndarra
     return _dot(merge, _dot(_flat(interaction_map(coeffs), batch, 3), split))
 
 
-# the spin every run starts in; complex, as a real ket would start the stages in float64
-_SPIN_INIT = np.array(DEFAULT_SPIN_INIT, dtype=complex)
+# the spin every run starts in: real, as every stage map is, so the stages run in float64
+_SPIN_INIT = np.array(DEFAULT_SPIN_INIT)
 
 
 def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, batch: tuple) -> np.ndarray:
@@ -207,21 +238,27 @@ def _basis_outputs(coeffs: CavityCoeffs, err: DeviceErrorConfig, batch: tuple) -
     # pass in each spin branch, an outer product, then the second spin rotation
     x = np.multiply(x.transpose(0, 2, 1, 3)[:, :, None, :, None],
                     loop.transpose(0, 2, 1, 3)[:, None, :, None], order="C")
-    out = np.empty_like(x)
-    for u in (0, 1):
-        np.multiply(hadamard[u, 0], x[0], out=out[u])
-        out[u] += hadamard[u, 1] * x[1]
-    return out.reshape(2, 4, 4, -1)
+    del loop
+    # the rotation in place: a sum of two terms has the same bits in either order
+    up, down = x
+    down_terms = hadamard[1, 0] * up
+    up *= hadamard[0, 0]
+    up += hadamard[0, 1] * down
+    down *= hadamard[1, 1]
+    down += down_terms
+    return x.reshape(2, 4, 4, -1)
 
 
 def branch_weights(y: np.ndarray) -> np.ndarray:
-    """Each spin branch's squared norm in a (spin, input, photon pair, point)
-    array, re^2 + im^2 summed over the photon pairs: (spin, input, point)."""
-    out = np.empty(y.shape[:2] + y.shape[3:])
-    for s in (0, 1):  # one branch at a time bounds the temporaries
-        squares = np.square(y[s].real)
-        squares += np.square(y[s].imag)
-        np.add.reduce(squares, axis=1, out=out[s])
+    """Each spin branch's squared norm in a (spin, part, photon pair, input,
+    point) array: per photon pair re^2 (+ im^2 if there is an imaginary
+    part), summed over the pairs: (spin, input, point)."""
+    out = np.empty(y.shape[:1] + y.shape[3:])
+    for s in range(len(y)):  # one branch at a time bounds the temporaries
+        squares = np.square(y[s, 0])
+        for part in y[s, 1:]:
+            squares += np.square(part)
+        np.add.reduce(squares, axis=0, out=out[s])
     return out
 
 
@@ -263,21 +300,36 @@ def sign_fix_amplitude(err: DeviceErrorConfig) -> float:
 class CircuitOutput:
     """A circuit's output, in the layout the circuit computed it in.
 
-    ``columns`` is (spin, input, photon pair, point): the photon pairs run
-    |RR>, |RL>, |LR>, |LL>, the inputs and the points are flattened, and
-    the global ``weight`` (per point of the config) is not applied.
-    ``spin_weights`` is :func:`branch_weights` of it.  ``points`` and
-    ``inputs`` are the shapes flattened there: the stages' point axes, and
-    the input axes (none for a single input).  ``fault`` has every point
-    axis of the config, then the inputs.
+    ``amplitudes`` is (spin, amplitude, input, point) in real numbers: the
+    real parts of the four photon-pair amplitudes (|RR>, |RL>, |LR>, |LL>),
+    then their imaginary parts if the inputs are complex (see
+    :attr:`CnotInputs.real_coefficients`).  The inputs and the points are
+    flattened, and the global ``weight`` (per point of the config) is not
+    applied.  ``spin_weights`` is (spin, input, point), each branch's squared
+    norm (:func:`branch_weights`).  ``points`` and ``inputs`` are the shapes
+    flattened there: the stages' point axes, and the input axes (none for a
+    single input).  ``fault`` has every point axis of the config, then the
+    inputs.
     """
 
-    columns: np.ndarray
+    amplitudes: np.ndarray
     spin_weights: np.ndarray
     fault: np.ndarray
     weight: float | np.ndarray
     points: tuple[int, ...]
     inputs: tuple[int, ...]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The output amplitudes as (spin, input, photon pair, point),
+        complex if the inputs are; built once per object."""
+        y = self.amplitudes
+        re, *im = y.reshape((2, -1, 4) + y.shape[2:]).transpose(1, 0, 3, 2, 4)
+        if not im:
+            return re
+        columns = np.empty(re.shape, complex)
+        columns.real, columns.imag = re, im[0]
+        return columns
 
 
 # the config parts the stages read, then those the sign fix reads as well
@@ -297,9 +349,9 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     stages run on the photon basis |RR>, |RL>, |LR>, |LL> with the spin
     :data:`DEFAULT_SPIN_INIT` at the points of the mask and of the fields
     they read (with a sign fix, those the sign fix reads too); each input's
-    output is its :attr:`CnotInputs.coefficients`' combination of the four
-    basis outputs, one ``(inputs, 4) @ (4, 4·points)`` matmul per spin, laid
-    out (spin, input, photon pair, point).  The output checks flag each
+    output is its :attr:`CnotInputs.real_coefficients`' combination of the
+    four basis outputs, summed in basis order by one ``np.einsum``, laid out
+    (spin, part, photon pair, input, point).  The output checks flag each
     input and point whose output is non-finite (code 1) or has norm > 1
     (code 2); a single input on a single config raises.  The sign fix then
     scales the spin-up, control-L amplitudes per point.
@@ -309,14 +361,15 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
     shape, points = config_shapes(cavity, err, _SIGN_FIX_READS if fixed else _CORE_READS,
                                   sign_fix.shape)
     coeffs = _coeffs(cavity)
-    coefficients = inputs.coefficients
-    x = _basis_outputs(coeffs, err, points).reshape(2, 4, -1)
-    y = np.matmul(coefficients.reshape(-1, 4), x).reshape(2, -1, 4, x.shape[-1] // 4)
+    rows = inputs.real_coefficients  # (inputs..., part, 4)
+    inputs = rows.shape[:-2]
+    x = _basis_outputs(coeffs, err, points)
+    # each input's parts: the sum of the basis outputs they weight, in basis order
+    y = np.einsum("ikb,sbqp->skqip", rows.reshape((-1,) + rows.shape[-2:]), x)
     del x  # the checks below need only y
     weights = branch_weights(y)
     norm = weights.sum(axis=0)  # non-finite if an amplitude is
     fault = np.where(np.isfinite(norm), np.where(norm > 1 + NORM_TOL, 2, 0), 1)
-    inputs = coefficients.shape[:-1]
     if not (inputs or shape) and fault[0, 0]:
         raise fault_error(int(fault[0, 0]), f"norm {norm[0, 0]}")
     weight = 1.0
@@ -324,11 +377,11 @@ def _run(inputs: CnotInputs, cavity: CavityParams | CavityCoeffs, err: DeviceErr
         fix = np.where(sign_fix, sign_fix_amplitude(err), 1.0)
         weight = np.where(sign_fix, cnot_prefactor(err), 1.0)
         y[0, :, 2:] *= np.broadcast_to(fix, points).reshape(-1)
-        weights = branch_weights(y)
+        weights[0] = branch_weights(y[:1])[0]  # only the spin-up branch moved
     k, i = len(points), len(inputs)
     fault = fault.reshape(inputs + points).transpose(*range(i, i + k), *range(i))
-    return CircuitOutput(y, weights, np.broadcast_to(fault, shape + inputs), weight,
-                         points, inputs)
+    return CircuitOutput(y.reshape(2, -1, *y.shape[3:]), weights,
+                         np.broadcast_to(fault, shape + inputs), weight, points, inputs)
 
 
 def baseline_cnot(

@@ -15,17 +15,22 @@ branch weight inside the number.  The combined ``f_both`` always folds all
 weight in.
 
 An ensemble runs as one batch.  The circuit runs the four photon-basis
-inputs and combines their outputs into every input's output, laid out
-(spin, input, photon pair, point) with the points last (see
+inputs and combines their outputs into every input's output, in real
+numbers (a complex input as its real and imaginary parts), laid out
+(spin, amplitude, input, point) with the points last (see
 ``circuits.baseline_cnot``); every input starts the spin in the one
 state ``CnotInputs.spin_init``.  :func:`average_fidelity` reads that
-array, the one output the circuit returns (``CircuitOutput.columns``), at
-fixed indices: each overlap is the input's conjugated truth-table output
+array, the one output the circuit returns (``CircuitOutput.amplitudes``):
+each overlap is the input's conjugated truth-table output
 (:attr:`InputEnsemble.targets`, a permutation of the input's own
-coefficients, built once per ensemble) against its output, each branch
-weight is the one the circuit computed (``CircuitOutput.spin_weights``),
-and the five means over the inputs, taken in one reduction, then take each
-point's squared weight.
+coefficients as a real map, built once per ensemble) against its output,
+one ``np.einsum`` that sums the amplitudes in order and calls no BLAS;
+each branch weight is the one the circuit computed
+(``CircuitOutput.spin_weights``), and the five means over the inputs,
+taken in one reduction that adds the inputs in order, then take each
+point's squared weight.  So a real ensemble's values stay real
+throughout, and a point's values have the same bits in a block of any
+size.
 Given a block of grid points (configuration fields holding an ``(m, 1)``
 array of axis1 values or a ``(1, n)`` array of axis2 values wherever the
 grid moves them), it runs the whole block against the whole ensemble at
@@ -98,14 +103,24 @@ class InputEnsemble:
 
     @cached_property
     def targets(self) -> np.ndarray:
-        """Each input's ideal CNOT output over |RR>, |RL>, |LR>, |LL>, conjugated: (inputs, 4).
+        """Each input's ideal CNOT output over |RR>, |RL>, |LR>, |LL>,
+        conjugated, as the real map it applies to the input's output
+        amplitudes (``CircuitOutput.amplitudes``): (part, amplitude, input).
 
-        CNOT swaps the control-L terms of the input's own coefficients.
+        CNOT swaps the control-L terms of the input's own coefficients.  For
+        real inputs the map is that row ``t``, and the overlap is real; for
+        complex ones, ``t = a + ib``, the overlap's real part is ``(a, -b)``
+        and its imaginary part ``(b, a)`` on the (real, imaginary) amplitudes.
         Built once per ensemble, read-only.
         """
-        targets = np.conj(self.inputs.coefficients[:, [0, 1, 3, 2]], dtype=complex)
-        targets.flags.writeable = False
-        return targets
+        t = np.conj(self.inputs.coefficients[:, [0, 1, 3, 2]]).T
+        if np.iscomplexobj(t):
+            t = np.array([np.concatenate([t.real, -t.imag]), np.concatenate([t.imag, t.real])])
+        else:
+            t = t[None]
+        t = np.ascontiguousarray(t)
+        t.flags.writeable = False
+        return t
 
     @classmethod
     @cache
@@ -142,10 +157,10 @@ class InputEnsemble:
 
 
 @cache
-def _ideal_output_spin() -> tuple[complex, complex]:
+def _ideal_output_spin() -> tuple[float, float]:
     """Spin ket the error-free optimized circuit ends in, computed by running it."""
     out = optimized_cnot(CnotInputs.basis("R", "R"), CavityCoeffs.ideal(), DeviceErrorConfig())
-    up, down = (complex(out.columns[s, 0, 0, 0]) for s in (0, 1))  # |RR> per spin branch
+    up, down = (float(out.columns[s, 0, 0, 0]) for s in (0, 1))  # |RR> per spin branch
     norm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
     if abs(norm - 1) > 1e-9:
         raise AssertionError("ideal pipeline did not produce a product output")
@@ -217,29 +232,35 @@ def average_fidelity(
         if not np.all(optimized | (circuit == "baseline")):
             raise ValueError(f"unknown circuit in {sorted(set(circuit.ravel().tolist()))}")
         out = optimized_cnot(ensemble.inputs, cavity, err, sign_fix=optimized)
-    y = out.columns  # (spin, input, photon pair, point), weight not applied
     w2 = np.square(out.weight)  # the optimized circuit's prefactor, per point
-
-    # <CNOT c_i|out_i> per spin branch, input and point: a (1, 4) @ (4, points) each
-    overlap = np.matmul(ensemble.targets[:, None, :], y)[:, :, 0]
-    up, down = _ideal_output_spin()
-    per_input = np.concatenate([
-        2 * np.abs(overlap) ** 2,
-        (np.abs(np.conj(up) * overlap[0] + np.conj(down) * overlap[1]) ** 2)[None],
-        out.spin_weights,
-    ])  # f_up, f_down, f_both, success_up, success_down: (5, input, point)
     # the fault has every point axis of the config; a field the circuit
     # ignores (switches on the baseline) or that only moves the weight
     # (switches on the optimized circuit) gives the amplitudes no point axis
-    fault = out.fault
+    fault, weights, amplitude_points = out.fault, out.spin_weights, out.points
+
+    # <CNOT c_i|out_i> per spin branch, part (real, then imaginary if any),
+    # input and point, summed over the output amplitudes in order
+    overlap = np.einsum("rmi,smip->srip", ensemble.targets, out.amplitudes)
+    del out  # the amplitudes are read: free them before the values per input
+    up, down = _ideal_output_spin()
+    # f_up, f_down, f_both, success_up, success_down: (input, 5, point), so
+    # that a mean over the inputs adds them in order at any number of points
+    per_input = np.empty(weights.shape[1:2] + (5,) + weights.shape[2:])
+    values = per_input.transpose(1, 0, 2)
+    both = up * overlap[0]
+    both += down * overlap[1]
+    np.add.reduce(np.square(both, out=both), axis=0, out=values[2])
+    np.add.reduce(np.square(overlap, out=overlap), axis=1, out=values[:2])
+    values[:2] *= 2
+    values[3:] = weights
     points = fault.shape[:-1]
     # the amplitudes' point axes line up with the config's last ones
-    shape = (5,) + (1,) * (len(points) - len(out.points)) + out.points
+    shape = (5,) + (1,) * (len(points) - len(amplitude_points)) + amplitude_points
     reports, start = [], 0
     for part in ensemble.parts or (ensemble,):
         stop = start + len(part.states)
         # the means over the part's inputs in ensemble order, times each point's weight
-        mean = np.add.reduce(per_input[:, start:stop], axis=1) / (stop - start)
+        mean = np.add.reduce(per_input[start:stop], axis=0) / (stop - start)
         means = w2 * mean.reshape(shape)
         reports.append(_report(means, fault[..., start:stop], circuit, part.kind))
         start = stop

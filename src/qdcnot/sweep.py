@@ -321,11 +321,17 @@ def resolve_ensemble(name: str) -> InputEnsemble:
 # grid sweeps
 
 
-# A grid block spans at most CHUNK_POINTS points of the circuit's amplitude
-# stages and at most CHUNK_POINTS // 3 values of each axis: an axis that sets
-# only WEIGHT_ONLY components adds no amplitude point, but every point of a
-# block holds its own values and status.  Sized by tracemalloc.
-CHUNK_POINTS = 384
+# A grid block is sized by the bytes one input's output takes per amplitude
+# point: 2 spins x 4 photon pairs x 8 bytes, twice that for a complex ensemble,
+# which runs as real and imaginary parts.  A block spans at most BLOCK_BYTES of
+# them (704 amplitude points on a real ensemble, 352 on a complex one) and at
+# most a third of those values of each axis: an axis that sets only WEIGHT_ONLY
+# components adds no amplitude point, but every point of a block holds its own
+# values and status.  The number of inputs is left out: haar_product's 36 run
+# fastest per point in blocks of about 180-370 points.  By tracemalloc, the
+# first fig3a block peaks at 486 kB on basis4 (11 x 61 points; 12 x 61 would
+# take 507 kB) and at 2.35 MB on haar_product (5 x 61).
+BLOCK_BYTES = 44 * 1024
 
 
 @cache
@@ -345,12 +351,15 @@ def _in_domain(axis: str, values: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce([_KEY_DOMAINS[key][0](values) for key in AXIS_KEYS[axis]])
 
 
-def _block_steps(axes: tuple[str, str], lengths: tuple[int, int]) -> tuple[int, int]:
-    """(rows, columns) of one block; if both axes move amplitudes, as many rows as fit."""
+def _block_steps(axes: tuple[str, str], lengths: tuple[int, int],
+                 ensemble: InputEnsemble) -> tuple[int, int]:
+    """(rows, columns) of one block on ``ensemble`` (see :data:`BLOCK_BYTES`);
+    if both axes move amplitudes, as many rows as fit."""
+    points = BLOCK_BYTES // (2 * 4 * 8 * ensemble.inputs.real_coefficients.shape[-2])
     moves = [not _axis_fields(axis).keys() <= WEIGHT_ONLY for axis in axes]
-    share = CHUNK_POINTS // 3
+    share = points // 3
     columns = min(lengths[1], share)
-    return min(lengths[0], share, CHUNK_POINTS // columns if all(moves) else share), columns
+    return min(lengths[0], share, points // columns if all(moves) else share), columns
 
 
 def _axis_values(v: dict, axis: str) -> list[float]:
@@ -387,7 +396,7 @@ def _run_grid(cfg: SimConfig) -> GridTable:
     f = np.full((3, len(values[0]), len(values[1])), math.nan)
     status = np.array(["error:ValueError"] * f[0].size, dtype=object).reshape(f.shape[1:])
     if all(len(ix) for ix in valid):  # else no point is valid and nothing runs
-        steps = _block_steps(axes, (len(valid[0]), len(valid[1])))
+        steps = _block_steps(axes, (len(valid[0]), len(valid[1])), ensemble)
         # the blocks' list is unpacked, not a generator (see _ERROR_PARTS)
         for block in itertools.product(*[[ix[k:k + step] for k in range(0, len(ix), step)]
                                          for ix, step in zip(valid, steps)]):
@@ -401,6 +410,7 @@ def _run_grid(cfg: SimConfig) -> GridTable:
             f[:, rows, columns] = report.f_up, report.f_down, report.f_both
             status[rows, columns] = np.reshape(np.array(report.status, dtype=object),
                                                (len(block[0]), -1))
+            del report  # read: not held through the next block's engine peak
     return GridTable((*axes, "f_up", "f_down", "f_both", "status"), grid_values,
                      tuple(f.reshape(3, -1).tolist()), status.ravel().tolist())
 

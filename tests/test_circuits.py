@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from qdcnot.cavity import CavityCoeffs, CavityParams, cavity_coeffs, interaction_map
+import qdcnot.circuits as circuits_mod
 from qdcnot.circuits import (
     CnotInputs,
     DeviceErrorConfig,
+    _basis_outputs,
+    _dot,
     baseline_cnot,
     cnot_prefactor,
     loop_pass,
@@ -354,3 +357,34 @@ def test_inputs_must_be_normalized():
     # a nan amplitude is rejected here, with its field named
     with pytest.raises(ValueError, match="control amplitudes not normalized"):
         CnotInputs(math.nan, 0, 1, 0)
+
+
+def test_the_engine_runs_in_real_arithmetic():
+    # every stage map is real, so the stages and a real input's outputs are float64
+    err = DeviceErrorConfig.uniform(1e-2)
+    assert _basis_outputs(STRONG, err, ()).dtype == np.float64
+    basis4 = stack([CnotInputs.basis(c, t) for c in "RL" for t in "RL"])
+    out = baseline_cnot(basis4, STRONG, err)
+    assert out.amplitudes.dtype == np.float64 and out.columns.dtype == np.float64
+    # a complex input runs as its real and imaginary parts: real amplitudes, complex columns
+    rng = np.random.default_rng(3)
+    inputs = stack([random_inputs(rng) for _ in range(3)])
+    out = baseline_cnot(inputs, STRONG, err)
+    assert out.amplitudes.dtype == np.float64 and out.amplitudes.shape == (2, 8, 3, 1)
+    assert out.columns.dtype == complex and out.columns.shape == (2, 3, 4, 1)
+    assert np.array_equal(out.columns.real, out.amplitudes[:, :4].transpose(0, 2, 1, 3))
+    assert np.array_equal(out.columns.imag, out.amplitudes[:, 4:].transpose(0, 2, 1, 3))
+
+
+@pytest.mark.parametrize("points", [1, 7, 600])
+def test_a_dot_formed_whole_or_term_by_term_has_the_same_bits(monkeypatch, points):
+    # the stages' products: a 4 x 4 map on a 4 x 2 one, a 2 x 4 map on a 4 x 2 one, 2 x 2 maps
+    rng = np.random.default_rng(points)
+    cases = [((2, 4, 4, points), (4, 2, 1)), ((2, 4, 1), (2, 4, 2, points)),
+             ((2, 2, 2, points), (2, 2, 2, 1)), ((2, 2, 1), (2, 4, points))]
+    for a_shape, b_shape in cases:
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        monkeypatch.setattr(circuits_mod, "DOT_WHOLE_POINTS", points)
+        whole = _dot(a, b)
+        monkeypatch.setattr(circuits_mod, "DOT_WHOLE_POINTS", 0)
+        assert _dot(a, b).tobytes() == whole.tobytes(), (a_shape, b_shape)

@@ -359,16 +359,17 @@ def test_ensemble_caches_are_built_once_and_locked():
     # the fixed ensembles are built once per process
     assert ensemble is InputEnsemble.superposition4()
     assert InputEnsemble.basis4() is InputEnsemble.basis4()
-    # the per-ensemble target matrix: each input's conjugated ideal CNOT output
+    # the per-ensemble target map: each input's conjugated ideal CNOT output
     assert ensemble.targets is ensemble.targets
     assert ensemble.inputs.coefficients is ensemble.inputs.coefficients
+    assert ensemble.inputs.real_coefficients is ensemble.inputs.real_coefficients
     coefficients = ensemble.inputs.coefficients
-    assert ensemble.targets.shape == (4, 4)
-    assert np.array_equal(ensemble.targets, np.conj(coefficients[:, [0, 1, 3, 2]]))
-    with pytest.raises(ValueError, match="read-only"):
-        ensemble.targets[...] = 0
-    with pytest.raises(ValueError, match="read-only"):
-        coefficients[...] = 0
+    assert ensemble.targets.shape == (1, 4, 4)   # (part, amplitude, input)
+    assert np.array_equal(ensemble.targets[0], np.conj(coefficients[:, [0, 1, 3, 2]]).T)
+    assert ensemble.inputs.real_coefficients.shape == (4, 1, 4)   # (input, part, basis input)
+    for cached in (ensemble.targets, coefficients, ensemble.inputs.real_coefficients):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[...] = 0
     # a batched copy never inherits the cached coefficients of the item it copies
     first = CnotInputs.basis("R", "L")
     assert first.coefficients.shape == (4,)
@@ -378,12 +379,20 @@ def test_ensemble_caches_are_built_once_and_locked():
 
 
 def test_targets_are_the_conjugated_truth_table():
-    # the labeled reference, conjugated, bit for bit (complex, -0.0 imaginary parts included)
+    # the labeled reference, conjugated, bit for bit as a real map on (amplitude, input): a
+    # real ensemble's is its real part (its imaginary part is exactly 0), a complex one's
+    # takes (re, im) to the overlap's real part by (a, -b) and to its imaginary part by (b, a)
     for ensemble in (InputEnsemble.basis4(), InputEnsemble.superposition4(),
                      InputEnsemble.haar_product()):
-        expected = np.conj(ideal_cnot_photons(ensemble.inputs).amps).reshape(-1, 4)
-        assert ensemble.targets.dtype == expected.dtype
-        assert ensemble.targets.tobytes() == expected.tobytes()
+        expected = np.conj(ideal_cnot_photons(ensemble.inputs).amps).reshape(-1, 4).T
+        a, b = expected.real, expected.imag
+        if ensemble.kind == "haar_product":
+            want = np.array([np.concatenate([a, -b]), np.concatenate([b, a])])
+        else:
+            assert np.all(b == 0)
+            want = a[None]
+        assert ensemble.targets.dtype == np.float64
+        assert ensemble.targets.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_average_fidelity_runs_the_circuit_once(monkeypatch):

@@ -469,7 +469,7 @@ def test_chunk_boundaries_keep_every_point_row(monkeypatch):
     # linspace(-0.5, 1.5, 9) is valid on 0..1 only, kappa_s over
     # linspace(-1, 1, 5) on 0..1 only, so invalid rows or columns lie before
     # the first block and after the last
-    monkeypatch.setattr(sweep_mod, "CHUNK_POINTS", 12)
+    monkeypatch.setattr(sweep_mod, "BLOCK_BYTES", 12 * 2 * 4 * 8)  # 12 points on basis4
     real = sweep_mod.average_fidelity
     err_axis = dict(lo=-0.5, hi=1.5, points=9)
     kappa_axis = dict(lo=-1.0, hi=1.0, points=5)

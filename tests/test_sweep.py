@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -524,9 +525,9 @@ def test_fault_rows_keep_their_statuses(sweep, overrides, digest, counts):
 
 
 def test_grid_blocks_keep_their_memory_bound():
-    # tracemalloc peaks of warm grids: fig3a (0.65 MB with its 7 blocks; about
+    # tracemalloc peaks of warm grids: fig3a (0.60 MB with its 4 blocks; about
     # 3.5 MB as one unchunked block) and err x p_sw with 400 weight-only
-    # p_sw values on the 36-input ensemble (4.3 MB with 128 p_sw values a block)
+    # p_sw values on the 36-input ensemble (1.7 MB with 117 p_sw values a block)
     import tracemalloc
 
     fig3a = _config_with(**target_values("fig3a"))
@@ -800,10 +801,10 @@ def test_check_anchors_of_no_anchors_makes_no_engine_call(monkeypatch):
 
 
 @pytest.mark.parametrize("target, calls", [
-    ("fig3a", 8), ("fig3b", 8), ("fig4a", 8), ("fig4b", 2), ("table_anchors", 2)])
+    ("fig3a", 5), ("fig3b", 5), ("fig4a", 5), ("fig4b", 2), ("table_anchors", 2)])
 def test_engine_calls_per_target(monkeypatch, tmp_path, target, calls):
-    # fig3a/fig3b/fig4a: 7 grid blocks and the check; fig4b: 1 grid block and
-    # the check; the anchor table: its two check calls
+    # fig3a/fig3b/fig4a: 4 grid blocks (11 x 61 points on basis4) and the
+    # check; fig4b: 1 grid block and the check; the anchor table: its two check calls
     calibrate_ensemble()  # once per process, before the spy
     seen = spy_engine(monkeypatch)
     assert reproduce(target, str(tmp_path))["ok"]
@@ -811,20 +812,52 @@ def test_engine_calls_per_target(monkeypatch, tmp_path, target, calls):
 
 
 @pytest.mark.parametrize("kind", ["basis4", "superposition4", "haar_product"])
+@pytest.mark.parametrize("target", ["fig3a", "fig4b"])
+def test_a_grid_row_keeps_its_bits_in_any_block(monkeypatch, target, kind):
+    # each point's row is the same bit for bit whether it ran in a default
+    # block or in one of 12 amplitude points (6 on the complex haar_product,
+    # so fig4b's last err row runs as a block of one amplitude point)
+    cfg = SimConfig({**sweep_mod._target_config(target).values, "ensemble": kind})
+    default = sweep_mod._run_grid(cfg)
+    monkeypatch.setattr(sweep_mod, "BLOCK_BYTES", 12 * 2 * 4 * 8)
+    small = sweep_mod._run_grid(cfg)
+    assert np.array(small.values).tobytes() == np.array(default.values).tobytes()
+    assert small.status == default.status
+
+
+# the tracemalloc peak of the first fig3a block at 5bcddb9 (7 blocks of 6 x 61 points on
+# either ensemble), with numpy 2.4
+PARENT_BLOCK_PEAKS = {"basis4": 500_041, "haar_product": 3_269_152}
+
+
+@pytest.mark.parametrize("kind", sorted(PARENT_BLOCK_PEAKS))
+def test_a_default_fig3a_block_peaks_no_higher_than_before(monkeypatch, kind):
+    blocks = []
+    real = sweep_mod.average_fidelity
+    monkeypatch.setattr(sweep_mod, "average_fidelity", lambda *args: blocks.append(args) or real(*args))
+    sweep_mod._run_grid(SimConfig({**sweep_mod._target_config("fig3a").values, "ensemble": kind}))
+    assert len(blocks) == {"basis4": 4, "haar_product": 9}[kind]  # 11 x 61 and 5 x 61 points
+    real(*blocks[0])  # the ensemble's caches are built once per process
+    tracemalloc.start()
+    try:
+        real(*blocks[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARENT_BLOCK_PEAKS[kind]
+
+
+@pytest.mark.parametrize("kind", ["basis4", "superposition4", "haar_product"])
 def test_anchor_blocks_equal_single_configs(kind):
     # one block of both circuits gives each anchor the value its own config
-    # gives: bit for bit on basis4, within rounding of the summation on the others
+    # gives, bit for bit: a point's sums run in one order at any number of points
     ensemble = sweep_mod.ENSEMBLES[kind]()
     batched = sweep_mod._anchor_values(ANCHORS, ensemble)
     for anchor in ANCHORS:
-        value = batched[anchor, kind]
         report = average_fidelity(anchor.circuit, anchor.cavity, anchor.errors, ensemble)
         single = (max(report.f_up, report.f_down) if anchor.metric == "best_branch"
                   else report.f_both)
-        if kind == "basis4":
-            assert value == single, anchor.name
-        else:
-            assert abs(value - single) <= 1e-15, anchor.name
+        assert batched[anchor, kind] == single, anchor.name
 
 
 def test_anchor_values_on_a_union_equal_each_part_alone():
@@ -833,12 +866,8 @@ def test_anchor_values_on_a_union_equal_each_part_alone():
     assert len(union) == len(ANCHORS) * len(parts)
     for part in parts:
         alone = sweep_mod._anchor_values(ANCHORS, part)
-        for anchor in ANCHORS:
-            value = union[anchor, part.kind]
-            if part.kind == "basis4":
-                assert value == alone[anchor, "basis4"], anchor.name
-            else:
-                assert abs(value - alone[anchor, part.kind]) <= 1e-15, anchor.name
+        for anchor in ANCHORS:  # bit for bit: a real part gains exact zeros in a complex union
+            assert union[anchor, part.kind] == alone[anchor, part.kind], anchor.name
 
 
 def test_a_faulting_anchor_in_a_block_raises_by_name():
