@@ -42,11 +42,13 @@ amplitude, input, point); the output checks run on it, the optimized
 circuit's sign fix scales it per point, and the returned
 :class:`CircuitOutput` is that array (``amplitudes``), with each spin
 branch's squared norm and the global weight alongside: no labeled state
-is built.  Every sum runs in one fixed order and calls no BLAS, so a
-point's output has the same bits in a block of any size, alone included.
-A field that only scales the global weight (:data:`WEIGHT_ONLY`) adds no
-point to the stages; the config's shape and the stages' point shape are
-read in one walk over its fields (:func:`config_shapes`).  One block may hold points of both circuits:
+is built, and no other view of the array is kept (a test that reads it by
+photon pair or by label has its own helpers).  Every sum runs in one
+fixed order and calls no BLAS, so a point's output has the same bits in a
+block of any size, alone included.  A field that only scales the global
+weight (:data:`WEIGHT_ONLY`) adds no point to the stages; the config's
+shape and the stages' point shape are read in one walk over its fields
+(:func:`config_shapes`).  One block may hold points of both circuits:
 ``optimized_cnot`` takes the sign fix as a per-point mask, and where it is
 off the sign-fix factor and the weight are exactly 1.0, so those points
 keep the bits :func:`baseline_cnot` gives them.
@@ -318,18 +320,6 @@ class CircuitOutput:
     weight: float | np.ndarray
     points: tuple[int, ...]
     inputs: tuple[int, ...]
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """The output amplitudes as (spin, input, photon pair, point),
-        complex if the inputs are; built once per object."""
-        y = self.amplitudes
-        re, *im = y.reshape((2, -1, 4) + y.shape[2:]).transpose(1, 0, 3, 2, 4)
-        if not im:
-            return re
-        columns = np.empty(re.shape, complex)
-        columns.real, columns.imag = re, im[0]
-        return columns
 
 
 # the config parts the stages read, then those the sign fix reads as well

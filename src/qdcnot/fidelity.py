@@ -160,7 +160,8 @@ class InputEnsemble:
 def _ideal_output_spin() -> tuple[float, float]:
     """Spin ket the error-free optimized circuit ends in, computed by running it."""
     out = optimized_cnot(CnotInputs.basis("R", "R"), CavityCoeffs.ideal(), DeviceErrorConfig())
-    up, down = (float(out.columns[s, 0, 0, 0]) for s in (0, 1))  # |RR> per spin branch
+    # the real |RR> amplitude of input 0 at point 0, per spin branch
+    up, down = (float(out.amplitudes[s, 0, 0, 0]) for s in (0, 1))
     norm = math.sqrt(abs(up) ** 2 + abs(down) ** 2)
     if abs(norm - 1) > 1e-9:
         raise AssertionError("ideal pipeline did not produce a product output")

@@ -5,8 +5,9 @@ of its two axes and one column per value and status, in axis1-outer order.
 It iterates as the list of rows it stands for (header first).
 :func:`write_csv` writes each chunk of rows as one ``%`` template over its
 cells: a grid's from its columns, each axis value formatted once, and a
-list of rows' when its rows share one length and each column one kind.
-Any other list of rows is written cell by cell.
+list of rows' from its one row template.  A list of rows has one only when
+every row is as long as its header and each column holds one kind; any
+other list is rejected before the file is opened.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class GridTable:
                          self.axes, tuple([self.values[k] for k in keep]), self.status)
 
 
-def _cell_text(cell) -> str:
-    return format(cell, ".10g") if isinstance(cell, float) else str(cell)
-
-
 # rows written per chunk, so the text of a large table is never held whole
 CSV_CHUNK_ROWS = 512
 
@@ -89,21 +86,24 @@ def _overwrite(path: str):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def _row_template(rows: list) -> str | None:
-    """One ``%`` template for each of ``rows``, or None unless they share one
-    length and each column holds only floats (``%.10g``) or only str and int
-    (``%s``)."""
-    if len(set(map(len, rows))) != 1:
-        return None
+def _row_template(header: list, rows: list) -> str:
+    """One ``%`` template for each of ``rows``: each must be as long as
+    ``header``, and each column hold only floats (``%.10g``) or only str and
+    int (``%s``); a ``ValueError`` names the first row or column that is not."""
+    lengths = list(map(len, rows))
+    if lengths.count(len(header)) != len(lengths):
+        raise ValueError("row {} after the header has {} cells, the header {}".format(
+            *next((k, n) for k, n in enumerate(lengths, 1) if n != len(header)), len(header)))
     formats = []
-    for column in zip(*rows):
+    for name, column in zip(header, zip(*rows)):
         kinds = set(map(type, column))
         if kinds == {float}:
             formats.append("%.10g")
         elif kinds <= {str, int}:
             formats.append("%s")
         else:  # e.g. floats with ints or bools, or a numpy scalar
-            return None
+            raise ValueError(f"column {name!r} mixes kinds "
+                             f"{sorted(kind.__name__ for kind in kinds)}")
     return ",".join(formats) + "\n"
 
 
@@ -120,27 +120,27 @@ def _write_rows(fh, rows, count: int, row_template: str) -> None:
 def write_csv(table: GridTable | list[list], path: str) -> None:
     """UTF-8, comma-separated, 10 significant digits, LF endings.
 
-    Every float cell is written as ``format(v, ".10g")`` (the bytes of
-    ``"%.10g" % v``), any other as ``str``.  A :class:`GridTable` is written
-    from its columns, each axis value formatted once by position, so 0.0 and
-    -0.0 stay apart; a list of rows through its :func:`_row_template`, or
-    cell by cell if it has none; an existing file at ``path`` is
-    overwritten in place (see :func:`_overwrite`).
+    The header's cells are written as ``str``, every float cell after it as
+    ``format(v, ".10g")`` (the bytes of ``"%.10g" % v``) and any other as
+    ``str``.  A :class:`GridTable` is written from its columns, each axis
+    value formatted once by position, so 0.0 and -0.0 stay apart; a list of
+    rows through its :func:`_row_template`, and one that has none raises
+    before ``path`` is opened.  An existing file at ``path`` is overwritten
+    in place (see :func:`_overwrite`).
     """
     if not table:
         raise ValueError("refusing to write an empty table")
-    head = table.header if isinstance(table, GridTable) else table[0]
+    if isinstance(table, GridTable):
+        head = table.header
+        template = "%s,%s," + "%.10g," * len(table.values) + "%s\n"
+        x1, x2 = (["%.10g" % v for v in axis] for axis in table.axes)
+        rows = zip(chain.from_iterable(map(repeat, x1, repeat(len(x2)))),
+                   chain.from_iterable(repeat(x2, len(x1))), *table.values, table.status)
+        count = len(table.status)
+    else:
+        head, rows = table[0], table[1:]
+        template, count = _row_template(head, rows), len(rows)
+        rows = iter(rows)
     with _overwrite(path) as fh:
-        fh.write(",".join(map(_cell_text, head)) + "\n")
-        if isinstance(table, GridTable):
-            x1, x2 = (["%.10g" % v for v in axis] for axis in table.axes)
-            rows = zip(chain.from_iterable(map(repeat, x1, repeat(len(x2)))),
-                       chain.from_iterable(repeat(x2, len(x1))), *table.values, table.status)
-            _write_rows(fh, rows, len(table.status),
-                        "%s,%s," + "%.10g," * len(table.values) + "%s\n")
-            return
-        rows = table[1:]
-        if template := _row_template(rows):
-            _write_rows(fh, iter(rows), len(rows), template)
-        else:
-            fh.writelines(",".join(map(_cell_text, row)) + "\n" for row in rows)
+        fh.write(",".join(map(str, head)) + "\n")
+        _write_rows(fh, rows, count, template)

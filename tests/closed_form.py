@@ -22,6 +22,8 @@ from qdcnot.circuits import (
     sign_fix_amplitude,
 )
 
+from labeled import columns
+
 
 @dataclass(frozen=True)
 class CnotAmplitudes:
@@ -43,7 +45,7 @@ class CnotAmplitudes:
     rr_up_reference: complex
 
 
-# RR, RL, LL, LR among the photon pairs of CircuitOutput.columns
+# RR, RL, LL, LR among the photon pairs of labeled.columns
 _TERM_ORDER = (0, 1, 3, 2)
 
 
@@ -52,7 +54,7 @@ def _branch_terms(out: CircuitOutput):
     if out.points or out.inputs:
         raise ValueError(f"branch amplitudes of one run, got points {out.points} "
                          f"and inputs {out.inputs}")
-    return tuple(tuple(complex(out.columns[s, 0, k, 0]) for k in _TERM_ORDER) for s in (0, 1))
+    return tuple(tuple(complex(columns(out)[s, 0, k, 0]) for k in _TERM_ORDER) for s in (0, 1))
 
 
 def extract_branch_amplitudes(out: CircuitOutput):

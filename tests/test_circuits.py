@@ -20,7 +20,7 @@ from qdcnot.devices import ClonerConfig, CpbsError, HwpError, SwitchCoeffs, cpbs
 from qdcnot.state import replace_unchecked, stack
 
 from closed_form import extract_branch_amplitudes, output_amplitudes, rr_up_closed_form
-from labeled import labeled
+from labeled import columns, labeled
 from oracle import baseline_dense, dense_vector
 
 SQH = math.sqrt(0.5)
@@ -348,7 +348,7 @@ def test_a_line_keeps_its_points_apart_from_the_inputs():
     assert (out.points, out.inputs, out.fault.shape) == ((4,), (4,), (4, 4))
     for j, g in enumerate((1, 2, 3, 4)):
         alone = baseline_cnot(basis, CavityParams(g=g, kappa_s=0.05, gamma=0.1))
-        assert out.columns[..., j].tobytes() == alone.columns[..., 0].tobytes(), j
+        assert columns(out)[..., j].tobytes() == columns(alone)[..., 0].tobytes(), j
 
 
 def test_inputs_must_be_normalized():
@@ -365,15 +365,15 @@ def test_the_engine_runs_in_real_arithmetic():
     assert _basis_outputs(STRONG, err, ()).dtype == np.float64
     basis4 = stack([CnotInputs.basis(c, t) for c in "RL" for t in "RL"])
     out = baseline_cnot(basis4, STRONG, err)
-    assert out.amplitudes.dtype == np.float64 and out.columns.dtype == np.float64
+    assert out.amplitudes.dtype == np.float64 and columns(out).dtype == np.float64
     # a complex input runs as its real and imaginary parts: real amplitudes, complex columns
     rng = np.random.default_rng(3)
     inputs = stack([random_inputs(rng) for _ in range(3)])
     out = baseline_cnot(inputs, STRONG, err)
     assert out.amplitudes.dtype == np.float64 and out.amplitudes.shape == (2, 8, 3, 1)
-    assert out.columns.dtype == complex and out.columns.shape == (2, 3, 4, 1)
-    assert np.array_equal(out.columns.real, out.amplitudes[:, :4].transpose(0, 2, 1, 3))
-    assert np.array_equal(out.columns.imag, out.amplitudes[:, 4:].transpose(0, 2, 1, 3))
+    assert columns(out).dtype == complex and columns(out).shape == (2, 3, 4, 1)
+    assert np.array_equal(columns(out).real, out.amplitudes[:, :4].transpose(0, 2, 1, 3))
+    assert np.array_equal(columns(out).imag, out.amplitudes[:, 4:].transpose(0, 2, 1, 3))
 
 
 @pytest.mark.parametrize("points", [1, 7, 600])

@@ -27,7 +27,7 @@ from qdcnot.state import (
     with_weight,
 )
 
-from labeled import labeled
+from labeled import columns, labeled
 
 SQH = math.sqrt(0.5)
 IDEAL = CavityCoeffs.ideal()
@@ -143,6 +143,29 @@ def test_target_state_modes():
     assert both.amplitude(("R", "R", "down")) == pytest.approx(SQH, abs=1e-12)
     with pytest.raises(ValueError, match="mode"):
         target_state(inputs, "sideways")
+
+
+
+def test_the_ideal_spin_is_read_only_from_a_product_output(monkeypatch):
+    # an engine whose error-free spin-down branch holds |RL> where |RR> was
+    # leaves the |RR> spin ket short of unit norm: the guard refuses it
+    real = fidelity_module.optimized_cnot
+
+    def entangled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        y = out.amplitudes.copy()
+        y[1, [0, 1]] = y[1, [1, 0]]
+        return replace(out, amplitudes=y)
+
+    monkeypatch.setattr(fidelity_module, "optimized_cnot", entangled)
+    fidelity_module._ideal_output_spin.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="did not produce a product output"):
+            fidelity_module._ideal_output_spin()
+    finally:
+        fidelity_module._ideal_output_spin.cache_clear()
+    monkeypatch.undo()
+    assert fidelity_module._ideal_output_spin() == pytest.approx((SQH, SQH), abs=1e-12)
 
 
 # --- success probability
@@ -491,7 +514,7 @@ def test_a_mixed_block_equals_its_per_circuit_blocks():
         run = baseline_cnot if circuit == "baseline" else optimized_cnot
         alone = run(ensemble.inputs, cav, e)
         # a baseline point keeps baseline_cnot's bits, with weight 1.0
-        assert mixed.columns[..., j].tobytes() == alone.columns[..., 0].tobytes(), j
+        assert columns(mixed)[..., j].tobytes() == columns(alone)[..., 0].tobytes(), j
         assert mixed.spin_weights[..., j].tobytes() == alone.spin_weights[..., 0].tobytes(), j
         assert weight[j] == alone.weight, j
     # through the engine: each point's values equal its circuit's own block

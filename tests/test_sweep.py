@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import qdcnot.sweep as sweep_mod
+import qdcnot.table as table_mod
 from qdcnot.cavity import CavityParams
 from qdcnot.circuits import (
     DeviceErrorConfig,
@@ -33,6 +35,7 @@ from qdcnot.sweep import (
     write_csv,
     _config_with,
 )
+from qdcnot.table import CSV_CHUNK_ROWS, GridTable
 
 
 def small_cfg(**overrides):
@@ -527,13 +530,14 @@ def test_fault_rows_keep_their_statuses(sweep, overrides, digest, counts):
 def test_grid_blocks_keep_their_memory_bound():
     # tracemalloc peaks of warm grids: fig3a (0.60 MB with its 4 blocks; about
     # 3.5 MB as one unchunked block) and err x p_sw with 400 weight-only
-    # p_sw values on the 36-input ensemble (1.7 MB with 117 p_sw values a block)
+    # p_sw values on the 36-input ensemble (1.71 MB with 117 p_sw values a
+    # block); each bound is its peak plus 25%
     import tracemalloc
 
     fig3a = _config_with(**target_values("fig3a"))
     wide = _config_with(**dict(target_values("fig4b"), ensemble="haar_product",
                                axis2_points=400))
-    for sweep, cfg, bound_mb in ((sweep_coupling, fig3a, 1.0), (sweep_err_psw, wide, 6.0)):
+    for sweep, cfg, bound_mb in ((sweep_coupling, fig3a, 0.75), (sweep_err_psw, wide, 2.15)):
         sweep(cfg)
         tracemalloc.start()
         try:
@@ -635,21 +639,17 @@ def test_write_csv_format(tmp_path):
     assert data == b"a,b\n0.9374123457,1\nnan,2.5\n"
 
 
-def test_write_csv_rows_of_other_kinds_keep_per_cell_bytes(tmp_path):
-    # every float is written as format(v, ".10g") and every other cell as
-    # str, whatever else its row or column holds (a header, an int, a bool or
-    # a string where a float was); these rows go cell by cell, with a short
-    # row or without it (their columns mix kinds)
+def test_write_csv_float_cells_keep_their_bytes(tmp_path):
+    # every float is written as format(v, ".10g"), every other cell as str
+    path = tmp_path / "t.csv"
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
               0.1 + 0.2, -123456.78901234, 1e16, 2.5e-7]
-    rows = ([[x, -x, "ok"] for x in values] + [[0.1 + 0.2, x, "ok"] for x in values]
-            + [[1, 2.0, "ok"], [True, 0.5, "ok"], [0.5, "ok", 3.0]])
-    for table in ([["x", "y", "status"]] + rows + [[0.25]], [["x", "y", "status"]] + rows):
-        path = tmp_path / "t.csv"
-        write_csv(table, str(path))
-        expected = [",".join(format(c, ".10g") if isinstance(c, float) else str(c)
-                             for c in row) for row in table]
-        assert path.read_text().split("\n") == expected + [""]
+    table = ([["x", "y", "status"]] + [[x, -x, "ok"] for x in values]
+             + [[0.1 + 0.2, x, "ok"] for x in values])
+    write_csv(table, str(path))
+    expected = [",".join(format(c, ".10g") if isinstance(c, float) else str(c)
+                         for c in row) for row in table]
+    assert path.read_text().split("\n") == expected + [""]
     # repeating float columns: a zero of either sign, or both
     for zeros in ((0.0,), (-0.0,), (0.0, -0.0), (-0.0, 0.0)):
         column = [*zeros, math.nan, 1.5, 1e-300] * 3
@@ -661,6 +661,28 @@ def test_write_csv_rows_of_other_kinds_keep_per_cell_bytes(tmp_path):
     table = [["n", "text", "v"], [12345678901, "ok", 0.1 + 0.2], [-7, "error:ValueError", -0.0]]
     write_csv(table, str(path))
     assert path.read_text() == "n,text,v\n12345678901,ok,0.3\n-7,error:ValueError,-0\n"
+    # a header alone is written alone
+    write_csv([["x", "y", "status"]], str(path))
+    assert path.read_text() == "x,y,status\n"
+
+
+def test_write_csv_rejects_ragged_rows_and_mixed_kind_columns(tmp_path):
+    # a list of rows is written through one template: a row as long as the
+    # header and one kind per column, or nothing, and the old file is kept
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old contents\n")
+    header, row = ["x", "y", "status"], [0.5, 1.5, "ok"]
+    for rows, message in (
+        ([row, [0.25]], "row 2 after the header has 1 cells, the header 3"),
+        ([row, row + ["extra"]], "row 2 after the header has 4 cells, the header 3"),
+        ([row, [1, 2.0, "ok"]], "column 'x' mixes kinds ['float', 'int']"),
+        ([row, [True, 0.5, "ok"]], "column 'x' mixes kinds ['bool', 'float']"),
+        ([row, [0.5, "ok", 3.0]], "column 'y' mixes kinds ['float', 'str']"),
+        ([row, [np.float64(0.5), 1.5, "ok"]], "column 'x' mixes kinds ['float', 'float64']"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_csv([header, *rows], str(path))
+        assert path.read_bytes() == b"old contents\n"
 
 
 def test_write_csv_ten_significant_digits(tmp_path):
@@ -703,13 +725,39 @@ class Unprintable:
 
 
 def test_a_cell_that_raises_mid_write_leaves_no_old_tail(tmp_path):
-    # a short row sends the table down the row-by-row path, which writes the
-    # rows before the failing one; the file is cut after them all the same
+    # a status cell in the second chunk raises once the first chunk is
+    # written; the file is cut after that chunk all the same
     path = tmp_path / "t.csv"
     path.write_bytes(b"old contents\n" * 1000)
+    x2 = [float(k) for k in range(CSV_CHUNK_ROWS)]
+    status = ["ok"] * (2 * CSV_CHUNK_ROWS)
+    status[CSV_CHUNK_ROWS + 1] = Unprintable()
+    table = GridTable(("a", "b", "v", "status"), ([0.0, 1.0], x2), ([0.5] * len(status),), status)
     with pytest.raises(RuntimeError, match="cannot be printed"):
-        write_csv([["a", "b"], [1.5, "x"], [Unprintable(), "y"], [0.5]], str(path))
-    assert path.read_bytes() == b"a,b\n1.5,x\n"
+        write_csv(table, str(path))
+    first_chunk = "".join(f"0,{k},0.5,ok\n" for k in range(CSV_CHUNK_ROWS))
+    assert path.read_text() == "a,b,v,status\n" + first_chunk
+
+
+def test_a_file_not_opened_as_text_keeps_its_bytes_and_frees_its_descriptor(tmp_path, monkeypatch):
+    # the descriptor os.open gave is closed when open(fd, ...) fails, and
+    # the file, opened without truncation, keeps its bytes
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old contents\n" * 10)
+    descriptors = []
+
+    def refuse(fd, *args, **kwargs):
+        descriptors.append(fd)
+        raise OSError("no text layer")
+
+    monkeypatch.setattr(table_mod, "open", refuse, raising=False)
+    with pytest.raises(OSError, match="no text layer"):
+        write_csv(TABLE, str(path))
+    [fd] = descriptors
+    with pytest.raises(OSError) as closed:
+        os.fstat(fd)
+    assert closed.value.errno == errno.EBADF
+    assert path.read_bytes() == b"old contents\n" * 10
 
 
 def test_same_config_twice_identical_bytes(tmp_path):
