@@ -273,16 +273,16 @@ class NonFiniteOutputError(ValueError):
 
 
 # output checks by fault code: what a single run that fails one raises, and
-# the exception name a grid row that fails it carries in its status
+# what it says; a grid row that fails one reads error:<that error's builtin base>
 FAULTS = {
-    1: (NonFiniteOutputError, "ValueError", "non-finite output amplitude"),
-    2: (OutputNormError, "AssertionError", "output norm exceeds 1"),
+    1: (NonFiniteOutputError, "non-finite output amplitude"),
+    2: (OutputNormError, "output norm exceeds 1"),
 }
 NORM_TOL = 1e-9
 
 
 def fault_error(code: int, detail: str) -> Exception:
-    kind, _, what = FAULTS[code]
+    kind, what = FAULTS[code]
     return kind(f"{what}: {detail}")
 
 

@@ -34,7 +34,7 @@ size.
 Given a block of grid points (configuration fields holding an ``(m, 1)``
 array of axis1 values or a ``(1, n)`` array of axis2 values wherever the
 grid moves them), it runs the whole block against the whole ensemble at
-once and reports one value and one status per point.  A block may mix
+once and reports one value and one fault code per point.  A block may mix
 both circuits (the circuit's name per point, as the anchor checks stack
 them), and the ensemble may be a union of ensembles
 (:meth:`InputEnsemble.union`): one circuit run covers all its inputs, and
@@ -52,7 +52,6 @@ import numpy as np
 
 from .cavity import CavityCoeffs, CavityParams
 from .circuits import (
-    FAULTS,
     CnotInputs,
     DeviceErrorConfig,
     baseline_cnot,
@@ -175,8 +174,10 @@ class FidelityReport:
     ``f_up``/``f_down`` are conditioned on the ideal 1/2 herald weight of
     their branch; the folded variants and ``f_both`` include all weight.
     For a block of grid points every value is an array over them, and
-    ``status`` says per point, in row-major order, "ok" or which output
-    check failed.  ``ensemble`` is the kind of the ensemble averaged over.
+    ``fault`` is 0, or if a point failed an output check, per point in the
+    config's shape the code (``circuits.FAULTS``) of the first input, in
+    ensemble order, that failed one there, else 0.  ``ensemble`` is the kind
+    of the ensemble averaged over.
     """
 
     f_up: float
@@ -185,7 +186,7 @@ class FidelityReport:
     success_up: float
     success_down: float
     ensemble: str
-    status: str | tuple[str, ...] = "ok"
+    fault: int | np.ndarray = 0
 
     @property
     def f_up_folded(self) -> float:
@@ -212,12 +213,12 @@ def average_fidelity(
     both, an array of those names that broadcasts against its fields (one
     per point): the block runs through ``optimized_cnot`` with the sign fix
     masked to its optimized points.  One configuration whose output fails a
-    check raises; a block reports the failure in that point's status and
+    check raises; a block reports the failure as that point's fault code and
     leaves its values nan.
 
     A union ensemble (see :meth:`InputEnsemble.union`) runs all its inputs
     in one circuit run and gives one report per part, in order: each part
-    is reduced over its own inputs, so its values and statuses are the ones
+    is reduced over its own inputs, so its values and faults are the ones
     it gives alone at the same points.
     """
     if not ensemble.states:
@@ -274,13 +275,10 @@ def _report(means: np.ndarray, fault: np.ndarray, circuit: str | np.ndarray,
     points = fault.shape[:-1]
     if not fault.any():
         values = means.tolist() if not points else np.broadcast_to(means, (5,) + points)
-        status = "ok" if not points else ("ok",) * math.prod(points)
-    else:
-        # per point, the first input (in ensemble order) that failed a check
-        where = np.argmax(fault != 0, axis=-1)
-        first = np.take_along_axis(fault, where[..., None], -1)[..., 0]
-        if not points:
-            raise fault_error(int(first), f"{circuit} circuit, input {int(where)}")
-        values = np.where(first == 0, means, math.nan)
-        status = tuple(f"error:{FAULTS[f][1]}" if f else "ok" for f in first.ravel().tolist())
-    return FidelityReport(*values, ensemble=kind, status=status)
+        return FidelityReport(*values, ensemble=kind)
+    # per point, the first input (in ensemble order) that failed a check
+    where = np.argmax(fault != 0, axis=-1)
+    first = np.take_along_axis(fault, where[..., None], -1)[..., 0]
+    if not points:
+        raise fault_error(int(first), f"{circuit} circuit, input {int(where)}")
+    return FidelityReport(*np.where(first == 0, means, math.nan), ensemble=kind, fault=first)

@@ -12,10 +12,10 @@ and return it as a :class:`~qdcnot.table.GridTable`: its columns, read as
 the list of rows.  The grid runs in bounded blocks of valid rows by valid
 columns, each one batch against the whole input ensemble with the axis1
 values on one array axis and the axis2 values on another; a point that
-fails keeps its row and status.  ``run_sweep`` picks the sweep by the
-config's axes.  ``write_csv`` (from :mod:`qdcnot.table`)
-writes a table, and CSV output is byte-deterministic: same config, same
-bytes.
+fails keeps its row, with its fault code's status text (:data:`_STATUS`).
+``run_sweep`` picks the sweep by the config's axes.  ``write_csv`` (from
+:mod:`qdcnot.table`) writes a table, and CSV output is byte-deterministic:
+same config, same bytes.
 
 ``reproduce`` runs canonical configurations and compares a set of named
 reference fidelity anchors for this architecture against the computed
@@ -321,6 +321,13 @@ def resolve_ensemble(name: str) -> InputEnsemble:
 # grid sweeps
 
 
+# fault code -> a grid row's status ("error:" and the builtin base of the error
+# one config failing that output check raises), and that error -> its code
+_STATUS = np.array(["ok", *[f"error:{FAULTS[code][0].__base__.__name__}"
+                            for code in range(1, len(FAULTS) + 1)]], dtype=object)
+_FAULT_KINDS = {kind: code for code, (kind, _) in FAULTS.items()}
+
+
 # A grid block is sized by the bytes one input's output takes per amplitude
 # point: 2 spins x 4 photon pairs x 8 bytes, twice that for a complex ensemble,
 # which runs as real and imaginary parts.  A block spans at most BLOCK_BYTES of
@@ -365,9 +372,9 @@ def _block_steps(axes: tuple[str, str], lengths: tuple[int, int],
 def _axis_values(v: dict, axis: str) -> list[float]:
     """The grid values of ``axis`` ("axis1" or "axis2") in a config's values ``v``."""
     lo, hi, n = v[axis + "_lo"], v[axis + "_hi"], v[axis + "_points"]
-    if v[axis + "_scale"] == "log":
-        return [float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n)]
-    return [float(x) for x in np.linspace(lo, hi, n)]
+    if v[axis + "_scale"] == "log":  # libm's pow: np.power's last bit depends on the CPU's SIMD
+        return [10.0 ** x for x in np.linspace(math.log10(lo), math.log10(hi), n).tolist()]
+    return np.linspace(lo, hi, n).tolist()
 
 
 def _run_grid(cfg: SimConfig) -> GridTable:
@@ -408,8 +415,7 @@ def _run_grid(cfg: SimConfig) -> GridTable:
             report = average_fidelity(v["circuit"], cavity, DeviceErrorConfig(**run), ensemble)
             rows, columns = np.ix_(*block)
             f[:, rows, columns] = report.f_up, report.f_down, report.f_both
-            status[rows, columns] = np.reshape(np.array(report.status, dtype=object),
-                                               (len(block[0]), -1))
+            status[rows, columns] = _STATUS[report.fault]
             del report  # read: not held through the next block's engine peak
     return GridTable((*axes, "f_up", "f_down", "f_both", "status"), grid_values,
                      tuple(f.reshape(3, -1).tolist()), status.ravel().tolist())
@@ -469,12 +475,6 @@ def run_sweep(cfg: SimConfig) -> GridTable:
 # reproduction targets
 
 
-# an anchor block's point status, or the error one config raises, -> the
-# code of the output check it failed
-_FAULT_CODES = {f"error:{name}": code for code, (_, name, _) in FAULTS.items()}
-_FAULT_KINDS = {kind: code for code, (kind, _, _) in FAULTS.items()}
-
-
 @lru_cache(maxsize=32)
 def _anchor_block(group: tuple[Anchor, ...]
                   ) -> tuple[str | np.ndarray, CavityParams, DeviceErrorConfig]:
@@ -508,14 +508,14 @@ def _anchor_values(anchors: Sequence[Anchor], ensemble: InputEnsemble
         raise fault_error(_FAULT_KINDS[type(fault)], f"anchor {group[0].name}") from fault
     values: dict[tuple[Anchor, str], float] = {}
     for report in reports if ensemble.parts else (reports,):
-        if isinstance(report.status, str):  # one config: the anchors share every field
-            rows = [(report.f_up, report.f_down, report.f_both, report.status)] * len(group)
+        if isinstance(report.fault, np.ndarray):  # a block that faulted: a code per anchor
+            raise next(fault_error(code, f"anchor {anchor.name}")
+                       for anchor, code in zip(group, report.fault.tolist()) if code)
+        if isinstance(report.f_up, float):  # one config: the anchors share every field
+            rows = [(report.f_up, report.f_down, report.f_both)] * len(group)
         else:
-            rows = zip(report.f_up.tolist(), report.f_down.tolist(), report.f_both.tolist(),
-                       report.status)
-        for anchor, (up, down, both, status) in zip(group, rows):
-            if status != "ok":
-                raise fault_error(_FAULT_CODES[status], f"anchor {anchor.name}")
+            rows = zip(report.f_up.tolist(), report.f_down.tolist(), report.f_both.tolist())
+        for anchor, (up, down, both) in zip(group, rows):
             values[anchor, report.ensemble] = both if anchor.metric == "both" else max(up, down)
     return values
 

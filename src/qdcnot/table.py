@@ -39,10 +39,7 @@ class GridTable:
         return 1 + len(self.status)
 
     def __iter__(self):
-        x1, x2 = self.axes
-        return chain([list(self.header)], map(list, zip(
-            chain.from_iterable(map(repeat, x1, repeat(len(x2)))),
-            chain.from_iterable(repeat(x2, len(x1))), *self.values, self.status)))
+        return chain([list(self.header)], map(list, _grid_rows(*self.axes, self)))
 
     def without(self, *names: str) -> GridTable:
         """The same grid without the value columns ``names``."""
@@ -52,6 +49,12 @@ class GridTable:
         keep = [k for k, name in enumerate(value_names) if name not in names]
         return GridTable((*self.header[:2], *(value_names[k] for k in keep), "status"),
                          self.axes, tuple([self.values[k] for k in keep]), self.status)
+
+
+def _grid_rows(x1: list, x2: list, table: GridTable):
+    """``table``'s rows after its header, axis1 outer, led by cells of ``x1`` and ``x2``."""
+    return zip(chain.from_iterable(map(repeat, x1, repeat(len(x2)))),
+               chain.from_iterable(repeat(x2, len(x1))), *table.values, table.status)
 
 
 # rows written per chunk, so the text of a large table is never held whole
@@ -133,9 +136,7 @@ def write_csv(table: GridTable | list[list], path: str) -> None:
     if isinstance(table, GridTable):
         head = table.header
         template = "%s,%s," + "%.10g," * len(table.values) + "%s\n"
-        x1, x2 = (["%.10g" % v for v in axis] for axis in table.axes)
-        rows = zip(chain.from_iterable(map(repeat, x1, repeat(len(x2)))),
-                   chain.from_iterable(repeat(x2, len(x1))), *table.values, table.status)
+        rows = _grid_rows(*[["%.10g" % v for v in axis] for axis in table.axes], table)
         count = len(table.status)
     else:
         head, rows = table[0], table[1:]

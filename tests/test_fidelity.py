@@ -7,6 +7,7 @@ import pytest
 
 from qdcnot.cavity import CavityCoeffs, CavityParams, cavity_coeffs
 from qdcnot.circuits import (
+    FAULTS,
     CnotInputs,
     DeviceErrorConfig,
     NonFiniteOutputError,
@@ -26,6 +27,7 @@ from qdcnot.state import (
     tensor,
     with_weight,
 )
+from qdcnot.sweep import _STATUS
 
 from labeled import columns, labeled
 
@@ -332,7 +334,7 @@ def test_switch_line_reports_one_value_and_status_per_point():
     for circuit in ("optimized", "baseline"):
         report = average_fidelity(circuit, strong, switch_line(base), ensemble)
         assert report.f_both.shape == report.f_up.shape == (3,)
-        assert report.status == ("ok",) * 3
+        assert report.fault == 0
         for k, p in enumerate(P_SW):
             point = replace(base, sw1=SwitchCoeffs(t12=p, r22=p), sw2=SwitchCoeffs(t12=p, r11=p))
             single = average_fidelity(circuit, strong, point, ensemble)
@@ -349,7 +351,7 @@ def test_core_norm_fault_flags_every_switch_point():
         average_fidelity("optimized", cavity, err, ensemble)
     for circuit in ("optimized", "baseline"):
         report = average_fidelity(circuit, cavity, switch_line(err), ensemble)
-        assert report.status == ("error:AssertionError",) * 3
+        assert report.fault.tolist() == [2] * 3
         assert np.isnan(report.f_both).all() and report.f_both.shape == (3,)
 
 
@@ -460,19 +462,38 @@ def test_union_parts_equal_separate_calls():
             assert [r.ensemble for r in reports] == [p.kind for p in parts]
             for part, report in zip(parts, reports):
                 alone = average_fidelity(circuit, cavity, errors, part)
-                assert report.status == alone.status
+                assert np.array_equal(report.fault, alone.fault)
                 for name in REPORT_VALUES:
                     got, want = (np.asarray(getattr(r, name)) for r in (report, alone))
                     if part.kind == "basis4":
                         assert got.tobytes() == want.tobytes(), (circuit, name)
                     else:
                         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-        statuses = [r.status for r in average_fidelity(circuit, line, faulty, union)]
-        assert statuses[0] == ("ok",) * 4
-        assert statuses[1][1] == statuses[2][1] == "error:AssertionError"
+        faults = [r.fault for r in average_fidelity(circuit, line, faulty, union)]
+        assert faults[0] == 0
+        assert faults[1][1] == faults[2][1] == 2
     # one config that faults on a part raises, as that part alone does
     with pytest.raises(AssertionError, match="output norm exceeds 1"):
         average_fidelity("baseline", CavityParams(g=0.7, kappa_s=0.0, gamma=0.1), faulty, union)
+
+
+def test_a_block_reports_each_points_fault_code_and_the_grid_table_names_it():
+    # the line and errors of test_union_parts_equal_separate_calls: from g = 0.7
+    # on, a superposition input's output norm passes 1 (code 2); no basis one does
+    line = stack([CavityParams(g=g, kappa_s=0.0, gamma=0.1) for g in (0.3, 0.7, 1.5, 3.0)])
+    faulty = DeviceErrorConfig(xi1=HwpError(0.1))
+    for circuit in ("baseline", "optimized"):
+        report = average_fidelity(circuit, line, faulty, InputEnsemble.superposition4())
+        assert report.fault.tolist() == [0, 2, 2, 2]
+        assert not np.isnan(report.f_both[0]) and np.isnan(report.f_both[1:]).all()
+        assert average_fidelity(circuit, line, faulty, InputEnsemble.basis4()).fault == 0
+    # a grid row's status is "error:" and the builtin base of the error one
+    # config failing that check raises
+    assert _STATUS[0] == "ok"
+    for code, (kind, _) in FAULTS.items():
+        base = next(c for c in kind.__mro__ if c.__module__ == "builtins")
+        assert _STATUS[code] == f"error:{base.__name__}", code
+    assert _STATUS.tolist() == ["ok", "error:ValueError", "error:AssertionError"]
 
 
 def test_union_rejects_empty_parts():
@@ -519,7 +540,7 @@ def test_a_mixed_block_equals_its_per_circuit_blocks():
         assert weight[j] == alone.weight, j
     # through the engine: each point's values equal its circuit's own block
     report = average_fidelity(circuits, cavity, err, ensemble)
-    assert report.status == ("ok",) * 4
+    assert report.fault == 0
     for circuit in ("baseline", "optimized"):
         slots = [j for j, (c, _, _) in enumerate(points) if c == circuit]
         cav_block, err_block = stack([points[j][1:] for j in slots])
